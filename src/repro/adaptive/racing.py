@@ -43,7 +43,7 @@ from ..butterfly import ButterflyKey
 from ..core.candidates import CandidateSet
 from ..core.estimation import EstimationOutcome
 from ..core.karp_luby_estimator import _candidate_budget, _to_probability
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import ConfigurationError
 from ..kernels import UnionBlockKernel
 from ..observability import Observer, ensure_observer
 from ..runtime.degradation import Guarantee
@@ -56,6 +56,7 @@ from ..sampling import (
     ensure_rng,
     monte_carlo_trial_bound,
 )
+from ..sampling.convergence import decode_traces, encode_traces
 from ..sampling.rng import restore_rng_state, rng_state_payload
 from .intervals import (
     EBInterval,
@@ -298,6 +299,7 @@ class _RacingKarpLubyLoop:
         track: Optional[Iterable[ButterflyKey]] = None,
         deadline=None,
         block_size: Optional[int] = None,
+        observer: Optional[Observer] = None,
     ) -> None:
         self.candidates = candidates
         self.generator = generator
@@ -323,6 +325,9 @@ class _RacingKarpLubyLoop:
         self.traces: Dict[ButterflyKey, ConvergenceTrace] = {}
         self._samplers: Dict[int, KarpLubyUnionSampler] = {}
         self._events: Dict[int, list] = {}
+        self._vectorized = ensure_observer(observer).metrics.counter(
+            "kernel.trials_vectorized"
+        )
 
     # ------------------------------------------------------------------
     # Engine contract
@@ -345,6 +350,7 @@ class _RacingKarpLubyLoop:
             before = sampler.accepted
             if self.block_size is not None:
                 UnionBlockKernel(sampler).run_block(share)
+                self._vectorized.inc(share)
             else:
                 for _ in range(share):
                     sampler.trial()
@@ -373,26 +379,12 @@ class _RacingKarpLubyLoop:
                 for value in self.eliminated_upper
             ],
             "race_eliminated": int(self.race_eliminated),
-            "traces": {
-                "|".join(map(str, key)): [
-                    [n, value] for n, value in trace.checkpoints
-                ]
-                for key, trace in self.traces.items()
-            },
+            "traces": encode_traces(self.traces),
             "rng": rng_state_payload(self.generator),
         }
 
     def restore_state(self, payload: Dict) -> None:
-        keys = [
-            tuple(int(part) for part in raw)
-            for raw in payload["candidates"]
-        ]
-        current = [b.key for b in self.items]
-        if keys != current:
-            raise CheckpointError(
-                "checkpointed candidate set does not match the current "
-                f"candidate set ({len(keys)} vs {len(current)} candidates)"
-            )
+        self.candidates.require_checkpoint_keys(payload["candidates"])
         self.alive = [bool(flag) for flag in payload["alive"]]
         self.done = [int(n) for n in payload["done"]]
         self.intervals = [
@@ -403,14 +395,7 @@ class _RacingKarpLubyLoop:
             for value in payload["eliminated_upper"]
         ]
         self.race_eliminated = int(payload["race_eliminated"])
-        self.traces = {}
-        for raw_key, recorded in payload["traces"].items():
-            key = tuple(int(part) for part in raw_key.split("|"))
-            trace = ConvergenceTrace(label=str(key))
-            trace.checkpoints = [
-                (int(n), float(value)) for n, value in recorded
-            ]
-            self.traces[key] = trace
+        self.traces = decode_traces(payload["traces"])
         self._samplers = {}
         restore_rng_state(self.generator, payload["rng"])
 
@@ -608,14 +593,16 @@ def adaptive_karp_luby(
         )
 
     deadline = runtime.make_deadline() if runtime is not None else None
-    if block_size is not None and block_size <= 0:
-        raise ConfigurationError(
-            f"block_size must be positive, got {block_size}"
-        )
+    if block_size is not None:
+        if block_size <= 0:
+            raise ConfigurationError(
+                f"block_size must be positive, got {block_size}"
+            )
+        observer.set("kernel.block_size", float(block_size))
     loop = _RacingKarpLubyLoop(
         candidates, generator, budgets, mass, delta_race, config,
         pre_eliminated=pre_eliminated, track=track, deadline=deadline,
-        block_size=block_size,
+        block_size=block_size, observer=observer,
     )
     with observer.span(
         "sampling", method="ols-kl", candidates=m, adaptive=True

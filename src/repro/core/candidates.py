@@ -14,6 +14,7 @@ from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 from ..butterfly import Butterfly, ButterflyKey
+from ..errors import CheckpointError
 from ..graph import UncertainBipartiteGraph
 from ..sampling.karp_luby import Event
 
@@ -75,6 +76,19 @@ class CandidateSet:
             if item.key == key:
                 return index
         raise KeyError(f"butterfly {key} is not in the candidate set")
+
+    def require_checkpoint_keys(self, raw: Iterable[Sequence[int]]) -> None:
+        """Raise :class:`CheckpointError` unless ``raw`` — a state
+        payload's ``"candidates"`` keys — lists exactly these candidates
+        in this order (else resumed counts would land on the wrong
+        butterflies)."""
+        keys = [tuple(int(part) for part in key) for key in raw]
+        current = [b.key for b in self._items]
+        if keys != current:
+            raise CheckpointError(
+                "checkpointed candidate set does not match the current "
+                f"candidate set ({len(keys)} vs {len(current)} candidates)"
+            )
 
     # ------------------------------------------------------------------
     # Paper quantities

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from ..butterfly import ButterflyKey
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import ConfigurationError
 from ..kernels import UnionBlockKernel, resolve_block_size
 from ..observability import Observer, ensure_observer
 from ..sampling import (
@@ -36,6 +36,7 @@ from ..sampling import (
     ensure_rng,
     monte_carlo_trial_bound,
 )
+from ..sampling.convergence import decode_traces, encode_traces
 from ..sampling.rng import restore_rng_state, rng_state_payload
 from ..runtime.degradation import Guarantee
 from ..runtime.engine import LoopInterrupt, execute_trial_loop
@@ -73,6 +74,7 @@ class _KarpLubyLoop:
         checkpoints: int = 40,
         deadline: Optional[Deadline] = None,
         block_size: Optional[int] = None,
+        observer: Optional[Observer] = None,
     ) -> None:
         self.candidates = candidates
         self.generator = generator
@@ -90,6 +92,9 @@ class _KarpLubyLoop:
         self.estimates: Dict[ButterflyKey, float] = {}
         self.traces: Dict[ButterflyKey, ConvergenceTrace] = {}
         self.trials_per_candidate: List[int] = []
+        self._vectorized = ensure_observer(observer).metrics.counter(
+            "kernel.trials_vectorized"
+        )
 
     @property
     def total_trials(self) -> int:
@@ -185,6 +190,7 @@ class _KarpLubyLoop:
         while done < budget:
             length = min(block, budget - done)
             accepted = kernel.run_block(length)
+            self._vectorized.inc(length)
             if trace is not None:
                 points = [
                     t for t in range(done + 1, done + length + 1)
@@ -220,25 +226,15 @@ class _KarpLubyLoop:
             "trials_per_candidate": [
                 int(n) for n in self.trials_per_candidate[:completed]
             ],
-            "traces": {
-                "|".join(map(str, key)): [
-                    [n, value] for n, value in trace.checkpoints
-                ]
-                for key, trace in self.traces.items()
+            "traces": encode_traces({
+                key: trace for key, trace in self.traces.items()
                 if index_of[key] < completed
-            },
+            }),
             "rng": rng_state_payload(self.generator),
         }
 
     def restore_state(self, payload: Dict) -> None:
-        keys = [tuple(int(part) for part in raw) for raw in
-                payload["candidates"]]
-        current = [b.key for b in self.items]
-        if keys != current:
-            raise CheckpointError(
-                "checkpointed candidate set does not match the current "
-                f"candidate set ({len(keys)} vs {len(current)} candidates)"
-            )
+        self.candidates.require_checkpoint_keys(payload["candidates"])
         self.estimates = {
             tuple(int(part) for part in raw): float(value)
             for raw, value in payload["estimates"]
@@ -246,14 +242,7 @@ class _KarpLubyLoop:
         self.trials_per_candidate = [
             int(n) for n in payload["trials_per_candidate"]
         ]
-        self.traces = {}
-        for raw_key, recorded in payload["traces"].items():
-            key = tuple(int(part) for part in raw_key.split("|"))
-            trace = ConvergenceTrace(label=str(key))
-            trace.checkpoints = [
-                (int(n), float(value)) for n, value in recorded
-            ]
-            self.traces[key] = trace
+        self.traces = decode_traces(payload["traces"])
         restore_rng_state(self.generator, payload["rng"])
 
 
@@ -336,7 +325,7 @@ def estimate_probabilities_karp_luby(
         candidates, generator, n_trials, mu, epsilon, delta,
         min_trials, max_trials,
         track=track, checkpoints=checkpoints, deadline=deadline,
-        block_size=block_size,
+        block_size=block_size, observer=observer,
     )
     with observer.span(
         "sampling", method="ols-kl", candidates=len(candidates)

@@ -25,24 +25,17 @@ from ..graph import (
     degree_priority,
     expected_degree_priority,
 )
-from ..kernels import (
-    BlockedWinnerLoop,
-    WedgeBlockKernel,
-    WedgeIndex,
-    build_wedge_index,
-    resolve_block_budget,
-    resolve_block_size,
-)
+from ..kernels import WedgeIndex, build_wedge_index, wedge_block_loop
 from ..observability import Observer, ensure_observer
 from ..observability.profiling import stopwatch
 from ..sampling import RngLike, ensure_rng
 from ..worlds import WorldSampler
+from .driver import drive_frequency_loop
 from .results import (
     MPMBResult,
     record_sampling_metrics,
     result_from_frequency_loop,
 )
-from ..runtime.engine import execute_trial_loop
 from ..runtime.frequency import WinnerCountLoop
 from ..runtime.policy import RuntimePolicy
 
@@ -56,7 +49,6 @@ def mc_vp(
     antithetic: bool = False,
     priority_kind: str = "degree",
     block_size: Optional[int] = None,
-    bytes_budget: Optional[int] = None,
     wedge_index: Optional[WedgeIndex] = None,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
@@ -80,11 +72,9 @@ def mc_vp(
             ``None`` keeps the scalar per-trial loop.  Mask blocks are
             stream-equivalent to scalar draws and the kernel reproduces
             the scalar search's exact winner semantics, so results are
-            bit-identical either way; see ``docs/kernels.md``.
-        bytes_budget: Peak working-set bytes one kernel block may use
-            (``None`` uses the 64 MiB default); the effective block
-            size is shrunk to fit, which is semantically free.  Only
-            meaningful with ``block_size``.
+            bit-identical either way; see ``docs/kernels.md``.  The
+            effective block size is shrunk to fit the kernel bytes
+            budget, which is semantically free.
         wedge_index: Optional prebuilt
             :class:`~repro.kernels.wedge_block.WedgeIndex` (e.g. one
             attached from shared memory by the worker pool); reused
@@ -130,128 +120,48 @@ def mc_vp(
         "butterflies_checked": 0.0,
     }
 
-    def mask_trial(mask: np.ndarray) -> List[Butterfly]:
-        winners, trial_stats = _max_butterflies_vertex_priority(
-            graph, mask, priority
-        )
-        stats["angles_processed"] += trial_stats[0]
+    def tally(angles: int, angles_peak: int, checked: int) -> None:
+        stats["angles_processed"] += angles
         stats["angles_stored_peak"] = max(
-            stats["angles_stored_peak"], trial_stats[0]
+            stats["angles_stored_peak"], angles_peak
         )
-        stats["butterflies_checked"] += trial_stats[1]
-        return winners
+        stats["butterflies_checked"] += checked
 
     def run_trial() -> List[Butterfly]:
-        return mask_trial(sampler.sample_mask())
+        winners, (angles, checked) = _max_butterflies_vertex_priority(
+            graph, sampler.sample_mask(), priority
+        )
+        tally(angles, angles, checked)
+        return winners
 
     loop = WinnerCountLoop(
         graph, sampler, run_trial, n_trials,
         track=track, checkpoints=checkpoints, stats=stats,
         observer=observer,
     )
-
-    def wrap(engine_loop, unit_lengths=None):
-        """Wrap the engine loop in the racing stop rule when enabled."""
-        if adaptive is None:
-            return engine_loop, None
-        # Lazy import: repro.adaptive consumes the core estimators, so
-        # importing it eagerly here would cycle at package load.
-        from ..adaptive.racing import (
-            RacingFrequencyLoop,
-            adaptive_delta,
-            adaptive_mu,
-            resolve_adaptive,
-        )
-
-        config = resolve_adaptive(adaptive)
-        if config is None:
-            return engine_loop, None
-        racer = RacingFrequencyLoop(
-            engine_loop,
-            counts_fn=lambda: loop.counts.values(),
-            config=config,
-            delta=adaptive_delta(config, runtime),
-            mu=adaptive_mu(runtime),
-            phantom=True,
-            unit_lengths=unit_lengths,
-        )
-        return racer, racer
-
     with observer.span("sampling", method="mc-vp"), stopwatch() as timer:
-        if block_size is None:
-            engine_loop, racer = wrap(loop)
-            report = execute_trial_loop(
-                method="mc-vp",
-                graph_name=graph.name,
-                n_target=n_trials,
-                loop=engine_loop,
-                policy=runtime,
-                observer=observer,
-            )
-        else:
-            block = resolve_block_size(n_trials, block_size)
-            with observer.span("wedge-index"):
-                if (
-                    wedge_index is None
-                    or wedge_index.priority_kind != priority_kind
-                ):
-                    wedge_index = build_wedge_index(
-                        graph, priority, priority_kind=priority_kind
-                    )
-            kernel = WedgeBlockKernel(graph, wedge_index, tie_mode="exact")
-            budget = resolve_block_budget(
-                block, graph.n_edges, wedge_index.n_wedges,
-                wedge_index.n_groups, budget_bytes=bytes_budget,
-            )
-            block = budget.block_size
-            observer.set("kernel.block_size", float(block))
-            observer.set("kernel.bytes_budget", float(budget.budget_bytes))
-            observer.set("kernel.block_bytes", float(budget.block_bytes))
-            observer.set("kernel.wedges", float(wedge_index.n_wedges))
-
-            def block_fn(masks: np.ndarray) -> List[List[Butterfly]]:
-                outcome = kernel.evaluate_block(masks)
-                stats["angles_processed"] += outcome.wedges_present
-                stats["angles_stored_peak"] = max(
-                    stats["angles_stored_peak"],
+        engine_loop = loop
+        if block_size is not None:
+            engine_loop = wedge_block_loop(
+                loop, n_trials, block_size, observer,
+                index=wedge_index, priority_kind=priority_kind,
+                build=lambda: build_wedge_index(
+                    graph, priority, priority_kind=priority_kind
+                ),
+                tie_mode="exact", with_stats=True,
+                tally=lambda outcome: tally(
+                    outcome.wedges_present,
                     outcome.wedges_present_peak,
-                )
-                stats["butterflies_checked"] += (
-                    outcome.butterflies_present
-                )
-                return outcome.winners
-
-            blocked = BlockedWinnerLoop(
-                loop, mask_trial, n_trials, block,
-                observer=observer, block_fn=block_fn,
+                    outcome.butterflies_present,
+                ),
             )
-            engine_loop, racer = wrap(blocked, unit_lengths=blocked.lengths)
-            report = execute_trial_loop(
-                method="mc-vp",
-                graph_name=graph.name,
-                n_target=blocked.n_blocks,
-                loop=engine_loop,
-                policy=runtime,
-                unit="block",
-                unit_lengths=blocked.lengths,
-                observer=observer,
-            )
-    guarantee = None
-    if racer is not None:
-        from ..adaptive.racing import frequency_racing_summary
-
-        # Must run before result assembly: a certified racing stop is
-        # cleared from the report so the result is not marked degraded.
-        guarantee = frequency_racing_summary(racer, report, observer)
-    result = result_from_frequency_loop(
-        "mc-vp", graph, loop, report, policy=runtime
-    )
-    if guarantee is not None:
-        result.guarantee = guarantee
-        result.stats["trials_saved"] = float(
-            report.n_trials_target - report.n_trials
+        run = drive_frequency_loop(
+            engine_loop, method="mc-vp", graph_name=graph.name,
+            n_trials=n_trials, counts=lambda: loop.counts.values(),
+            phantom=True, runtime=runtime, observer=observer,
+            adaptive=adaptive,
         )
-        result.stats["candidates_eliminated"] = float(racer.eliminated)
+    result = result_from_frequency_loop("mc-vp", graph, loop, run)
     record_sampling_metrics(observer, result, timer.seconds)
     return result
 

@@ -70,27 +70,14 @@ def prepare_candidates(
     """
     if n_prepare <= 0:
         raise ConfigurationError(f"n_prepare must be positive, got {n_prepare}")
-    if seed_backbone_top < 0:
-        raise ConfigurationError(
-            f"seed_backbone_top must be non-negative, got {seed_backbone_top}"
-        )
-    observer = ensure_observer(observer)
-    sampler = WorldSampler(graph, ensure_rng(rng))
-    collected: Dict[ButterflyKey, Butterfly] = {}
-    with observer.span("candidate-generation", trials=n_prepare):
-        if seed_backbone_top:
-            for butterfly in top_weight_butterflies(
-                graph, seed_backbone_top, pair_side=pair_side
-            ):
-                collected.setdefault(butterfly.key, butterfly)
-        for _ in range(n_prepare):
-            for butterfly in os_trial(
-                graph, sampler, prune=prune, pair_side=pair_side
-            ):
-                collected.setdefault(butterfly.key, butterfly)
-    observer.inc("prepare.trials", n_prepare)
-    observer.set("candidates.listed", float(len(collected)))
-    return CandidateSet(graph, collected.values())
+    # No dry streak can outlast the trials run so far, so a patience of
+    # n_prepare never cuts the fixed loop short.
+    candidates, _ = _collect_candidates(
+        graph, rng, prune, pair_side, seed_backbone_top, observer,
+        patience=n_prepare, max_trials=n_prepare,
+        span_meta={"trials": n_prepare},
+    )
+    return candidates
 
 
 def adaptive_prepare_candidates(
@@ -125,6 +112,27 @@ def adaptive_prepare_candidates(
         raise ConfigurationError(f"patience must be positive, got {patience}")
     if max_trials <= 0:
         raise ConfigurationError(f"max_trials must be positive, got {max_trials}")
+    return _collect_candidates(
+        graph, rng, prune, pair_side, seed_backbone_top, observer,
+        patience=patience, max_trials=max_trials,
+        span_meta={"patience": patience, "max_trials": max_trials},
+    )
+
+
+def _collect_candidates(
+    graph: UncertainBipartiteGraph,
+    rng: RngLike,
+    prune: bool,
+    pair_side: str,
+    seed_backbone_top: int,
+    observer: Optional[Observer],
+    *,
+    patience: int,
+    max_trials: int,
+    span_meta: Dict[str, int],
+) -> Tuple[CandidateSet, int]:
+    """Both preparing phases: OS trials until ``patience`` dry trials in
+    a row or ``max_trials`` trials, returning ``(C_MB, trials_used)``."""
     if seed_backbone_top < 0:
         raise ConfigurationError(
             f"seed_backbone_top must be non-negative, got {seed_backbone_top}"
@@ -134,9 +142,7 @@ def adaptive_prepare_candidates(
     collected: Dict[ButterflyKey, Butterfly] = {}
     dry = 0
     trials = 0
-    with observer.span(
-        "candidate-generation", patience=patience, max_trials=max_trials
-    ):
+    with observer.span("candidate-generation", **span_meta):
         if seed_backbone_top:
             for butterfly in top_weight_butterflies(
                 graph, seed_backbone_top, pair_side=pair_side

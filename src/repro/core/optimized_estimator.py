@@ -12,10 +12,10 @@ Compared with the per-candidate Karp-Luby runs of Algorithm 4 this costs
 estimating ``P(B)``, which Lemma VI.4 shows usually needs *fewer* trials
 for the same ε-δ guarantee.
 
-The trial loop routes through the resilient runtime engine
-(:func:`~repro.runtime.engine.execute_trial_loop`), so it supports
-checkpoint/resume, deadlines, and graceful degradation when a
-:class:`~repro.runtime.policy.RuntimePolicy` is supplied.
+The trial loop runs through the frequency methods' shared trial driver
+(:func:`~repro.core.driver.drive_frequency_loop`), so it supports
+checkpoint/resume, deadlines, graceful degradation, and the anytime
+racing stop rule exactly like MC-VP and OS.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from ..butterfly import ButterflyKey
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import ConfigurationError
 from ..observability import Observer, ensure_observer
 from ..sampling import (
     ConvergenceTrace,
@@ -32,12 +32,12 @@ from ..sampling import (
     ensure_rng,
 )
 from ..kernels import BlockedOptimizedLoop, resolve_block_size
+from ..sampling.convergence import decode_traces, encode_traces
 from ..sampling.rng import restore_rng_state, rng_state_payload
 from ..worlds.sampler import LazyEdgeTrial, WorldSampler
-from ..runtime.degradation import recompute_guarantee
-from ..runtime.engine import execute_trial_loop
 from ..runtime.policy import RuntimePolicy
 from .candidates import CandidateSet
+from .driver import drive_frequency_loop
 from .estimation import EstimationOutcome
 
 
@@ -99,34 +99,18 @@ class _OptimizedLoop:
             "counts": list(self.counts),
             "edges_sampled": int(self.edges_sampled),
             "edges_queried": int(self.edges_queried),
-            "traces": {
-                "|".join(map(str, key)): [
-                    [n, value] for n, value in trace.checkpoints
-                ]
-                for key, trace in self.traces.items()
-            },
+            "traces": encode_traces(self.traces),
             "rng": rng_state_payload(self.generator),
         }
 
     def restore_state(self, payload: Dict) -> None:
-        keys = [tuple(int(part) for part in raw) for raw in
-                payload["candidates"]]
-        current = [b.key for b in self.items]
-        if keys != current:
-            raise CheckpointError(
-                "checkpointed candidate set does not match the current "
-                f"candidate set ({len(keys)} vs {len(current)} candidates)"
-            )
+        self.candidates.require_checkpoint_keys(payload["candidates"])
         self.counts = [int(count) for count in payload["counts"]]
         self.edges_sampled = int(payload["edges_sampled"])
         # Checkpoints written before the query counter existed lack the
         # key; resuming from them keeps the hit rate merely incomplete.
         self.edges_queried = int(payload.get("edges_queried", 0))
-        for key, trace in self.traces.items():
-            recorded = payload["traces"].get("|".join(map(str, key)), [])
-            trace.checkpoints = [
-                (int(n), float(value)) for n, value in recorded
-            ]
+        self.traces = decode_traces(payload["traces"], keys=self.traces)
         restore_rng_state(self.generator, payload["rng"])
 
     def estimates(self, completed: int) -> Dict[ButterflyKey, float]:
@@ -205,74 +189,15 @@ def estimate_probabilities_optimized(
             candidates, generator, n_trials,
             track=track, checkpoints=checkpoints,
         )
-    racer = None
-    engine_loop = loop
-    if adaptive is not None:
-        # Lazy import: repro.adaptive consumes the core estimators, so
-        # importing it eagerly here would cycle at package load.
-        from ..adaptive.racing import (
-            RacingFrequencyLoop,
-            adaptive_delta,
-            adaptive_mu,
-            resolve_adaptive,
-        )
-
-        config = resolve_adaptive(adaptive)
-        if config is not None:
-            racer = RacingFrequencyLoop(
-                loop,
-                counts_fn=lambda: loop.counts,
-                config=config,
-                delta=adaptive_delta(config, runtime),
-                mu=adaptive_mu(runtime),
-                phantom=False,
-                unit_lengths=(
-                    loop.lengths if block_size is not None else None
-                ),
-            )
-            engine_loop = racer
     with observer.span(
         "sampling", method="ols", candidates=len(candidates)
     ):
-        if block_size is not None:
-            report = execute_trial_loop(
-                method="ols",
-                graph_name=candidates.graph.name,
-                n_target=loop.n_blocks,
-                loop=engine_loop,
-                policy=runtime,
-                unit="block",
-                unit_lengths=loop.lengths,
-                observer=observer,
-            )
-        else:
-            report = execute_trial_loop(
-                method="ols",
-                graph_name=candidates.graph.name,
-                n_target=n_trials,
-                loop=engine_loop,
-                policy=runtime,
-                observer=observer,
-            )
-    guarantee = None
-    stats_extra = {}
-    if racer is not None:
-        from ..adaptive.racing import frequency_racing_summary
-
-        guarantee = frequency_racing_summary(racer, report, observer)
-        if guarantee is not None:
-            stats_extra = {
-                "trials_saved": float(n_trials - report.n_trials),
-                "candidates_eliminated": float(racer.eliminated),
-            }
-    achieved = report.n_trials
-    if report.degraded:
-        guarantee = recompute_guarantee(
-            achieved,
-            n_trials,
-            mu=runtime.guarantee_mu if runtime is not None else 0.05,
-            delta=runtime.guarantee_delta if runtime is not None else 0.1,
+        run = drive_frequency_loop(
+            loop, method="ols", graph_name=candidates.graph.name,
+            n_trials=n_trials, counts=lambda: loop.counts, phantom=False,
+            runtime=runtime, observer=observer, adaptive=adaptive,
         )
+    achieved = run.report.n_trials
     return EstimationOutcome(
         method="optimized",
         estimates=loop.estimates(achieved),
@@ -282,9 +207,9 @@ def estimate_probabilities_optimized(
             "total_trials": float(achieved),
             "edges_sampled": float(loop.edges_sampled),
             "edges_queried": float(loop.edges_queried),
-            **stats_extra,
+            **run.stats,
         },
-        stop_reason=report.stop_reason,
-        target_trials=n_trials if report.degraded else None,
-        guarantee=guarantee,
+        stop_reason=run.report.stop_reason,
+        target_trials=n_trials if run.report.degraded else None,
+        guarantee=run.guarantee,
     )

@@ -13,28 +13,20 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-import numpy as np
-
 from ..butterfly import Butterfly, ButterflyKey, max_weight_butterflies
 from ..graph import UncertainBipartiteGraph
-from ..kernels import (
-    BlockedWinnerLoop,
-    WedgeBlockKernel,
-    WedgeIndex,
-    build_wedge_index,
-    resolve_block_budget,
-    resolve_block_size,
-)
+from ..kernels import WedgeIndex, build_wedge_index, wedge_block_loop
+from ..kernels.wedge_block import BlockOutcome
 from ..observability import Observer, ensure_observer
 from ..observability.profiling import stopwatch
 from ..sampling import RngLike, ensure_rng
 from ..worlds import WorldSampler
+from .driver import drive_frequency_loop
 from .results import (
     MPMBResult,
     record_sampling_metrics,
     result_from_frequency_loop,
 )
-from ..runtime.engine import execute_trial_loop
 from ..runtime.frequency import WinnerCountLoop
 from ..runtime.policy import RuntimePolicy
 
@@ -66,7 +58,6 @@ def ordering_sampling(
     pair_side: str = "auto",
     antithetic: bool = False,
     block_size: Optional[int] = None,
-    bytes_budget: Optional[int] = None,
     wedge_index: Optional[WedgeIndex] = None,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
@@ -97,10 +88,8 @@ def ordering_sampling(
             counters — ``wedges_scanned`` presence evaluations and
             ``trials_pruned`` early-exited worlds — instead of the
             scalar scan's per-edge counters, which have no vectorised
-            equivalent — see ``docs/kernels.md``.
-        bytes_budget: Peak working-set bytes one kernel block may use
-            (``None`` uses the 64 MiB default); the effective block
-            size is shrunk to fit.  Only meaningful with ``block_size``.
+            equivalent — see ``docs/kernels.md``.  The effective block
+            size is shrunk to fit the kernel bytes budget.
         wedge_index: Optional prebuilt
             :class:`~repro.kernels.wedge_block.WedgeIndex` (e.g. one
             attached from shared memory by the worker pool); reused
@@ -146,7 +135,8 @@ def ordering_sampling(
             "trials_pruned": 0.0,
         }
 
-    def mask_trial(mask: np.ndarray) -> List[Butterfly]:
+    def run_trial() -> List[Butterfly]:
+        mask = sampler.sample_mask()
         present_sorted = order[mask[order]]
         search = max_weight_butterflies(
             graph, present_sorted, prune=prune, pair_side=pair_side
@@ -158,108 +148,31 @@ def ordering_sampling(
             stats["trials_pruned"] += 1
         return search.butterflies
 
-    def run_trial() -> List[Butterfly]:
-        return mask_trial(sampler.sample_mask())
-
     loop = WinnerCountLoop(
         graph, sampler, run_trial, n_trials,
         track=track, checkpoints=checkpoints, stats=stats,
         observer=observer,
     )
-
-    def wrap(engine_loop, unit_lengths=None):
-        """Wrap the engine loop in the racing stop rule when enabled."""
-        if adaptive is None:
-            return engine_loop, None
-        # Lazy import: repro.adaptive consumes the core estimators, so
-        # importing it eagerly here would cycle at package load.
-        from ..adaptive.racing import (
-            RacingFrequencyLoop,
-            adaptive_delta,
-            adaptive_mu,
-            resolve_adaptive,
-        )
-
-        config = resolve_adaptive(adaptive)
-        if config is None:
-            return engine_loop, None
-        racer = RacingFrequencyLoop(
-            engine_loop,
-            counts_fn=lambda: loop.counts.values(),
-            config=config,
-            delta=adaptive_delta(config, runtime),
-            mu=adaptive_mu(runtime),
-            phantom=True,
-            unit_lengths=unit_lengths,
-        )
-        return racer, racer
-
     with observer.span("sampling", method="os"), stopwatch() as timer:
-        if block_size is None:
-            engine_loop, racer = wrap(loop)
-            report = execute_trial_loop(
-                method="os",
-                graph_name=graph.name,
-                n_target=n_trials,
-                loop=engine_loop,
-                policy=runtime,
-                observer=observer,
-            )
-        else:
-            block = resolve_block_size(n_trials, block_size)
-            with observer.span("wedge-index"):
-                if (
-                    wedge_index is None
-                    or wedge_index.priority_kind != "degree"
-                ):
-                    wedge_index = build_wedge_index(graph)
-            kernel = WedgeBlockKernel(graph, wedge_index, tie_mode="rtol")
-            budget = resolve_block_budget(
-                block, graph.n_edges, wedge_index.n_wedges,
-                wedge_index.n_groups, budget_bytes=bytes_budget,
-            )
-            block = budget.block_size
-            observer.set("kernel.block_size", float(block))
-            observer.set("kernel.bytes_budget", float(budget.budget_bytes))
-            observer.set("kernel.block_bytes", float(budget.block_bytes))
-            observer.set("kernel.wedges", float(wedge_index.n_wedges))
+        engine_loop = loop
+        if block_size is not None:
 
-            def block_fn(masks: np.ndarray) -> List[List[Butterfly]]:
-                outcome = kernel.evaluate_block(masks, with_stats=False)
+            def tally(outcome: BlockOutcome) -> None:
                 stats["wedges_scanned"] += outcome.wedges_scanned
                 stats["trials_pruned"] += outcome.rows_pruned
-                return outcome.winners
 
-            blocked = BlockedWinnerLoop(
-                loop, mask_trial, n_trials, block,
-                observer=observer, block_fn=block_fn,
+            engine_loop = wedge_block_loop(
+                loop, n_trials, block_size, observer,
+                index=wedge_index, priority_kind="degree",
+                build=lambda: build_wedge_index(graph),
+                tie_mode="rtol", with_stats=False, tally=tally,
             )
-            engine_loop, racer = wrap(blocked, unit_lengths=blocked.lengths)
-            report = execute_trial_loop(
-                method="os",
-                graph_name=graph.name,
-                n_target=blocked.n_blocks,
-                loop=engine_loop,
-                policy=runtime,
-                unit="block",
-                unit_lengths=blocked.lengths,
-                observer=observer,
-            )
-    guarantee = None
-    if racer is not None:
-        from ..adaptive.racing import frequency_racing_summary
-
-        # Must run before result assembly: a certified racing stop is
-        # cleared from the report so the result is not marked degraded.
-        guarantee = frequency_racing_summary(racer, report, observer)
-    result = result_from_frequency_loop(
-        "os", graph, loop, report, policy=runtime
-    )
-    if guarantee is not None:
-        result.guarantee = guarantee
-        result.stats["trials_saved"] = float(
-            report.n_trials_target - report.n_trials
+        run = drive_frequency_loop(
+            engine_loop, method="os", graph_name=graph.name,
+            n_trials=n_trials, counts=lambda: loop.counts.values(),
+            phantom=True, runtime=runtime, observer=observer,
+            adaptive=adaptive,
         )
-        result.stats["candidates_eliminated"] = float(racer.eliminated)
+    result = result_from_frequency_loop("os", graph, loop, run)
     record_sampling_metrics(observer, result, timer.seconds)
     return result

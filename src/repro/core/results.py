@@ -16,7 +16,7 @@ from ..butterfly import Butterfly, ButterflyKey
 from ..errors import ConfigurationError
 from ..graph import UncertainBipartiteGraph
 from ..observability import Observer
-from ..runtime.degradation import Guarantee, recompute_guarantee
+from ..runtime.degradation import Guarantee
 from ..sampling import ConvergenceTrace
 
 
@@ -130,37 +130,27 @@ def result_from_frequency_loop(
     method: str,
     graph: UncertainBipartiteGraph,
     loop,
-    report,
-    policy=None,
+    run,
 ) -> MPMBResult:
-    """Assemble an :class:`MPMBResult` from an engine-driven winner loop.
+    """Assemble an :class:`MPMBResult` from a driven winner loop.
 
     Shared by MC-VP and OS: winner frequencies are computed over the
-    trials the engine actually completed, and an early stop yields a
-    degraded result whose ε is re-widened for the achieved trial count
-    (policy ``guarantee_mu``/``guarantee_delta``, paper defaults
-    otherwise).
+    trials the engine actually completed, and the run's guarantee (a
+    certified racing stop's realised one, or a degraded run's
+    re-widened one) and racing stats ride along.
 
     Args:
         method: Result method identifier.
         graph: The analysed graph.
         loop: The :class:`~repro.runtime.frequency.WinnerCountLoop`.
-        report: The engine's :class:`~repro.runtime.engine.LoopReport`.
-        policy: The :class:`~repro.runtime.policy.RuntimePolicy`, if any.
+        run: The :class:`~repro.core.driver.FrequencyRun` that drove it.
     """
-    degraded = report.degraded
-    guarantee = None
     # Block-granular runs count engine units in blocks; ``n_trials`` /
     # ``n_trials_target`` resolve them back to Monte-Carlo trials so a
-    # degraded blocked run normalises (and re-widens ε) over completed
-    # blocks × block size + remainder, never over block counts.
-    if degraded:
-        guarantee = recompute_guarantee(
-            report.n_trials,
-            report.n_trials_target,
-            mu=policy.guarantee_mu if policy is not None else 0.05,
-            delta=policy.guarantee_delta if policy is not None else 0.1,
-        )
+    # degraded blocked run normalises over completed blocks × block
+    # size + remainder, never over block counts.
+    report = run.report
+    loop.stats.update(run.stats)
     return MPMBResult(
         method=method,
         graph=graph,
@@ -169,10 +159,10 @@ def result_from_frequency_loop(
         butterflies=dict(loop.butterflies),
         traces=loop.traces,
         stats=loop.stats,
-        degraded=degraded,
+        degraded=report.degraded,
         degraded_reason=report.stop_reason,
-        target_trials=report.n_trials_target if degraded else None,
-        guarantee=guarantee,
+        target_trials=report.n_trials_target if report.degraded else None,
+        guarantee=run.guarantee,
     )
 
 

@@ -4,10 +4,11 @@ This package evaluates Monte-Carlo trials in *blocks* — one NumPy kernel
 call per few hundred trials instead of a Python-level per-trial loop.
 Every estimator routes through it when given a ``block_size``:
 
-- MC-VP / OS: :class:`BlockedWinnerLoop` draws one mask matrix per block
-  and hands the whole matrix to the vectorised wedge kernel
-  (:class:`WedgeBlockKernel` over a once-built :class:`WedgeIndex`),
-  whose per-world winner sets are bit-identical to the scalar search.
+- MC-VP / OS: :func:`wedge_block_loop` builds a :class:`BlockedWinnerLoop`
+  that draws one mask matrix per block and hands the whole matrix to
+  the vectorised wedge kernel (:class:`WedgeBlockKernel` over a
+  once-built :class:`WedgeIndex`), whose per-world winner sets are
+  bit-identical to the scalar search.
 - OLS: :class:`BlockedOptimizedLoop` + :class:`CandidateBlockKernel`
   replace the per-trial candidate walk with gather/reduce/argmax.
 - OLS-KL: :class:`UnionBlockKernel` vectorises the Karp-Luby
@@ -27,7 +28,7 @@ from .blocks import (
     resolve_block_size,
     trials_in_blocks,
 )
-from .frequency_block import BlockedWinnerLoop, BlockFn, MaskTrialFn
+from .frequency_block import BlockedWinnerLoop, wedge_block_loop
 from .karp_luby_block import UnionBlockKernel
 from .memory import (
     DEFAULT_BYTES_BUDGET,
@@ -47,11 +48,9 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_BYTES_BUDGET",
     "BlockBudget",
-    "BlockFn",
     "BlockedOptimizedLoop",
     "BlockedWinnerLoop",
     "CandidateBlockKernel",
-    "MaskTrialFn",
     "UnionBlockKernel",
     "WedgeBlockKernel",
     "WedgeIndex",
@@ -63,4 +62,5 @@ __all__ = [
     "resolve_block_budget",
     "resolve_block_size",
     "trials_in_blocks",
+    "wedge_block_loop",
 ]

@@ -15,9 +15,9 @@ deadline-stopped runs normalise their estimates over
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..errors import ConfigurationError
+from ..errors import CheckpointError, ConfigurationError
 
 #: Default trials per vectorised block.  Large enough to amortise the
 #: Python dispatch of one kernel call over hundreds of trials, small
@@ -86,3 +86,36 @@ def block_starts(lengths: Sequence[int]) -> List[int]:
         starts.append(total)
         total += length
     return starts
+
+
+class BlockSchedule:
+    """The block layout of one batched run, shared by the block loops.
+
+    One engine unit is one block; :attr:`lengths` is what the trial
+    driver hands the engine as ``unit_lengths``.  A checkpoint records
+    the block size, and :meth:`require_block_size` rejects resuming it
+    at another one: the batched equivalence contract is per block size.
+    """
+
+    def __init__(self, n_trials: int, block_size: int) -> None:
+        self.block_size = int(block_size)
+        self.lengths = block_lengths(n_trials, block_size)
+        self.starts = block_starts(self.lengths)
+
+    def trials_completed(self, completed_blocks: int) -> int:
+        """Trials contained in the first ``completed_blocks`` blocks."""
+        return trials_in_blocks(self.lengths, completed_blocks)
+
+    def require_block_size(self, payload: Dict) -> None:
+        """Raise unless ``payload`` was written at this block size.
+
+        Raises:
+            CheckpointError: On a block-size mismatch.
+        """
+        snapshot_block = int(payload.get("block_size", self.block_size))
+        if snapshot_block != self.block_size:
+            raise CheckpointError(
+                f"checkpoint was written at block_size={snapshot_block}; "
+                f"this run uses block_size={self.block_size} — resume "
+                "with the block size the checkpoint was written at"
+            )

@@ -3,78 +3,107 @@
 MC-VP and OS evaluate one sampled world per trial; the world *sampling*
 is batched here: one
 :meth:`~repro.worlds.sampler.WorldSampler.sample_mask_block` call draws
-a whole block's Bernoulli matrix at once.  The per-world winner search
-runs in one of two modes:
-
-* row mode (``mask_trial_fn``): each trial reuses its row of the shared
-  mask matrix and the per-world search stays scalar;
-* block mode (``block_fn``): the whole mask matrix is handed to the
-  vectorised wedge kernel
-  (:class:`~repro.kernels.wedge_block.WedgeBlockKernel`), which returns
-  every row's winner set in one shot.
+a whole block's Bernoulli matrix at once, and the whole mask matrix is
+handed to the vectorised wedge kernel
+(:class:`~repro.kernels.wedge_block.WedgeBlockKernel`), which returns
+every row's winner set in one shot.  :func:`wedge_block_loop` sets
+that kernel up for one run: wedge index, bytes-budgeted block size and
+the ``kernel.*`` gauges.
 
 Because mask blocks are stream-equivalent to repeated scalar draws, the
 world sequence — and therefore every winner count, trace point, and
-estimate — is bit-identical to the scalar path for *any* block size, in
-either mode (see the equivalence contract in ``docs/kernels.md``).
+estimate — is bit-identical to the scalar path for *any* block size
+(see the equivalence contract in ``docs/kernels.md``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Optional
 
-import numpy as np
-
-from ..butterfly import Butterfly
-from ..errors import CheckpointError
 from ..observability import Observer, ensure_observer
 from ..runtime.frequency import WinnerCountLoop
-from .blocks import block_lengths, block_starts, trials_in_blocks
+from .blocks import BlockSchedule, resolve_block_size
+from .memory import resolve_block_budget
+from .wedge_block import BlockOutcome, WedgeBlockKernel, WedgeIndex
 
-#: One trial evaluated against a pre-drawn edge-presence mask.
-MaskTrialFn = Callable[[np.ndarray], Iterable[Butterfly]]
-
-#: A whole block evaluated at once: per-row winner sets.
-BlockFn = Callable[[np.ndarray], List[List[Butterfly]]]
+#: Folds one evaluated block's work counters into the method's stats.
+TallyFn = Callable[[BlockOutcome], None]
 
 
-class BlockedWinnerLoop:
+def wedge_block_loop(
+    inner: WinnerCountLoop,
+    n_trials: int,
+    block_size: int,
+    observer: Observer,
+    *,
+    index: Optional[WedgeIndex],
+    priority_kind: str,
+    build: Callable[[], WedgeIndex],
+    tie_mode: str,
+    with_stats: bool,
+    tally: TallyFn,
+) -> "BlockedWinnerLoop":
+    """MC-VP's or OS's winner loop, run block by block on the wedge kernel.
+
+    ``index`` (e.g. one attached from shared memory by the worker pool)
+    is reused only when it was built with ``priority_kind``; otherwise
+    ``build`` makes a fresh one inside the ``wedge-index`` span.  The
+    caller supplies ``build`` so the build stays bound in the
+    estimator's own module.  The requested block is clamped to the
+    trial budget, then shrunk to fit the kernel bytes budget, and the
+    decision is recorded in the ``kernel.block_size``,
+    ``kernel.bytes_budget``, ``kernel.block_bytes`` and
+    ``kernel.wedges`` gauges.  ``tie_mode`` and ``with_stats`` go to
+    the kernel; ``tally`` receives every block's outcome.
+    """
+    block = resolve_block_size(n_trials, block_size)
+    with observer.span("wedge-index"):
+        if index is None or index.priority_kind != priority_kind:
+            index = build()
+    graph = inner.graph
+    kernel = WedgeBlockKernel(graph, index, tie_mode=tie_mode)
+    budget = resolve_block_budget(
+        block, graph.n_edges, index.n_wedges, index.n_groups
+    )
+    observer.set("kernel.block_size", float(budget.block_size))
+    observer.set("kernel.bytes_budget", float(budget.budget_bytes))
+    observer.set("kernel.block_bytes", float(budget.block_bytes))
+    observer.set("kernel.wedges", float(index.n_wedges))
+    return BlockedWinnerLoop(
+        inner, kernel, n_trials, budget.block_size,
+        with_stats=with_stats, tally=tally, observer=observer,
+    )
+
+
+class BlockedWinnerLoop(BlockSchedule):
     """Engine loop running a :class:`WinnerCountLoop` block by block.
 
     One engine "trial" is one block: the wrapped sampler draws the
-    block's mask matrix in a single RNG call, then each row is handed to
-    ``mask_trial_fn`` and folded into the inner loop's counters via
-    :meth:`WinnerCountLoop.record_winners` (so histograms, traces, and
-    checkpoint payloads are byte-compatible with the scalar loop's,
-    apart from the added ``block_size`` guard).
+    block's mask matrix in a single RNG call, the wedge kernel returns
+    each row's winner set, and each set is folded into the inner loop's
+    counters via :meth:`WinnerCountLoop.record_winners` (so histograms,
+    traces, and checkpoint payloads are byte-compatible with the scalar
+    loop's, apart from the added ``block_size`` guard).
     """
 
     def __init__(
         self,
         inner: WinnerCountLoop,
-        mask_trial_fn: MaskTrialFn,
+        kernel: WedgeBlockKernel,
         n_trials: int,
         block_size: int,
+        with_stats: bool,
+        tally: TallyFn,
         observer: Optional[Observer] = None,
-        block_fn: Optional[BlockFn] = None,
     ) -> None:
+        super().__init__(n_trials, block_size)
         self.inner = inner
-        self._mask_trial_fn = mask_trial_fn
-        self._block_fn = block_fn
-        self.block_size = int(block_size)
-        self.lengths = block_lengths(n_trials, block_size)
-        self.starts = block_starts(self.lengths)
+        self.kernel = kernel
+        self._with_stats = with_stats
+        self._tally = tally
         self._vectorized = ensure_observer(observer).metrics.counter(
             "kernel.trials_vectorized"
         )
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.lengths)
-
-    def trials_completed(self, completed_blocks: int) -> int:
-        """Trials contained in the first ``completed_blocks`` blocks."""
-        return trials_in_blocks(self.lengths, completed_blocks)
 
     # ------------------------------------------------------------------
     # Engine contract
@@ -85,14 +114,12 @@ class BlockedWinnerLoop:
         length = self.lengths[block - 1]
         start = self.starts[block - 1]
         masks = self.inner.sampler.sample_mask_block(length)
-        if self._block_fn is not None:
-            for offset, winners in enumerate(self._block_fn(masks)):
-                self.inner.record_winners(start + offset + 1, winners)
-        else:
-            for offset in range(length):
-                self.inner.record_winners(
-                    start + offset + 1, self._mask_trial_fn(masks[offset])
-                )
+        outcome = self.kernel.evaluate_block(
+            masks, with_stats=self._with_stats
+        )
+        self._tally(outcome)
+        for offset, winners in enumerate(outcome.winners):
+            self.inner.record_winners(start + offset + 1, winners)
         self._vectorized.inc(length)
 
     def state_payload(self, completed: int) -> Dict:
@@ -103,11 +130,5 @@ class BlockedWinnerLoop:
         return payload
 
     def restore_state(self, payload: Dict) -> None:
-        snapshot_block = int(payload.get("block_size", self.block_size))
-        if snapshot_block != self.block_size:
-            raise CheckpointError(
-                f"checkpoint was written at block_size={snapshot_block}; "
-                f"this run uses block_size={self.block_size} — resume "
-                "with the block size the checkpoint was written at"
-            )
+        self.require_block_size(payload)
         self.inner.restore_state(payload)

@@ -5,16 +5,16 @@ memory for speed: every block materialises a ``(block, n_edges)`` mask
 matrix, a ``(block, n_wedges)`` wedge-presence matrix, per-group count
 rows, and bounded chunk scratch for the winner scan.  On large graphs a
 naive ``block_size=256`` would allocate hundreds of megabytes, so the
-kernel caps the block size to a configurable **bytes budget** instead of
+kernel caps the block size to a fixed **bytes budget** instead of
 trusting the caller's number blindly.
 
 The per-row cost model (see ``docs/kernels.md`` for the derivation)::
 
     row_bytes = n_edges                  # mask row (bool)
               + n_wedges                 # wedge presence row (bool)
-              + 4 * chunk_wedges         # int32 count scratch (chunked)
+              + 4 * WEDGE_CHUNK          # int32 count scratch (chunked)
               + 8 * n_groups             # per-group count row (int64)
-              + 24 * chunk_wedges        # three float64 chunk buffers
+              + 24 * WEDGE_CHUNK         # three float64 chunk buffers
               + 16 * chunk_groups        # top-1/top-2 chunk rows
 
 and ``block = clamp(budget // row_bytes, 1, requested)``.  The policy is
@@ -74,21 +74,16 @@ class BlockBudget:
     capped: bool
 
 
-def kernel_row_bytes(
-    n_edges: int,
-    n_wedges: int,
-    n_groups: int,
-    chunk_wedges: int = WEDGE_CHUNK,
-) -> int:
+def kernel_row_bytes(n_edges: int, n_wedges: int, n_groups: int) -> int:
     """Estimated kernel working-set bytes per block row.
 
     Mirrors the allocations of
     :meth:`~repro.kernels.wedge_block.WedgeBlockKernel.evaluate_block`;
-    the chunk terms are bounded by ``chunk_wedges`` because the winner
-    scan and the count reduction both work on group chunks, never on the
-    whole wedge axis at float width.
+    the chunk terms are bounded by :data:`WEDGE_CHUNK` because the
+    winner scan and the count reduction both work on group chunks, never
+    on the whole wedge axis at float width.
     """
-    chunk = min(max(int(chunk_wedges), 1), max(int(n_wedges), 1))
+    chunk = min(WEDGE_CHUNK, max(int(n_wedges), 1))
     # Chunks hold whole groups; in the worst case every chunk group has
     # two wedges, so the group-row scratch is at most chunk/2 wide.
     chunk_groups = max(chunk // 2, 1)
@@ -107,10 +102,8 @@ def resolve_block_budget(
     n_edges: int,
     n_wedges: int,
     n_groups: int,
-    budget_bytes: int | None = None,
-    chunk_wedges: int = WEDGE_CHUNK,
 ) -> BlockBudget:
-    """Cap a requested block size to the kernel bytes budget.
+    """Cap a requested block size to :data:`DEFAULT_BYTES_BUDGET`.
 
     Args:
         requested: Block size the caller asked for (already clamped to
@@ -119,9 +112,6 @@ def resolve_block_budget(
         n_edges: Edge count of the graph.
         n_wedges: Wedge count of the precomputed index.
         n_groups: Endpoint-pair group count of the index.
-        budget_bytes: Peak working-set budget per block (``None`` uses
-            :data:`DEFAULT_BYTES_BUDGET`).
-        chunk_wedges: Winner-scan chunk width (kernel internal).
 
     Returns:
         The resolved :class:`BlockBudget`; ``block_size`` is never
@@ -129,26 +119,19 @@ def resolve_block_budget(
         always fit, otherwise no block size could make progress).
 
     Raises:
-        ConfigurationError: On a non-positive requested size or budget.
+        ConfigurationError: On a non-positive requested size.
     """
     if requested < 1:
         raise ConfigurationError(
             f"block_size must be positive, got {requested}"
         )
-    budget = DEFAULT_BYTES_BUDGET if budget_bytes is None else int(budget_bytes)
-    if budget < 1:
-        raise ConfigurationError(
-            f"bytes_budget must be positive, got {budget}"
-        )
-    row = kernel_row_bytes(
-        n_edges, n_wedges, n_groups, chunk_wedges=chunk_wedges
-    )
-    fitting = max(1, budget // row)
+    row = kernel_row_bytes(n_edges, n_wedges, n_groups)
+    fitting = max(1, DEFAULT_BYTES_BUDGET // row)
     block = min(int(requested), fitting)
     return BlockBudget(
         block_size=block,
         row_bytes=row,
         block_bytes=block * row,
-        budget_bytes=budget,
+        budget_bytes=DEFAULT_BYTES_BUDGET,
         capped=block < int(requested),
     )

@@ -28,11 +28,11 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from ..butterfly import ButterflyKey
-from ..errors import CheckpointError
 from ..observability import Observer, ensure_observer
 from ..sampling import ConvergenceTrace, checkpoint_schedule
+from ..sampling.convergence import decode_traces, encode_traces
 from ..worlds import WorldSampler
-from .blocks import block_lengths, block_starts, trials_in_blocks
+from .blocks import BlockSchedule
 
 
 class CandidateBlockKernel:
@@ -79,7 +79,7 @@ class CandidateBlockKernel:
         )
 
 
-class BlockedOptimizedLoop:
+class BlockedOptimizedLoop(BlockSchedule):
     """Algorithm 5's block loop behind the engine's checkpoint contract.
 
     One engine "trial" is one block; checkpoints therefore land on block
@@ -106,13 +106,11 @@ class BlockedOptimizedLoop:
         checkpoints: int = 40,
         observer: Optional[Observer] = None,
     ) -> None:
+        super().__init__(n_target, block_size)
         self.candidates = candidates
         self.sampler = sampler
         self.items = candidates.butterflies
         self.kernel = CandidateBlockKernel(candidates)
-        self.block_size = int(block_size)
-        self.lengths = block_lengths(n_target, block_size)
-        self.starts = block_starts(self.lengths)
         self.counts = np.zeros(len(self.items), dtype=np.int64)
         self.edges_sampled = 0
         self.edges_queried = 0
@@ -128,10 +126,6 @@ class BlockedOptimizedLoop:
         self._vectorized = ensure_observer(observer).metrics.counter(
             "kernel.trials_vectorized"
         )
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.lengths)
 
     def run_trial(self, block: int) -> None:
         """Evaluate the 1-based ``block`` (one vectorised kernel call)."""
@@ -184,50 +178,24 @@ class BlockedOptimizedLoop:
             "edges_sampled": int(self.edges_sampled),
             "edges_queried": int(self.edges_queried),
             "block_size": self.block_size,
-            "traces": {
-                "|".join(map(str, key)): [
-                    [n, value] for n, value in trace.checkpoints
-                ]
-                for key, trace in self.traces.items()
-            },
+            "traces": encode_traces(self.traces),
             "sampler": self.sampler.state_payload(),
         }
 
     def restore_state(self, payload: Dict) -> None:
-        keys = [tuple(int(part) for part in raw) for raw in
-                payload["candidates"]]
-        current = [b.key for b in self.items]
-        if keys != current:
-            raise CheckpointError(
-                "checkpointed candidate set does not match the current "
-                f"candidate set ({len(keys)} vs {len(current)} candidates)"
-            )
-        snapshot_block = int(payload.get("block_size", self.block_size))
-        if snapshot_block != self.block_size:
-            raise CheckpointError(
-                f"checkpoint was written at block_size={snapshot_block}; "
-                f"this run uses block_size={self.block_size} — the "
-                "batched equivalence contract is per block size"
-            )
+        self.candidates.require_checkpoint_keys(payload["candidates"])
+        self.require_block_size(payload)
         self.counts = np.asarray(
             [int(count) for count in payload["counts"]], dtype=np.int64
         )
         self.edges_sampled = int(payload["edges_sampled"])
         self.edges_queried = int(payload["edges_queried"])
-        for key, trace in self.traces.items():
-            recorded = payload["traces"].get("|".join(map(str, key)), [])
-            trace.checkpoints = [
-                (int(n), float(value)) for n, value in recorded
-            ]
+        self.traces = decode_traces(payload["traces"], keys=self.traces)
         self.sampler.restore_state(payload["sampler"])
 
     # ------------------------------------------------------------------
     # Result assembly
     # ------------------------------------------------------------------
-
-    def trials_completed(self, completed_blocks: int) -> int:
-        """Trials contained in the first ``completed_blocks`` blocks."""
-        return trials_in_blocks(self.lengths, completed_blocks)
 
     def estimates(self, trials: int) -> Dict[ButterflyKey, float]:
         """Winner frequencies over ``trials`` completed trials."""

@@ -146,7 +146,6 @@ def build_wedge_index(
     graph: UncertainBipartiteGraph,
     priority: Optional[np.ndarray] = None,
     priority_kind: str = "degree",
-    chunk_wedges: int = SCAN_CHUNK,
 ) -> WedgeIndex:
     """Enumerate every backbone wedge once into a :class:`WedgeIndex`.
 
@@ -161,7 +160,6 @@ def build_wedge_index(
             :func:`~repro.graph.degree_priority` (the BFC-VP order).
         priority_kind: Label recording which builder produced
             ``priority`` (shared-memory reuse checks it).
-        chunk_wedges: Winner-scan chunk width.
     """
     if priority is None:
         priority = degree_priority(graph)
@@ -288,13 +286,12 @@ def build_wedge_index(
         scan_wedge = np.zeros(0, dtype=np.int64)
 
     # Group-aligned chunks of near-constant wedge count.
-    chunk_cap = max(int(chunk_wedges), 1)
     chunks: List[Tuple[int, int]] = []
     lo = 0
     budget = 0
     for i, g in enumerate(scan_order):
         size = int(sizes[g])
-        if budget and budget + size > chunk_cap:
+        if budget and budget + size > SCAN_CHUNK:
             chunks.append((lo, i))
             lo = i
             budget = 0

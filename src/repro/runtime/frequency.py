@@ -28,7 +28,12 @@ from ..butterfly.model import make_butterfly
 from ..errors import CheckpointError
 from ..graph import UncertainBipartiteGraph
 from ..observability import Observer, ensure_observer
-from ..sampling.convergence import ConvergenceTrace, checkpoint_schedule
+from ..sampling.convergence import (
+    ConvergenceTrace,
+    checkpoint_schedule,
+    decode_traces,
+    encode_traces,
+)
 
 #: One trial returns the butterflies of this trial's maximum-weight set.
 WinnerTrialFn = Callable[[], Iterable[Butterfly]]
@@ -116,12 +121,7 @@ class WinnerCountLoop:
                 [list(key), count] for key, count in self.counts.items()
             ],
             "stats": {key: float(v) for key, v in self.stats.items()},
-            "traces": {
-                "|".join(map(str, key)): [
-                    [n, value] for n, value in trace.checkpoints
-                ]
-                for key, trace in self.traces.items()
-            },
+            "traces": encode_traces(self.traces),
             "sampler": self.sampler.state_payload(),
         }
 
@@ -142,11 +142,7 @@ class WinnerCountLoop:
         self.stats.update(
             {key: float(v) for key, v in payload["stats"].items()}
         )
-        for key, trace in self.traces.items():
-            recorded = payload["traces"].get("|".join(map(str, key)), [])
-            trace.checkpoints = [
-                (int(n), float(value)) for n, value in recorded
-            ]
+        self.traces = decode_traces(payload["traces"], keys=self.traces)
         self.sampler.restore_state(payload["sampler"])
 
     # ------------------------------------------------------------------

@@ -155,7 +155,7 @@ def backoff_seconds(
     return delay * fraction
 
 
-def _wants_shared_index(method: str, method_kwargs: Dict) -> bool:
+def wants_shared_index(method: str, method_kwargs: Dict) -> bool:
     """Whether a task would consume the pool's shared wedge index.
 
     The index is built with the default ``"degree"`` priority; a caller
@@ -167,6 +167,20 @@ def _wants_shared_index(method: str, method_kwargs: Dict) -> bool:
         and method_kwargs.get("block_size") is not None
         and method_kwargs.get("priority_kind", "degree") == "degree"
     )
+
+
+def build_shared_index(graph, observer: Observer):
+    """Build the wedge index a pool publishes for its workers.
+
+    Every pool that :func:`wants_shared_index` builds its index here,
+    inside a ``wedge-index`` span marked ``shared=True``.
+    """
+    # Lazy import: the kernels import this package, so importing them
+    # eagerly here would cycle at package load.
+    from ..kernels.wedge_block import build_wedge_index
+
+    with observer.span("wedge-index", shared=True):
+        return build_wedge_index(graph)
 
 
 def _persistent_worker_main(
@@ -209,7 +223,7 @@ def _persistent_worker_main(
                 # would defeat the chaos harness.
                 time.sleep(HANG_SECONDS)  # repro: noqa[CLK002]
             method_kwargs = dict(task["method_kwargs"])
-            if attachment.index is not None and _wants_shared_index(
+            if attachment.index is not None and wants_shared_index(
                 task["method"], method_kwargs
             ):
                 method_kwargs["wedge_index"] = attachment.index
@@ -468,11 +482,8 @@ def run_parallel_trials(
     owns_pool = pool is None
     if pool is None:
         wedge_index = None
-        if _wants_shared_index(method, method_kwargs):
-            from ..kernels.wedge_block import build_wedge_index
-
-            with observer.span("wedge-index", shared=True):
-                wedge_index = build_wedge_index(graph)
+        if wants_shared_index(method, method_kwargs):
+            wedge_index = build_shared_index(graph, observer)
         pool = WorkerPool(
             graph, mp_context=mp_context, wedge_index=wedge_index,
             observer=observer,

@@ -9,7 +9,16 @@ the paper's ``2ε`` error band.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 
 @dataclass
@@ -68,6 +77,42 @@ class ConvergenceTrace:
         low = target * (1.0 - epsilon)
         high = target * (1.0 + epsilon)
         return all(low <= value <= high for value in tail)
+
+
+def encode_traces(
+    traces: Mapping[Any, ConvergenceTrace],
+) -> Dict[str, List[List[float]]]:
+    """Checkpoint form of traces keyed by int tuples (butterfly keys):
+    ``"a|b|c|d" -> [[n, value], ...]``."""
+    return {
+        "|".join(map(str, key)): [[n, value] for n, value in trace.checkpoints]
+        for key, trace in traces.items()
+    }
+
+
+def decode_traces(
+    encoded: Mapping[str, List],
+    keys: Optional[Iterable[Tuple[int, ...]]] = None,
+) -> Dict[Any, ConvergenceTrace]:
+    """Inverse of :func:`encode_traces`.
+
+    Without ``keys`` every encoded trace is rebuilt.  With ``keys`` the
+    result holds exactly those keys, in that order — a tracked key the
+    snapshot never recorded restarts empty, and an encoded key nobody
+    tracks any more is dropped.
+    """
+    if keys is None:
+        keys = [
+            tuple(int(part) for part in raw.split("|")) for raw in encoded
+        ]
+    traces: Dict[Any, ConvergenceTrace] = {}
+    for key in keys:
+        recorded = encoded.get("|".join(map(str, key)), [])
+        traces[key] = ConvergenceTrace(
+            label=str(key),
+            checkpoints=[(int(n), float(value)) for n, value in recorded],
+        )
+    return traces
 
 
 def checkpoint_schedule(total_trials: int, points: int = 40) -> Sequence[int]:

@@ -49,6 +49,7 @@ from ..runtime import (
     run_parallel_trials,
 )
 from ..runtime.faults import ServiceFaultPlan
+from ..runtime.workers import build_shared_index, wants_shared_index
 from ..sampling.rng import RngLike, ensure_rng
 from .admission import AdmissionController
 from .breaker import STATE_VALUES, BreakerBoard
@@ -334,9 +335,8 @@ class QueryBroker:
         the winner — no pool is leaked and no published pool is ever
         closed while cached.
         """
-        needs_index = (
-            request.block_size is not None
-            and request.method in ("mc-vp", "os")
+        needs_index = wants_shared_index(
+            request.method, {"block_size": request.block_size}
         )
         stale: Optional[WorkerPool] = None
         with self._pools_lock:
@@ -350,10 +350,7 @@ class QueryBroker:
             stale.close()
         wedge_index = None
         if needs_index:
-            from ..kernels.wedge_block import build_wedge_index
-
-            with self.observer.span("wedge-index", shared=True):
-                wedge_index = build_wedge_index(entry.graph)
+            wedge_index = build_shared_index(entry.graph, self.observer)
         pool = WorkerPool(
             entry.graph,
             wedge_index=wedge_index,

@@ -178,3 +178,62 @@ class TestCommandLineExtraction:
             "no row" in problem and "ATM001" in problem
             for problem in problems
         )
+
+
+class TestPerformanceTable:
+    """The measured table in docs/performance.md renders from the BENCH
+    file; the hand-written table it replaces had drifted from it (abide
+    OLS claimed 1.2x where the file gives 0.67x)."""
+
+    BENCH = {
+        "config": {"datasets": ["tiny"]},
+        "entries": [
+            {"dataset": "tiny", "method": "os",
+             "trials_per_second": 1234.5},
+            {"dataset": "tiny", "method": "os-batched",
+             "trials_per_second": 2469.0},
+            {"dataset": "tiny", "method": "ols",
+             "trials_per_second": 100.0},
+        ],
+    }
+
+    def _write(self, root, table_rows):
+        import json
+
+        (root / "docs").mkdir()
+        (root / "BENCH_sampling.json").write_text(
+            json.dumps(self.BENCH), encoding="utf-8"
+        )
+        page = "\n".join([
+            "## Measured numbers", "",
+            checker.PERFORMANCE_HEADER, "|---|---|---:|---:|---:|",
+            *table_rows, "", "Prose after the table.", "",
+        ])
+        (root / "docs" / "performance.md").write_text(
+            page, encoding="utf-8"
+        )
+
+    def test_rows_render_from_bench(self):
+        assert checker.performance_table(self.BENCH) == [
+            "| tiny | os | 1 234.5 | 2 469.0 | 2.00x |"
+        ]
+
+    def test_matching_table_passes(self, tmp_path, monkeypatch):
+        self._write(tmp_path, checker.performance_table(self.BENCH))
+        monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
+        assert checker.check_performance_table() == []
+
+    def test_drifted_cell_detected(self, tmp_path, monkeypatch):
+        self._write(tmp_path, ["| tiny | os | 1 234.5 | 2 469.0 | 1.2x |"])
+        monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
+        problems = checker.check_performance_table()
+        assert len(problems) == 1
+        assert "1.2x" in problems[0] and "2.00x" in problems[0]
+
+    def test_missing_row_detected(self, tmp_path, monkeypatch):
+        self._write(tmp_path, [])
+        monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
+        assert checker.check_performance_table() == [
+            "docs/performance.md table has 0 rows; "
+            "BENCH_sampling.json gives 1"
+        ]

@@ -35,6 +35,7 @@ from repro.butterfly.max_weight import (
 )
 from repro.core import (
     adaptive_prepare_candidates,
+    find_mpmb,
     mc_vp,
     ordering_listing_sampling,
     ordering_sampling,
@@ -273,12 +274,24 @@ class TestScalarBatchedEquivalence:
         for key, value in scalar.estimates.items():
             assert blocked.estimates[key] == pytest.approx(value, abs=0.05)
 
-    def test_kernel_metrics_recorded(self, graph):
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("method", ["mc-vp", "os", "ols", "ols-kl"])
+    def test_kernel_metrics_recorded(self, graph, method, mode):
+        """docs/performance.md: every batched run sets the
+        ``kernel.block_size`` gauge and counts every vectorised trial in
+        ``kernel.trials_vectorized`` — OLS-KL's union-kernel trials
+        included, fixed and adaptive alike."""
         observer = Observer()
-        mc_vp(graph, 40, rng=7, block_size=8, observer=observer)
-        document = observer.export_document("mc-vp", "figure-1")
+        result = find_mpmb(
+            graph, method=method, n_trials=40, n_prepare=20, rng=7,
+            block_size=8, observer=observer,
+            adaptive={"prescreen": False} if mode == "adaptive" else None,
+        )
+        document = observer.export_document(method, "figure-1")
+        assert result.n_trials > 0
         assert document["gauges"]["kernel.block_size"] == 8.0
-        assert document["counters"]["kernel.trials_vectorized"] == 40.0
+        assert document["counters"]["kernel.trials_vectorized"] \
+            == float(result.n_trials)
 
     def test_invalid_block_size_rejected(self, graph):
         with pytest.raises(ConfigurationError):

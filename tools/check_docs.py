@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checker.
 
-Seven guarantees, each enforced by CI through ``tests/test_docs.py``:
+Eight guarantees, each enforced by CI through ``tests/test_docs.py``:
 
 1. **Coverage** — ``README.md`` references every page under ``docs/``
    (a page nobody links is a page nobody reads).
@@ -30,6 +30,10 @@ Seven guarantees, each enforced by CI through ``tests/test_docs.py``:
    ``docs/runtime.md`` both name every ``adaptive.*`` metric of the
    observability catalog, so the anytime-mode pages cannot fall behind
    the instrumented racing/pre-screen layer.
+8. **Performance table sync** — the scalar-vs-batched table under
+   *Measured numbers* in ``docs/performance.md`` is exactly the one
+   :func:`performance_table` renders from ``BENCH_sampling.json``, so
+   a regenerated benchmark file cannot leave stale speedups behind.
 
 Run directly::
 
@@ -41,10 +45,11 @@ The script has no dependencies beyond the repository itself; it inserts
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -313,6 +318,83 @@ def check_adaptive_docs() -> List[str]:
     return problems
 
 
+#: Method rows of the performance table, in documented order.
+PERFORMANCE_METHODS = ("mc-vp", "os", "ols", "ols-kl")
+
+#: Header of the performance table in ``docs/performance.md``.
+PERFORMANCE_HEADER = (
+    "| Dataset | Method | Scalar trials/s | Batched trials/s | Speedup |"
+)
+
+
+def _trials_per_second(value: float) -> str:
+    return f"{value:,.1f}".replace(",", " ")
+
+
+def performance_table(bench: Dict) -> List[str]:
+    """The table's rows, rendered from a ``BENCH_sampling.json`` document.
+
+    One row per dataset and method that has both a scalar and a
+    ``-batched`` entry; the speedup is batched over scalar trials/s,
+    shown to two decimals below 10x and as a whole number above.
+    """
+    entries = {
+        (entry["dataset"], entry["method"]): entry
+        for entry in bench["entries"]
+    }
+    rows = []
+    for dataset in bench["config"]["datasets"]:
+        for method in PERFORMANCE_METHODS:
+            scalar = entries.get((dataset, method))
+            batched = entries.get((dataset, f"{method}-batched"))
+            if scalar is None or batched is None:
+                continue
+            slow = scalar["trials_per_second"]
+            fast = batched["trials_per_second"]
+            ratio = fast / slow
+            speedup = f"{ratio:.0f}x" if ratio >= 10 else f"{ratio:.2f}x"
+            rows.append(
+                f"| {dataset} | {method} | {_trials_per_second(slow)} | "
+                f"{_trials_per_second(fast)} | {speedup} |"
+            )
+    return rows
+
+
+def check_performance_table() -> List[str]:
+    """``docs/performance.md``'s measured table must match the BENCH file.
+
+    The rows after :data:`PERFORMANCE_HEADER` (and its separator line)
+    must equal :func:`performance_table` of ``BENCH_sampling.json``,
+    row for row.
+    """
+    page = REPO_ROOT / "docs" / "performance.md"
+    bench_path = REPO_ROOT / "BENCH_sampling.json"
+    if not page.exists() or not bench_path.exists():
+        return ["docs/performance.md or BENCH_sampling.json is missing"]
+    lines = page.read_text(encoding="utf-8").splitlines()
+    if PERFORMANCE_HEADER not in lines:
+        return ["docs/performance.md has no measured-numbers table"]
+    documented = []
+    for line in lines[lines.index(PERFORMANCE_HEADER) + 2:]:
+        if not line.startswith("|"):
+            break
+        documented.append(line.rstrip())
+    with bench_path.open(encoding="utf-8") as handle:
+        expected = performance_table(json.load(handle))
+    problems = [
+        f"docs/performance.md table row {row!r} should read {want!r} "
+        f"(BENCH_sampling.json)"
+        for row, want in zip(documented, expected)
+        if row != want
+    ]
+    if len(documented) != len(expected):
+        problems.append(
+            f"docs/performance.md table has {len(documented)} rows; "
+            f"BENCH_sampling.json gives {len(expected)}"
+        )
+    return problems
+
+
 #: A rule-catalog table row: | `ID` | severity | ...
 RULE_ROW_PATTERN = re.compile(
     r"^\|\s*`([A-Z]+\d+[A-Z]*)`\s*\|\s*(\w+)\s*\|"
@@ -382,6 +464,7 @@ def run_checks() -> List[str]:
     problems.extend(check_protocol_docs())
     problems.extend(check_rule_catalog())
     problems.extend(check_adaptive_docs())
+    problems.extend(check_performance_table())
     return problems
 
 
