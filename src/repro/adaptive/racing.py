@@ -44,7 +44,7 @@ from ..core.candidates import CandidateSet
 from ..core.estimation import EstimationOutcome
 from ..core.karp_luby_estimator import _candidate_budget, _to_probability
 from ..errors import ConfigurationError
-from ..kernels import UnionBlockKernel
+from ..kernels import UnionBlockKernel, WedgeIndex
 from ..observability import Observer, ensure_observer
 from ..runtime.degradation import Guarantee
 from ..runtime.engine import LoopInterrupt, LoopReport, execute_trial_loop
@@ -516,6 +516,7 @@ def adaptive_karp_luby(
     block_size: Optional[int] = None,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
+    wedge_index: Optional[WedgeIndex] = None,
 ) -> EstimationOutcome:
     """Anytime replacement for Algorithm 4's fixed Lemma VI.4 budgets.
 
@@ -540,6 +541,10 @@ def adaptive_karp_luby(
     degrades, but the anytime intervals keep the partial run's bounds
     honest: the guarantee reflects the trials and eliminations that
     actually happened.
+
+    ``wedge_index`` is an optional prebuilt wedge-CSR index for the
+    pre-screen (OLS-KL passes the one its preparing phase ran on); the
+    pre-screen builds its own when it is absent.
     """
     observer = ensure_observer(observer)
     generator = ensure_rng(rng)
@@ -566,7 +571,7 @@ def adaptive_karp_luby(
         report = prescreen_candidates(
             candidates, generator,
             n_samples=config.prescreen_samples,
-            delta=delta_pre, observer=observer,
+            delta=delta_pre, wedge_index=wedge_index, observer=observer,
         )
         pre_eliminated = report.eliminated
         pre_lower = report.lower_bounds

@@ -6,7 +6,11 @@ OLS splits the work into two phases:
    paper uses 100 against the 20 000 needed for direct estimation — whose
    per-trial maximum butterflies are unioned into the candidate set
    ``C_MB`` (Lemma VI.1 bounds the chance of missing a high-probability
-   butterfly).
+   butterfly).  The trials run as mask blocks through the vectorised
+   wedge kernel (:class:`~repro.kernels.wedge_block.WedgeBlockKernel`
+   in ``rtol`` tie mode), whose per-world winner sets equal the scalar
+   :func:`~repro.core.ordering_sampling.os_trial` search's, so ``C_MB``
+   and the RNG position after the phase are those of the scalar loop.
 2. **Sampling phase** (line 5): a probability estimator runs over the
    small candidate set only, never touching the full network again —
    either the paper's optimised shared-trial estimator (Algorithm 5,
@@ -22,6 +26,8 @@ from ..butterfly import Butterfly, ButterflyKey, top_weight_butterflies
 from ..butterfly.model import make_butterfly
 from ..errors import CheckpointError, ConfigurationError
 from ..graph import UncertainBipartiteGraph
+from ..kernels import WedgeBlockKernel, WedgeIndex, resolve_block_budget
+from ..kernels import wedge_block
 from ..observability import Observer, ensure_observer
 from ..observability.profiling import stopwatch
 from ..sampling import RngLike, ensure_rng
@@ -31,7 +37,6 @@ from ..runtime.policy import RuntimePolicy
 from .candidates import CandidateSet
 from .karp_luby_estimator import estimate_probabilities_karp_luby
 from .optimized_estimator import estimate_probabilities_optimized
-from .ordering_sampling import os_trial
 from .results import MPMBResult, record_sampling_metrics
 
 #: Paper default for the preparing phase (Section VIII-B).
@@ -42,8 +47,6 @@ def prepare_candidates(
     graph: UncertainBipartiteGraph,
     n_prepare: int = DEFAULT_PREPARE_TRIALS,
     rng: RngLike = None,
-    prune: bool = True,
-    pair_side: str = "auto",
     seed_backbone_top: int = 0,
     observer: Optional[Observer] = None,
 ) -> CandidateSet:
@@ -53,8 +56,6 @@ def prepare_candidates(
         graph: The uncertain bipartite network.
         n_prepare: ``N_os`` preparing trials (paper default 100).
         rng: Seed or generator.
-        prune: Forwarded to the OS trial (Section V-B switch).
-        pair_side: Forwarded to the OS trial.
         observer: Optional :class:`~repro.observability.Observer`
             recording the ``candidate-generation`` span and the
             ``prepare.trials`` / ``candidates.listed`` metrics.
@@ -68,16 +69,32 @@ def prepare_candidates(
     Returns:
         The deduplicated, weight-sorted candidate set ``C_MB``.
     """
+    candidates, _ = _prepare(
+        graph, n_prepare, rng, seed_backbone_top, observer, None
+    )
+    return candidates
+
+
+def _prepare(
+    graph: UncertainBipartiteGraph,
+    n_prepare: int,
+    rng: RngLike,
+    seed_backbone_top: int,
+    observer: Optional[Observer],
+    wedge_index: Optional[WedgeIndex],
+) -> Tuple[CandidateSet, WedgeIndex]:
+    """:func:`prepare_candidates`, also returning the wedge index the
+    trials ran on (so OLS-KL's pre-screen need not build another)."""
     if n_prepare <= 0:
         raise ConfigurationError(f"n_prepare must be positive, got {n_prepare}")
     # No dry streak can outlast the trials run so far, so a patience of
     # n_prepare never cuts the fixed loop short.
-    candidates, _ = _collect_candidates(
-        graph, rng, prune, pair_side, seed_backbone_top, observer,
+    candidates, _, index = _collect_candidates(
+        graph, rng, seed_backbone_top, observer, wedge_index,
         patience=n_prepare, max_trials=n_prepare,
         span_meta={"trials": n_prepare},
     )
-    return candidates
+    return candidates, index
 
 
 def adaptive_prepare_candidates(
@@ -85,8 +102,6 @@ def adaptive_prepare_candidates(
     patience: int = 50,
     max_trials: int = 5_000,
     rng: RngLike = None,
-    prune: bool = True,
-    pair_side: str = "auto",
     seed_backbone_top: int = 0,
     observer: Optional[Observer] = None,
 ) -> Tuple[CandidateSet, int]:
@@ -112,27 +127,35 @@ def adaptive_prepare_candidates(
         raise ConfigurationError(f"patience must be positive, got {patience}")
     if max_trials <= 0:
         raise ConfigurationError(f"max_trials must be positive, got {max_trials}")
-    return _collect_candidates(
-        graph, rng, prune, pair_side, seed_backbone_top, observer,
+    candidates, trials, _ = _collect_candidates(
+        graph, rng, seed_backbone_top, observer, None,
         patience=patience, max_trials=max_trials,
         span_meta={"patience": patience, "max_trials": max_trials},
     )
+    return candidates, trials
 
 
 def _collect_candidates(
     graph: UncertainBipartiteGraph,
     rng: RngLike,
-    prune: bool,
-    pair_side: str,
     seed_backbone_top: int,
     observer: Optional[Observer],
+    wedge_index: Optional[WedgeIndex],
     *,
     patience: int,
     max_trials: int,
     span_meta: Dict[str, int],
-) -> Tuple[CandidateSet, int]:
+) -> Tuple[CandidateSet, int, WedgeIndex]:
     """Both preparing phases: OS trials until ``patience`` dry trials in
-    a row or ``max_trials`` trials, returning ``(C_MB, trials_used)``."""
+    a row or ``max_trials`` trials, returning ``(C_MB, trials_used,
+    wedge_index)``.
+
+    Trials run as mask blocks on the wedge kernel.  A block holds at
+    most ``patience - dry`` trials, so a dry streak can reach
+    ``patience`` only on a block's last trial: the loop stops after the
+    same trial, with the same RNG position, as a one-trial-at-a-time
+    loop would.
+    """
     if seed_backbone_top < 0:
         raise ConfigurationError(
             f"seed_backbone_top must be non-negative, got {seed_backbone_top}"
@@ -144,23 +167,34 @@ def _collect_candidates(
     trials = 0
     with observer.span("candidate-generation", **span_meta):
         if seed_backbone_top:
-            for butterfly in top_weight_butterflies(
-                graph, seed_backbone_top, pair_side=pair_side
-            ):
+            for butterfly in top_weight_butterflies(graph, seed_backbone_top):
                 collected.setdefault(butterfly.key, butterfly)
+        if wedge_index is None:
+            # Looked up on the module at call time, so a wrapper
+            # installed there (as the service benchmark's traced run
+            # does) sees this build.
+            wedge_index = wedge_block.build_wedge_index(graph)
+        kernel = WedgeBlockKernel(graph, wedge_index, tie_mode="rtol")
+        budget = resolve_block_budget(
+            max_trials, graph.n_edges, wedge_index.n_wedges,
+            wedge_index.n_groups,
+        ).block_size
         while trials < max_trials and dry < patience:
-            trials += 1
-            new = False
-            for butterfly in os_trial(
-                graph, sampler, prune=prune, pair_side=pair_side
-            ):
-                if butterfly.key not in collected:
-                    collected[butterfly.key] = butterfly
-                    new = True
-            dry = 0 if new else dry + 1
+            length = min(budget, patience - dry, max_trials - trials)
+            outcome = kernel.evaluate_block(
+                sampler.sample_mask_block(length), with_stats=False
+            )
+            for winners in outcome.winners:
+                new = False
+                for butterfly in winners:
+                    if butterfly.key not in collected:
+                        collected[butterfly.key] = butterfly
+                        new = True
+                dry = 0 if new else dry + 1
+            trials += length
     observer.inc("prepare.trials", trials)
     observer.set("candidates.listed", float(len(collected)))
-    return CandidateSet(graph, collected.values()), trials
+    return CandidateSet(graph, collected.values()), trials, wedge_index
 
 
 def ordering_listing_sampling(
@@ -171,8 +205,6 @@ def ordering_listing_sampling(
     rng: RngLike = None,
     track: Optional[Iterable[ButterflyKey]] = None,
     checkpoints: int = 40,
-    prune: bool = True,
-    pair_side: str = "auto",
     candidates: Optional[CandidateSet] = None,
     mu: float = 0.05,
     epsilon: float = 0.1,
@@ -181,6 +213,7 @@ def ordering_listing_sampling(
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
     adaptive=None,
+    wedge_index: Optional[WedgeIndex] = None,
 ) -> MPMBResult:
     """Run OLS end to end (Algorithm 3).
 
@@ -196,8 +229,6 @@ def ordering_listing_sampling(
         rng: Seed or generator (shared across both phases).
         track: Optional butterfly keys to trace (Figure 11).
         checkpoints: Number of evenly spaced trace checkpoints.
-        prune: Section V-B switch for the preparing phase.
-        pair_side: Angle-index side for the preparing phase.
         candidates: Pre-computed candidate set; skips the preparing phase
             when given (used by experiments that sweep the sampling phase
             over one fixed candidate set).
@@ -225,6 +256,13 @@ def ordering_listing_sampling(
             sublinear pre-screen plus per-candidate racing elimination
             against the static Lemma VI.4 budgets.  ``None`` (default)
             keeps the fixed budgets bit-identical.
+        wedge_index: Optional prebuilt
+            :class:`~repro.kernels.wedge_block.WedgeIndex` of ``graph``
+            (e.g. one attached from shared memory by the worker pool)
+            for the preparing phase; otherwise the phase builds one.
+            Adaptive OLS-KL hands the same index to its pre-screen; the
+            other sampling phases never read it, so the run drops its
+            reference before they start.
 
     Returns:
         An :class:`~repro.core.results.MPMBResult` with ``method="ols"``
@@ -238,6 +276,13 @@ def ordering_listing_sampling(
         )
     observer = ensure_observer(observer)
     generator = ensure_rng(rng)
+    adaptive_config = None
+    if adaptive is not None and estimator == "karp-luby":
+        # Lazy import: repro.adaptive consumes the core estimators,
+        # importing it eagerly here would cycle.
+        from ..adaptive.racing import resolve_adaptive
+
+        adaptive_config = resolve_adaptive(adaptive)
     resumed_candidates = False
     if candidates is None and runtime is not None:
         candidates = _candidates_from_checkpoint(
@@ -247,10 +292,11 @@ def ordering_listing_sampling(
         resumed_candidates = candidates is not None
     with stopwatch() as timer:
         if candidates is None:
-            candidates = prepare_candidates(
-                graph, n_prepare, generator,
-                prune=prune, pair_side=pair_side, observer=observer,
+            candidates, wedge_index = _prepare(
+                graph, n_prepare, generator, 0, observer, wedge_index
             )
+        if adaptive_config is None or not adaptive_config.prescreen:
+            wedge_index = None  # only adaptive OLS-KL's pre-screen reads it
         if len(candidates) == 0:
             return MPMBResult(
                 method="ols" if estimator == "optimized" else "ols-kl",
@@ -278,13 +324,6 @@ def ordering_listing_sampling(
             )
             method = "ols"
         else:
-            adaptive_config = None
-            if adaptive is not None:
-                # Lazy import: repro.adaptive consumes the core
-                # estimators, importing it eagerly here would cycle.
-                from ..adaptive.racing import resolve_adaptive
-
-                adaptive_config = resolve_adaptive(adaptive)
             if adaptive_config is not None:
                 from ..adaptive.racing import adaptive_karp_luby
 
@@ -295,7 +334,7 @@ def ordering_listing_sampling(
                     mu=mu, epsilon=epsilon, delta=delta,
                     track=track, checkpoints=checkpoints,
                     block_size=block_size, runtime=runtime,
-                    observer=observer,
+                    observer=observer, wedge_index=wedge_index,
                 )
             else:
                 outcome = estimate_probabilities_karp_luby(

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..butterfly import Butterfly
-from ..butterfly.bfc_vp import assemble_butterfly, global_adjacency
+from ..butterfly.bfc_vp import assemble_butterfly
 from ..butterfly.max_weight import WEIGHT_RTOL, weights_equal
 from ..errors import ConfigurationError
 from ..graph import UncertainBipartiteGraph, degree_priority
@@ -142,6 +142,11 @@ class WedgeIndex:
         )
 
 
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """CSR row pointer (leading zero, then running totals) of ``sizes``."""
+    return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)])
+
+
 def build_wedge_index(
     graph: UncertainBipartiteGraph,
     priority: Optional[np.ndarray] = None,
@@ -164,101 +169,87 @@ def build_wedge_index(
     if priority is None:
         priority = degree_priority(graph)
     priority = np.asarray(priority, dtype=np.int64)
-    adjacency = global_adjacency(graph)
     weights = graph.weights
     n_vertices = graph.n_vertices
+    edge_left = graph.edge_left
+    edge_right = graph.edge_right
 
-    # Backbone adjacency as CSR over global ids (same neighbour order
-    # as the scalar enumeration walks).
-    degrees = np.asarray(
-        [len(entries) for entries in adjacency], dtype=np.int64
+    # Backbone adjacency as CSR over global ids, in the neighbour order
+    # of :func:`~repro.butterfly.bfc_vp.global_adjacency` (the order the
+    # scalar enumeration walks): a left vertex lists its edges by edge
+    # index, a right vertex by (left end, edge index).
+    by_left = np.argsort(edge_left, kind="stable")
+    by_right = by_left[np.argsort(edge_right[by_left], kind="stable")]
+    via_edge = np.concatenate([by_left, by_right])
+    neighbor = np.concatenate(
+        [edge_right[by_left] + graph.n_left, edge_left[by_right]]
     )
-    indptr = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(degrees)]
-    )
-    neighbor = np.asarray(
-        [v for entries in adjacency for v, _ in entries], dtype=np.int64
-    )
-    via_edge = np.asarray(
-        [e for entries in adjacency for _, e in entries], dtype=np.int64
-    )
+    degrees = np.concatenate([
+        np.bincount(edge_left, minlength=graph.n_left),
+        np.bincount(edge_right, minlength=graph.n_right),
+    ]).astype(np.int64)
+    indptr = _offsets(degrees)
 
     # Two-hop expansion in exact scalar traversal order: x ascending,
     # then adjacency order of y, then adjacency order of z.  Boolean
     # filters preserve order, so the surviving wedge stream is the same
-    # sequence the nested loops would append.
+    # sequence the nested loops would append.  ``source`` maps each
+    # expanded wedge to its (x, y) hop; priorities are a permutation, so
+    # a strictly lower-priority z is never x itself.
     hop_x = np.repeat(np.arange(n_vertices, dtype=np.int64), degrees)
     keep = priority[neighbor] < priority[hop_x]
     pair_x = hop_x[keep]
     pair_y = neighbor[keep]
     pair_e1 = via_edge[keep]
     fanout = degrees[pair_y]
-    wedge_x = np.repeat(pair_x, fanout)
-    mid = np.repeat(pair_y, fanout)
-    e1 = np.repeat(pair_e1, fanout)
-    span = np.arange(int(fanout.sum()), dtype=np.int64)
-    within = span - np.repeat(
-        np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(fanout)[:-1]]
-        ),
-        fanout,
+    pos = np.arange(int(fanout.sum()), dtype=np.int64) + np.repeat(
+        indptr[pair_y] - _offsets(fanout)[:-1], fanout
     )
-    pos = np.repeat(indptr[pair_y], fanout) + within
+    source = np.repeat(np.arange(pair_x.shape[0], dtype=np.int64), fanout)
     wedge_z = neighbor[pos]
-    e2 = via_edge[pos]
-    keep = (wedge_z != wedge_x) & (priority[wedge_z] < priority[wedge_x])
-    wedge_x = wedge_x[keep]
+    keep = priority[wedge_z] < priority[pair_x][source]
+    source = source[keep]
     wedge_z = wedge_z[keep]
-    mid = mid[keep]
-    e1 = e1[keep]
-    e2 = e2[keep]
+    wedge_x = pair_x[source]
+    e2 = via_edge[pos[keep]]
 
     # Group by (x, z) in first-encounter order — the scalar loop's
-    # per-``x`` insertion-ordered dict.  ``np.unique`` returns groups in
-    # sorted-key order plus each key's first stream position; ranking
-    # the groups by that first position (the stream is already sorted
-    # by ``x``) restores insertion order, and a stable sort of the
-    # per-wedge ranks keeps wedges in stream order within each group.
+    # per-``x`` insertion-ordered dict.  A stable sort by key gathers
+    # each group's wedges in stream order, its first entry being the
+    # group's first stream position; ordering the groups by that
+    # position (the stream is already sorted by ``x``) restores
+    # insertion order, and the groups' segments are then re-laid out
+    # in that order.
+    n_wedges = wedge_x.shape[0]
     key = wedge_x * np.int64(n_vertices) + wedge_z
-    _, first_pos, inverse = np.unique(
-        key, return_index=True, return_inverse=True
-    )
-    rank = np.empty(first_pos.shape[0], dtype=np.int64)
-    rank[np.argsort(first_pos, kind="stable")] = np.arange(
-        first_pos.shape[0], dtype=np.int64
-    )
-    wedge_group = rank[inverse]
-    perm = np.argsort(wedge_group, kind="stable")
-    wedge_group = wedge_group[perm]
-    mids = mid[perm]
-    wedge_e1 = e1[perm]
+    by_key = np.argsort(key, kind="stable")
+    sorted_key = key[by_key]
+    first = np.ones(n_wedges, dtype=bool)
+    first[1:] = sorted_key[1:] != sorted_key[:-1]
+    segment = np.flatnonzero(first)
+    segment_sizes = np.diff(np.append(segment, n_wedges))
+    rank = np.argsort(by_key[segment], kind="stable")
+    sizes = segment_sizes[rank]
+    group_start = _offsets(sizes)
+    perm = by_key[
+        np.repeat(segment[rank] - group_start[:-1], sizes)
+        + np.arange(n_wedges, dtype=np.int64)
+    ]
+    wedge_e1 = pair_e1[source[perm]]
     wedge_e2 = e2[perm]
-    wedge_weight = (
-        weights[wedge_e1] + weights[wedge_e2]
-        if wedge_e1.size
-        else np.zeros(0, dtype=np.float64)
-    )
-    n_groups = int(first_pos.shape[0])
-    sizes = np.bincount(wedge_group, minlength=n_groups).astype(np.int64)
-    group_start = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(sizes)]
-    )
-    group_first = group_start[:-1]
-    xs = wedge_x[perm][group_first] if n_groups else np.zeros(
-        0, dtype=np.int64
-    )
-    zs = wedge_z[perm][group_first] if n_groups else np.zeros(
-        0, dtype=np.int64
-    )
+    wedge_weight = weights[wedge_e1] + weights[wedge_e2]
+    group_first = perm[group_start[:-1]]
 
-    # Heaviest-first permutation per group, in one stable lexsort (ties
-    # keep index order, matching the scalar per-group argsort); the two
-    # leading wedges of each capable group give its static best-pair
-    # bound.
-    heavy = (
-        np.lexsort((-wedge_weight, wedge_group))
-        if wedge_weight.size
-        else np.zeros(0, dtype=np.int64)
+    # Heaviest-first permutation per group, as one stable sort of a
+    # (group, descending weight rank) key — ties keep index order,
+    # matching the scalar per-group argsort; the two leading wedges of
+    # each capable group give its static best-pair bound.
+    distinct, weight_rank = np.unique(wedge_weight, return_inverse=True)
+    n_distinct = np.int64(distinct.shape[0])
+    group_of = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
+    heavy = np.argsort(
+        group_of * n_distinct + (n_distinct - 1 - weight_rank),
+        kind="stable",
     )
     capable = np.flatnonzero(sizes >= 2)
     bounds = (
@@ -267,58 +258,46 @@ def build_wedge_index(
     )
     order = np.argsort(-bounds, kind="stable")
     scan_order = capable[order]
-    scan_bound = bounds[order]
 
     # Flatten the scan groups' wedges (heaviest-first within each group,
     # so materialisation's pair walk can stop early) and pre-gather their
     # edge/weight columns — the per-block scan then reads plain slices.
     scan_sizes = sizes[scan_order]
-    scan_start = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(scan_sizes)]
-    )
-    if scan_order.size:
-        flat = np.arange(int(scan_sizes.sum()), dtype=np.int64)
-        offset = flat - np.repeat(scan_start[:-1], scan_sizes)
-        scan_wedge = heavy[
-            np.repeat(group_start[scan_order], scan_sizes) + offset
-        ]
-    else:
-        scan_wedge = np.zeros(0, dtype=np.int64)
+    scan_start = _offsets(scan_sizes)
+    scan_wedge = heavy[
+        np.repeat(group_start[scan_order] - scan_start[:-1], scan_sizes)
+        + np.arange(int(scan_start[-1]), dtype=np.int64)
+    ]
 
-    # Group-aligned chunks of near-constant wedge count.
+    # Group-aligned chunks of at most SCAN_CHUNK wedges each (a single
+    # oversized group forms its own chunk).
     chunks: List[Tuple[int, int]] = []
     lo = 0
-    budget = 0
-    for i, g in enumerate(scan_order):
-        size = int(sizes[g])
-        if budget and budget + size > SCAN_CHUNK:
-            chunks.append((lo, i))
-            lo = i
-            budget = 0
-        budget += size
-    if budget:
-        chunks.append((lo, len(scan_order)))
+    while lo < scan_order.shape[0]:
+        hi = int(np.searchsorted(
+            scan_start, scan_start[lo] + SCAN_CHUNK, side="right"
+        )) - 1
+        hi = max(hi, lo + 1)
+        chunks.append((lo, hi))
+        lo = hi
 
     return WedgeIndex(
         priority=priority,
         priority_kind=priority_kind,
-        wedge_mid=mids,
+        wedge_mid=pair_y[source[perm]],
         wedge_e1=wedge_e1,
         wedge_e2=wedge_e2,
         wedge_weight=wedge_weight,
         group_start=group_start,
-        group_x=xs,
-        group_z=zs,
+        group_x=wedge_x[group_first],
+        group_z=wedge_z[group_first],
         scan_order=scan_order,
-        scan_bound=scan_bound,
+        scan_bound=bounds[order],
         scan_wedge=scan_wedge,
         scan_start=scan_start,
         scan_e1=wedge_e1[scan_wedge],
         scan_e2=wedge_e2[scan_wedge],
-        scan_w=(
-            wedge_weight[scan_wedge]
-            if scan_wedge.size else np.zeros(0, dtype=np.float64)
-        ),
+        scan_w=wedge_weight[scan_wedge],
         chunks=tuple(chunks),
     )
 

@@ -6,8 +6,8 @@ the frequency-based methods pool across independent trial streams by
 trial-weighted averaging (:func:`~repro.core.results.merge_results`).
 This module turns that observation into a production worker pool:
 
-* the graph — and, for batched runs, the wedge-CSR index — is published
-  **once** into a ``multiprocessing.shared_memory`` segment
+* the graph — and, for OLS and batched runs, the wedge-CSR index — is
+  published **once** into a ``multiprocessing.shared_memory`` segment
   (:mod:`~repro.runtime.shm`); workers are **persistent** processes that
   attach to it at startup and then serve task descriptors over pipes,
   so no task ever pickles a graph and retries re-use warm processes;
@@ -69,7 +69,8 @@ from .shm import SharedGraphHandle, publish_graph
 #: Methods whose results pool by trial-weighted averaging.
 POOLABLE_METHODS = ("mc-vp", "os", "ols")
 
-#: Methods whose batched kernels consume the shared wedge index.
+#: Methods whose batched kernels consume the shared wedge index (OLS's
+#: preparing phase reads it batched or not).
 _INDEXED_METHODS = ("mc-vp", "os")
 
 #: Seconds :meth:`WorkerPool.close` waits for a worker to exit cleanly
@@ -158,14 +159,17 @@ def backoff_seconds(
 def wants_shared_index(method: str, method_kwargs: Dict) -> bool:
     """Whether a task would consume the pool's shared wedge index.
 
-    The index is built with the default ``"degree"`` priority; a caller
-    overriding ``priority_kind`` gets a worker-local rebuild instead of
-    a silently mismatched shared index.
+    OLS always does (its preparing phase runs on the wedge kernel);
+    MC-VP and OS only when batched.  The index is built with the
+    default ``"degree"`` priority; a caller overriding
+    ``priority_kind`` gets a worker-local rebuild instead of a silently
+    mismatched shared index.
     """
-    return (
+    if method_kwargs.get("priority_kind", "degree") != "degree":
+        return False
+    return method == "ols" or (
         method in _INDEXED_METHODS
         and method_kwargs.get("block_size") is not None
-        and method_kwargs.get("priority_kind", "degree") == "degree"
     )
 
 
@@ -416,9 +420,10 @@ def run_parallel_trials(
         block_size: Shard whole blocks of this many trials across the
             workers (no block straddles two workers) and run each worker
             through the batched kernel layer; ``None`` shards single
-            trials and keeps the scalar loops.  Batched runs build the
-            wedge-CSR index once on the coordinator and publish it into
-            the shared segment, so workers skip the per-process build.
+            trials and keeps the scalar loops.  Batched runs (and every
+            OLS run, whose preparing phase reads it) build the wedge-CSR
+            index once on the coordinator and publish it into the shared
+            segment, so workers skip the per-process build.
         observer: Optional :class:`~repro.observability.Observer`.  When
             given, each worker records its own metrics/spans in-process
             and ships them with its result; the coordinator merges the

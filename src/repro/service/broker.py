@@ -322,7 +322,9 @@ class QueryBroker:
         checksum: consecutive pooled requests against the same graph
         bytes reuse the shared-memory segment and the attached worker
         processes (``worker.shm.reused``).  A checksum change (reload)
-        or a batched request against an index-less pool tears the pool
+        or a request that reads the wedge index
+        (:func:`~repro.runtime.workers.wants_shared_index`: any OLS,
+        batched MC-VP/OS) against an index-less pool tears the pool
         down and republishes.
 
         Thread safety: concurrent pooled requests race on the pool

@@ -10,7 +10,7 @@ candidate butterflies reference.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator
+from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -22,6 +22,14 @@ from ..sampling.rng import (
     rng_state_payload,
 )
 from .possible_world import PossibleWorld
+
+#: Uniforms :meth:`WorldSampler.sample_mask_block` draws per chunk
+#: (1 MiB of float64 scratch), rounded down to whole rows of ``n_edges``
+#: but never below one row.  A block's uniforms never exist all at
+#: once: each chunk is compared straight into the boolean mask matrix,
+#: so a block costs one byte per mask entry plus one chunk of
+#: ``max(DRAW_CHUNK, n_edges)`` uniforms at most.
+DRAW_CHUNK = 1 << 17
 
 
 class WorldSampler:
@@ -63,40 +71,63 @@ class WorldSampler:
     def sample_mask_block(self, count: int) -> np.ndarray:
         """A ``(count, n_edges)`` block of edge-presence masks.
 
-        Draws every uniform the block needs in one RNG call, which is the
-        batched-kernel fast path (``docs/performance.md``).  The block is
-        *stream-equivalent* to ``count`` successive :meth:`sample_mask`
-        calls: NumPy's ``Generator.random`` consumes doubles sequentially,
-        so one ``(k, n_edges)`` draw reads the exact bits ``k`` separate
-        ``(n_edges,)`` draws would, and antithetic pairing — including a
-        buffered half-pair in :attr:`_pending` from earlier scalar calls
-        or an odd-length block — is carried across the block boundary.
-        Consequently the world sequence is identical for every block
-        partition of the same trial budget.
+        The batched-kernel fast path (``docs/performance.md``).  The
+        block is *stream-equivalent* to ``count`` successive
+        :meth:`sample_mask` calls: NumPy's ``Generator.random`` consumes
+        doubles sequentially, so drawing the block's uniforms in row
+        chunks of at most ``max(DRAW_CHUNK, n_edges)`` values (see
+        :data:`DRAW_CHUNK`) reads the exact bits ``count`` separate
+        ``(n_edges,)`` draws would, and antithetic pairing — including
+        a buffered half-pair in :attr:`_pending` from earlier scalar
+        calls or an odd-length block — is carried across the block
+        boundary.  Consequently the world sequence is identical for
+        every block partition of the same trial budget.
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        n_edges = self.graph.n_edges
         probs = self.graph.probs
+        masks = np.empty((count, self.graph.n_edges), dtype=bool)
         if not self.antithetic:
-            return self.rng.random((count, n_edges)) < probs
-        rows = np.empty((count, n_edges), dtype=float)
+            for first, uniforms in self._uniform_chunks(count):
+                np.less(
+                    uniforms, probs,
+                    out=masks[first:first + uniforms.shape[0]],
+                )
+            return masks
         filled = 0
         if self._pending is not None:
-            rows[0] = self._pending
+            np.less(self._pending, probs, out=masks[0])
             self._pending = None
             filled = 1
-        fresh = count - filled
-        n_pairs, odd = divmod(fresh, 2)
-        if fresh:
-            uniforms = self.rng.random((n_pairs + odd, n_edges))
-            for draw in range(n_pairs):
-                rows[filled + 2 * draw] = uniforms[draw]
-                rows[filled + 2 * draw + 1] = 1.0 - uniforms[draw]
-            if odd:
-                rows[count - 1] = uniforms[n_pairs]
-                self._pending = 1.0 - uniforms[n_pairs]
-        return rows < probs
+        n_pairs, odd = divmod(count - filled, 2)
+        # Draw d fills row filled + 2d; its complement fills the next
+        # row, or — for the odd block's last draw — waits in _pending.
+        for first, uniforms in self._uniform_chunks(n_pairs + odd):
+            row = filled + 2 * first
+            drawn = uniforms.shape[0]
+            np.less(uniforms, probs, out=masks[row:row + 2 * drawn:2])
+            np.subtract(1.0, uniforms, out=uniforms)
+            paired = min(drawn, n_pairs - first)
+            np.less(
+                uniforms[:paired], probs,
+                out=masks[row + 1:row + 2 * paired:2],
+            )
+            if paired < drawn:
+                self._pending = uniforms[paired].copy()
+        return masks
+
+    def _uniform_chunks(self, rows: int) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(first row, uniforms)`` chunks covering ``rows`` rows of
+        ``n_edges`` uniforms, drawn in order into one reused buffer of
+        at most ``max(DRAW_CHUNK, n_edges)`` values (a chunk is valid
+        only until the next one is drawn)."""
+        n_edges = self.graph.n_edges
+        step = max(1, DRAW_CHUNK // max(n_edges, 1))
+        buffer = np.empty((min(step, rows), n_edges))
+        for first in range(0, rows, step):
+            chunk = buffer[:min(step, rows - first)]
+            self.rng.random(out=chunk)
+            yield first, chunk
 
     def sample_world(self) -> PossibleWorld:
         """One :class:`PossibleWorld`."""
