@@ -11,8 +11,8 @@ import pytest
 from repro.core import (
     estimate_probabilities_karp_luby,
     estimate_probabilities_optimized,
-    ordering_sampling,
     prepare_candidates,
+    reference_search,
 )
 from repro.experiments import run_experiment
 
@@ -38,7 +38,7 @@ def test_prune_ablation_report(benchmark, capsys):
 def test_os_prune_onoff(benchmark, bench_datasets, prune):
     graph = bench_datasets["movielens"]
     benchmark.pedantic(
-        lambda: ordering_sampling(graph, 30, rng=1, prune=prune),
+        lambda: reference_search(graph, "os", 30, rng=1, prune=prune),
         rounds=2, iterations=1,
     )
 
@@ -70,10 +70,10 @@ def test_pair_side_choice_matters(bench_datasets):
     """The Lemma V.1 'auto' side selection picks the cheaper partition
     on the lopsided jester network."""
     graph = bench_datasets["jester"]
-    cheap = ordering_sampling(graph, 20, rng=2, pair_side="auto")
+    cheap = reference_search(graph, "os", 20, rng=2, pair_side="auto")
     # jester: 30 jokes x 1000 users; middles on the joke side are huge,
     # so pairing on the user side (middles = jokes) is the expensive way.
-    users_mid = ordering_sampling(graph, 20, rng=2, pair_side="right")
+    users_mid = reference_search(graph, "os", 20, rng=2, pair_side="right")
     assert (
         cheap.stats["angles_processed"]
         <= users_mid.stats["angles_processed"]

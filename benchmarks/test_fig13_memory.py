@@ -7,7 +7,7 @@ to hold every angle and butterfly.
 
 import pytest
 
-from repro.core import mc_vp, ordering_sampling
+from repro.core import ordering_sampling, reference_search
 from repro.experiments import peak_memory, run_experiment
 
 from .conftest import BENCH_CONFIG
@@ -38,8 +38,8 @@ def test_mcvp_stores_everything(bench_datasets, name):
     """Mechanism check: MC-VP's stored-angle/butterfly counters dwarf
     the OS top-2 index on dense data."""
     graph = bench_datasets[name]
-    baseline = mc_vp(graph, 2, rng=1)
-    optimised = ordering_sampling(graph, 2, rng=1)
+    baseline = reference_search(graph, "mc-vp", 2, rng=1)
+    optimised = reference_search(graph, "os", 2, rng=1)
     assert (
         baseline.stats["butterflies_checked"]
         > 50 * optimised.stats["angles_stored"]

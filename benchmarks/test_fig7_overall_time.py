@@ -8,7 +8,7 @@ method per dataset and assert the ordering of the extrapolated totals.
 
 import pytest
 
-from repro.core import mc_vp, ordering_sampling
+from repro.core import reference_search
 from repro.experiments import run_experiment
 
 from .conftest import BENCH_CONFIG
@@ -19,7 +19,7 @@ def test_os_trial(benchmark, bench_datasets, name):
     """One OS Monte-Carlo trial (the unit the 20 000x budget scales)."""
     graph = bench_datasets[name]
     benchmark.pedantic(
-        lambda: ordering_sampling(graph, 20, rng=1),
+        lambda: reference_search(graph, "os", 20, rng=1),
         rounds=3, iterations=1,
     )
 
@@ -29,7 +29,7 @@ def test_mcvp_trial(benchmark, bench_datasets, name):
     """One MC-VP trial — the baseline's enumerate-everything cost."""
     graph = bench_datasets[name]
     benchmark.pedantic(
-        lambda: mc_vp(graph, 1, rng=1),
+        lambda: reference_search(graph, "mc-vp", 1, rng=1),
         rounds=3, iterations=1,
     )
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ordering_sampling
+from repro.core import ordering_sampling, reference_search
 from repro.experiments import run_experiment
 from repro.graph import sample_vertices
 
@@ -44,7 +44,7 @@ def test_os_work_scales_with_degrees(bench_datasets):
     work = []
     for fraction in (0.25, 0.5, 1.0):
         sub = sample_vertices(graph, fraction, np.random.default_rng(7))
-        result = ordering_sampling(sub, 30, rng=1, prune=False)
+        result = reference_search(sub, "os", 30, rng=1, prune=False)
         work.append(result.stats["angles_processed"] / 30)
     assert work[0] < work[1] < work[2]
     # Halving vertices quarters the (edge-dense) angle work, roughly.

@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--block-size", type=int, default=None, metavar="N",
         help="evaluate trials through the batched kernel layer, N "
              "trials per vectorised call (sampling methods only; "
-             "default: scalar per-trial loop; see docs/performance.md)",
+             "default: 256-trial blocks for mc-vp/os, the scalar "
+             "per-trial loop for ols/ols-kl; see docs/performance.md)",
     )
     search.add_argument(
         "--top", type=int, default=1, help="how many MPMBs to report"
@@ -104,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--checkpoint-every", type=int, default=1000, metavar="N",
-        help="trials between checkpoint snapshots (default: 1000)",
+        help="trials between checkpoint snapshots; blocked runs snapshot "
+             "at the first block boundary past each multiple "
+             "(default: 1000)",
     )
     search.add_argument(
         "--resume", default=None, metavar="PATH",

@@ -83,8 +83,10 @@ class AdaptiveConfig:
         block_trials: Karp-Luby trials handed to each surviving
             candidate per racing round.
         check_every: Trials between stop-rule evaluations on the
-            frequency methods' scalar paths (blocked paths check at
-            every block boundary).
+            frequency methods' per-trial paths (OLS's scalar loop and
+            the reference).  Block paths, which include MC-VP and OS
+            without ``block_size``, check at every block boundary
+            instead.
         min_trials: Trials required before the first frequency-method
             stop-rule evaluation may fire.
         prescreen: Run the sublinear wedge-pair pre-screen before

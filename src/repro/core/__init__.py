@@ -3,6 +3,8 @@
 * :func:`find_mpmb` / :func:`find_top_k_mpmb` — one-call facade.
 * :func:`mc_vp` — Algorithm 1 (baseline).
 * :func:`ordering_sampling` — Algorithm 2 (OS).
+* :func:`reference_search` — Algorithms 1 and 2 as the paper states
+  them, one world per trial (the timing and test reference).
 * :func:`ordering_listing_sampling` / :func:`prepare_candidates` —
   Algorithm 3 (OLS) with either sampling-phase estimator.
 * :func:`estimate_probabilities_karp_luby` — Algorithm 4.
@@ -43,7 +45,8 @@ from .ols import (
 )
 from .optimized_estimator import estimate_probabilities_optimized
 from .query import ProbabilityEstimate, estimate_probability
-from .ordering_sampling import ordering_sampling, os_trial
+from .ordering_sampling import ordering_sampling
+from .reference import os_trial, reference_search
 from .results import MPMBResult, merge_results, result_from_frequency_loop
 from .serialize import (
     load_result,
@@ -77,6 +80,7 @@ __all__ = [
     "mc_vp",
     "ordering_sampling",
     "os_trial",
+    "reference_search",
     "ordering_listing_sampling",
     "prepare_candidates",
     "adaptive_prepare_candidates",

@@ -7,6 +7,9 @@ Theorem IV.1 sizes.  Each method supplies only its checkpointable loop
 (scalar, or blocked over a batched kernel); :func:`drive_frequency_loop`
 owns everything around it — the one engine call, the anytime racing
 wrap, and the certified-stop or degraded-run guarantee.
+:func:`search_winners` adds the ``sampling`` span and the result for
+MC-VP and OS, whose production (wedge kernel) and reference
+(:mod:`repro.core.reference`) runs share one winner loop.
 """
 
 from __future__ import annotations
@@ -15,9 +18,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional
 
 from ..observability import Observer
+from ..observability.profiling import stopwatch
 from ..runtime.degradation import Guarantee, recompute_guarantee
 from ..runtime.engine import CheckpointableLoop, LoopReport, execute_trial_loop
+from ..runtime.frequency import WinnerCountLoop
 from ..runtime.policy import RuntimePolicy
+from .results import (
+    MPMBResult,
+    record_sampling_metrics,
+    result_from_frequency_loop,
+)
 
 
 @dataclass
@@ -103,3 +113,33 @@ def drive_frequency_loop(
             delta=runtime.guarantee_delta if runtime is not None else 0.1,
         )
     return run
+
+
+def search_winners(
+    method: str,
+    loop: WinnerCountLoop,
+    n_trials: int,
+    engine_loop: Callable[[WinnerCountLoop], CheckpointableLoop],
+    *,
+    runtime: Optional[RuntimePolicy],
+    observer: Observer,
+    adaptive=None,
+) -> MPMBResult:
+    """Run MC-VP's or OS's winner ``loop`` and assemble its result.
+
+    ``engine_loop`` turns ``loop`` into what the engine runs — the
+    wedge kernel's block loop in production, the loop itself in the
+    reference — inside the ``sampling`` span, so an index build is
+    timed there.  Records the ``sampling.*`` and ``<method>.*``
+    metrics of :func:`~repro.core.results.record_sampling_metrics`.
+    """
+    with observer.span("sampling", method=method), stopwatch() as timer:
+        run = drive_frequency_loop(
+            engine_loop(loop), method=method, graph_name=loop.graph.name,
+            n_trials=n_trials, counts=lambda: loop.counts.values(),
+            phantom=True, runtime=runtime, observer=observer,
+            adaptive=adaptive,
+        )
+    result = result_from_frequency_loop(method, loop.graph, loop, run)
+    record_sampling_metrics(observer, result, timer.seconds)
+    return result

@@ -62,8 +62,8 @@ def find_mpmb(
             the sampling methods; exact solvers run inside a single
             ``exact-solve`` span.
         **kwargs: Forwarded to the selected method (e.g. ``track=``,
-            ``prune=``, ``mu=``, ``adaptive=`` for the anytime racing
-            stop rule of the sampling methods).
+            ``block_size=``, ``mu=``, ``adaptive=`` for the anytime
+            racing stop rule of the sampling methods).
 
     Returns:
         The :class:`~repro.core.results.MPMBResult`; ``result.best`` is

@@ -9,8 +9,8 @@ OLS splits the work into two phases:
    butterfly).  The trials run as mask blocks through the vectorised
    wedge kernel (:class:`~repro.kernels.wedge_block.WedgeBlockKernel`
    in ``rtol`` tie mode), whose per-world winner sets equal the scalar
-   :func:`~repro.core.ordering_sampling.os_trial` search's, so ``C_MB``
-   and the RNG position after the phase are those of the scalar loop.
+   :func:`~repro.core.reference.os_trial` search's, so ``C_MB`` and the
+   RNG position after the phase are those of the scalar loop.
 2. **Sampling phase** (line 5): a probability estimator runs over the
    small candidate set only, never touching the full network again —
    either the paper's optimised shared-trial estimator (Algorithm 5,
@@ -182,7 +182,7 @@ def _collect_candidates(
         while trials < max_trials and dry < patience:
             length = min(budget, patience - dry, max_trials - trials)
             outcome = kernel.evaluate_block(
-                sampler.sample_mask_block(length), with_stats=False
+                sampler.sample_mask_block(length)
             )
             for winners in outcome.winners:
                 new = False

@@ -1,51 +1,28 @@
 """Algorithm 2 — Ordering Sampling (OS).
 
 OS keeps MC-VP's outer Monte-Carlo loop but replaces the per-trial
-butterfly enumeration with the Section V weight-ordered search
-(:func:`repro.butterfly.max_weight.max_weight_butterflies`): edges are
-consumed heaviest-first, only the top-2 angle classes per endpoint pair
-are stored, and only maximum-weight butterflies are materialised.  The
-three optimisations are individually toggleable for the ablation
-benchmarks.
+butterfly enumeration with the Section V weight-ordered search.  This
+module runs the trials as blocks of worlds on the wedge kernel
+(:mod:`repro.kernels.wedge_block`) in ``rtol`` tie mode, which
+reproduces that search's winner classes; its bound-ordered group scan
+is the Section V-B early exit.  The paper's per-trial search and its
+ablation switches are :func:`~repro.core.reference.reference_search`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
-from ..butterfly import Butterfly, ButterflyKey, max_weight_butterflies
+from ..butterfly import ButterflyKey
 from ..graph import UncertainBipartiteGraph
 from ..kernels import WedgeIndex, build_wedge_index, wedge_block_loop
-from ..kernels.wedge_block import BlockOutcome
 from ..observability import Observer, ensure_observer
-from ..observability.profiling import stopwatch
-from ..sampling import RngLike, ensure_rng
-from ..worlds import WorldSampler
-from .driver import drive_frequency_loop
-from .results import (
-    MPMBResult,
-    record_sampling_metrics,
-    result_from_frequency_loop,
-)
 from ..runtime.frequency import WinnerCountLoop
 from ..runtime.policy import RuntimePolicy
-
-
-def os_trial(
-    graph: UncertainBipartiteGraph,
-    sampler: WorldSampler,
-    prune: bool = True,
-    pair_side: str = "auto",
-) -> List[Butterfly]:
-    """One OS trial (Algorithm 2 lines 4-20): sample a world, return its
-    maximum-weight butterfly set ``S_MB`` (possibly empty)."""
-    mask = sampler.sample_mask()
-    order = graph.edges_by_weight_desc
-    present_sorted = order[mask[order]]
-    search = max_weight_butterflies(
-        graph, present_sorted, prune=prune, pair_side=pair_side
-    )
-    return search.butterflies
+from ..sampling import RngLike, ensure_rng
+from ..worlds import WorldSampler
+from .driver import search_winners
+from .results import MPMBResult
 
 
 def ordering_sampling(
@@ -54,8 +31,6 @@ def ordering_sampling(
     rng: RngLike = None,
     track: Optional[Iterable[ButterflyKey]] = None,
     checkpoints: int = 40,
-    prune: bool = True,
-    pair_side: str = "auto",
     antithetic: bool = False,
     block_size: Optional[int] = None,
     wedge_index: Optional[WedgeIndex] = None,
@@ -71,37 +46,23 @@ def ordering_sampling(
         rng: Seed or generator.
         track: Optional butterfly keys to trace (Figure 11).
         checkpoints: Number of evenly spaced trace checkpoints.
-        prune: Apply the Section V-B edge-ordering early exit (ablation
-            switch; the result distribution is identical either way).
-        pair_side: Endpoint-pair side for the angle index — ``"auto"``
-            (Lemma V.1 cost minimisation), ``"left"`` or ``"right"``.
         antithetic: Sample worlds in antithetic pairs (variance
             reduction; see :class:`~repro.worlds.sampler.WorldSampler`).
-        block_size: Run through the batched kernel layer, drawing this
-            many worlds per vectorised RNG call and evaluating the
-            whole block through the vectorised wedge kernel in ``rtol``
-            tie mode, which reproduces the weight-ordered search's
-            :func:`~repro.butterfly.max_weight.weights_equal` winner
-            classes (``None`` keeps the scalar per-trial loop).  Winner
-            sets, traces, and estimates are bit-identical either way;
-            the batched path reports the kernel scan's own work
-            counters — ``wedges_scanned`` presence evaluations and
-            ``trials_pruned`` early-exited worlds — instead of the
-            scalar scan's per-edge counters, which have no vectorised
-            equivalent — see ``docs/kernels.md``.  The effective block
-            size is shrunk to fit the kernel bytes budget.
+        block_size: Worlds per wedge-kernel block, one engine unit
+            (``None``: :data:`~repro.kernels.blocks.DEFAULT_BLOCK_SIZE`,
+            capped by the kernel bytes budget).  Winner sets, traces and
+            estimates equal the reference's for any block size; see
+            ``docs/kernels.md``.
         wedge_index: Optional prebuilt
-            :class:`~repro.kernels.wedge_block.WedgeIndex` (e.g. one
-            attached from shared memory by the worker pool); reused
-            only when built with degree priorities, rebuilt otherwise.
-            Only meaningful with ``block_size``.
+            :class:`~repro.kernels.wedge_block.WedgeIndex` (e.g. the
+            worker pool's shared one); built when absent.
         runtime: Optional :class:`~repro.runtime.policy.RuntimePolicy`
             enabling checkpoint/resume, deadlines, and graceful
             degradation for the trial loop.
         observer: Optional :class:`~repro.observability.Observer`
-            recording the ``edge-ordering``/``sampling`` spans, trial
-            throughput, and the ``os.*`` counters (including the
-            ``os.prune_rate`` of the Section V-B early exit).
+            recording the ``sampling`` span, trial throughput, and the
+            ``os.*`` counters (including the ``os.prune_rate`` of the
+            kernel scan's early exit).
         adaptive: Optional :class:`~repro.adaptive.AdaptiveConfig` (or
             anything :func:`~repro.adaptive.resolve_adaptive` accepts)
             enabling the anytime racing stop rule — the run ends early,
@@ -112,67 +73,21 @@ def ordering_sampling(
 
     Returns:
         An :class:`~repro.core.results.MPMBResult` with ``method="os"``
-        and stats counters ``edges_processed``, ``angles_processed`` and
-        ``angles_stored`` aggregated over trials.
+        and the kernel scan's stats counters ``wedges_scanned``
+        (presence evaluations) and ``trials_pruned`` (early-exited
+        worlds).
     """
     observer = ensure_observer(observer)
     sampler = WorldSampler(graph, ensure_rng(rng), antithetic=antithetic)
-    with observer.span("edge-ordering"):
-        order = graph.edges_by_weight_desc
-    if block_size is None:
-        stats = {
-            "edges_processed": 0.0,
-            "angles_processed": 0.0,
-            "angles_stored": 0.0,
-            "trials_pruned": 0.0,
-        }
-    else:
-        # The scalar scan's per-edge counters have no vectorised
-        # equivalent; the batched path reports the kernel scan's own
-        # pruned work (same spirit: how much the bound order saved).
-        stats = {
-            "wedges_scanned": 0.0,
-            "trials_pruned": 0.0,
-        }
-
-    def run_trial() -> List[Butterfly]:
-        mask = sampler.sample_mask()
-        present_sorted = order[mask[order]]
-        search = max_weight_butterflies(
-            graph, present_sorted, prune=prune, pair_side=pair_side
-        )
-        stats["edges_processed"] += search.n_edges_processed
-        stats["angles_processed"] += search.n_angles_processed
-        stats["angles_stored"] += search.n_angles_stored
-        if search.pruned:
-            stats["trials_pruned"] += 1
-        return search.butterflies
-
     loop = WinnerCountLoop(
-        graph, sampler, run_trial, n_trials,
-        track=track, checkpoints=checkpoints, stats=stats,
-        observer=observer,
+        graph, sampler, None, n_trials,
+        track=track, checkpoints=checkpoints, observer=observer,
     )
-    with observer.span("sampling", method="os"), stopwatch() as timer:
-        engine_loop = loop
-        if block_size is not None:
-
-            def tally(outcome: BlockOutcome) -> None:
-                stats["wedges_scanned"] += outcome.wedges_scanned
-                stats["trials_pruned"] += outcome.rows_pruned
-
-            engine_loop = wedge_block_loop(
-                loop, n_trials, block_size, observer,
-                index=wedge_index, priority_kind="degree",
-                build=lambda: build_wedge_index(graph),
-                tie_mode="rtol", with_stats=False, tally=tally,
-            )
-        run = drive_frequency_loop(
-            engine_loop, method="os", graph_name=graph.name,
-            n_trials=n_trials, counts=lambda: loop.counts.values(),
-            phantom=True, runtime=runtime, observer=observer,
-            adaptive=adaptive,
-        )
-    result = result_from_frequency_loop("os", graph, loop, run)
-    record_sampling_metrics(observer, result, timer.seconds)
-    return result
+    return search_winners(
+        "os", loop, n_trials,
+        lambda inner: wedge_block_loop(
+            inner, n_trials, block_size, observer, index=wedge_index,
+            build=lambda: build_wedge_index(graph), tie_mode="rtol",
+        ),
+        runtime=runtime, observer=observer, adaptive=adaptive,
+    )

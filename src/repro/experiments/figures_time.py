@@ -20,7 +20,7 @@ from typing import Dict, List
 from ..core import (
     estimate_probabilities_karp_luby,
     estimate_probabilities_optimized,
-    ordering_sampling,
+    reference_search,
 )
 from ..graph import sample_vertices
 from ..sampling import ensure_rng
@@ -278,10 +278,14 @@ def ablation_pruning(config: ExperimentConfig) -> ExperimentOutcome:
     for name in config.datasets:
         graph = config.load(name)
         with_prune = measure(
-            lambda: ordering_sampling(graph, n, rng=config.seed + 5, prune=True)
+            lambda: reference_search(
+                graph, "os", n, rng=config.seed + 5, prune=True
+            )
         )
         without = measure(
-            lambda: ordering_sampling(graph, n, rng=config.seed + 5, prune=False)
+            lambda: reference_search(
+                graph, "os", n, rng=config.seed + 5, prune=False
+            )
         )
         edges_with = with_prune.value.stats["edges_processed"] / n
         edges_without = without.value.stats["edges_processed"] / n

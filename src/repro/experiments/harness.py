@@ -18,6 +18,7 @@ from ..core import (
     ordering_listing_sampling,
     ordering_sampling,
     prepare_candidates,
+    reference_search,
 )
 from ..core.results import MPMBResult
 from ..datasets import DATASET_NAMES, load_dataset
@@ -52,7 +53,10 @@ class ExperimentConfig:
             instead of blocking the whole sweep.
         block_size: Route the sampling methods through the batched
             kernel layer with this many trials per vectorised call;
-            ``None`` keeps the scalar loops (see ``docs/performance.md``).
+            ``None`` times the paper's algorithms: the scalar OLS/OLS-KL
+            loops and the MC-VP/OS
+            :func:`~repro.core.reference.reference_search` (see
+            ``docs/performance.md``).
         adaptive: Run the sampling methods in anytime adaptive mode —
             racing elimination with empirical-Bernstein intervals and,
             for OLS-KL, the sublinear pre-screen — reporting realised
@@ -160,15 +164,17 @@ def _method_runner(
     runtime = config.runtime_policy()
     block_size = config.block_size
     adaptive = {"delta": config.delta} if config.adaptive else None
-    if method == "mc-vp":
-        n = n_override or config.n_mcvp
-        return lambda: mc_vp(
-            graph, n, rng=seed, block_size=block_size,
-            runtime=runtime, observer=observer, adaptive=adaptive,
+    if method in ("mc-vp", "os"):
+        n = n_override or (
+            config.n_mcvp if method == "mc-vp" else config.n_direct
         )
-    if method == "os":
-        n = n_override or config.n_direct
-        return lambda: ordering_sampling(
+        if block_size is None:
+            return lambda: reference_search(
+                graph, method, n, rng=seed,
+                runtime=runtime, observer=observer, adaptive=adaptive,
+            )
+        search = mc_vp if method == "mc-vp" else ordering_sampling
+        return lambda: search(
             graph, n, rng=seed, block_size=block_size,
             runtime=runtime, observer=observer, adaptive=adaptive,
         )

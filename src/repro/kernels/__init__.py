@@ -2,13 +2,14 @@
 
 This package evaluates Monte-Carlo trials in *blocks* — one NumPy kernel
 call per few hundred trials instead of a Python-level per-trial loop.
-Every estimator routes through it when given a ``block_size``:
+MC-VP and OS always run on it; OLS and OLS-KL route through it when
+given a ``block_size``:
 
 - MC-VP / OS: :func:`wedge_block_loop` builds a :class:`BlockedWinnerLoop`
   that draws one mask matrix per block and hands the whole matrix to
   the vectorised wedge kernel (:class:`WedgeBlockKernel` over a
   once-built :class:`WedgeIndex`), whose per-world winner sets are
-  bit-identical to the scalar search.
+  bit-identical to the reference search (:mod:`repro.core.reference`).
 - OLS: :class:`BlockedOptimizedLoop` + :class:`CandidateBlockKernel`
   replace the per-trial candidate walk with gather/reduce/argmax.
 - OLS-KL: :class:`UnionBlockKernel` vectorises the Karp-Luby

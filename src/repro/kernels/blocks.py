@@ -93,12 +93,16 @@ class BlockSchedule:
 
     One engine unit is one block; :attr:`lengths` is what the trial
     driver hands the engine as ``unit_lengths``.  A checkpoint records
-    the block size, and :meth:`require_block_size` rejects resuming it
-    at another one: the batched equivalence contract is per block size.
+    the block size and the trial target (:meth:`schedule_payload`), and
+    :meth:`require_schedule` rejects resuming it under another schedule:
+    the batched equivalence contract is per block size, and the engine's
+    own target check counts blocks, which two trial targets can share
+    (300 and 400 trials are both two 256-trial blocks).
     """
 
     def __init__(self, n_trials: int, block_size: int) -> None:
         self.block_size = int(block_size)
+        self.n_trials = int(n_trials)
         self.lengths = block_lengths(n_trials, block_size)
         self.starts = block_starts(self.lengths)
 
@@ -106,11 +110,16 @@ class BlockSchedule:
         """Trials contained in the first ``completed_blocks`` blocks."""
         return trials_in_blocks(self.lengths, completed_blocks)
 
-    def require_block_size(self, payload: Dict) -> None:
-        """Raise unless ``payload`` was written at this block size.
+    def schedule_payload(self) -> Dict[str, int]:
+        """The checkpoint keys :meth:`require_schedule` checks."""
+        return {"block_size": self.block_size, "n_trials": self.n_trials}
+
+    def require_schedule(self, payload: Dict) -> None:
+        """Raise unless ``payload`` was written under this schedule.
 
         Raises:
-            CheckpointError: On a block-size mismatch.
+            CheckpointError: On a block-size or trial-target mismatch,
+                or when the payload records no trial target.
         """
         snapshot_block = int(payload.get("block_size", self.block_size))
         if snapshot_block != self.block_size:
@@ -118,4 +127,15 @@ class BlockSchedule:
                 f"checkpoint was written at block_size={snapshot_block}; "
                 f"this run uses block_size={self.block_size} — resume "
                 "with the block size the checkpoint was written at"
+            )
+        if "n_trials" not in payload:
+            raise CheckpointError(
+                "checkpoint records no trial target, so a blocked run "
+                "cannot check it; it was written before block "
+                "checkpoints stored one"
+            )
+        if int(payload["n_trials"]) != self.n_trials:
+            raise CheckpointError(
+                f"checkpoint was written for {int(payload['n_trials'])} "
+                f"trials; this run targets {self.n_trials}"
             )

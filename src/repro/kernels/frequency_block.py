@@ -10,55 +10,53 @@ every row's winner set in one shot.  :func:`wedge_block_loop` sets
 that kernel up for one run: wedge index, bytes-budgeted block size and
 the ``kernel.*`` gauges.
 
-Because mask blocks are stream-equivalent to repeated scalar draws, the
-world sequence — and therefore every winner count, trace point, and
-estimate — is bit-identical to the scalar path for *any* block size
-(see the equivalence contract in ``docs/kernels.md``).
+Because mask blocks are stream-equivalent to repeated one-world draws,
+the world sequence — and therefore every winner count, trace point, and
+estimate — is bit-identical to the one-world-per-trial reference
+(:mod:`repro.core.reference`) for *any* block size (see the equivalence
+contract in ``docs/kernels.md``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from ..errors import CheckpointError
 from ..observability import Observer, ensure_observer
 from ..runtime.frequency import WinnerCountLoop
 from .blocks import BlockSchedule, resolve_block_size
 from .memory import resolve_block_budget
-from .wedge_block import BlockOutcome, WedgeBlockKernel, WedgeIndex
+from .wedge_block import WedgeBlockKernel, WedgeIndex
 
-#: Folds one evaluated block's work counters into the method's stats.
-TallyFn = Callable[[BlockOutcome], None]
+#: The work counters a block loop's result stats carry.
+_KERNEL_STATS = ("wedges_scanned", "trials_pruned")
 
 
 def wedge_block_loop(
     inner: WinnerCountLoop,
     n_trials: int,
-    block_size: int,
+    block_size: Optional[int],
     observer: Observer,
     *,
     index: Optional[WedgeIndex],
-    priority_kind: str,
     build: Callable[[], WedgeIndex],
     tie_mode: str,
-    with_stats: bool,
-    tally: TallyFn,
 ) -> "BlockedWinnerLoop":
     """MC-VP's or OS's winner loop, run block by block on the wedge kernel.
 
     ``index`` (e.g. one attached from shared memory by the worker pool)
-    is reused only when it was built with ``priority_kind``; otherwise
-    ``build`` makes a fresh one inside the ``wedge-index`` span.  The
-    caller supplies ``build`` so the build stays bound in the
-    estimator's own module.  The requested block is clamped to the
-    trial budget, then shrunk to fit the kernel bytes budget, and the
-    decision is recorded in the ``kernel.block_size``,
+    is reused as is; without one, ``build`` makes a fresh one inside the
+    ``wedge-index`` span.  The caller supplies ``build`` so the build
+    stays bound in the estimator's own module.  The requested block
+    (``None``: :data:`~repro.kernels.blocks.DEFAULT_BLOCK_SIZE`) is
+    clamped to the trial budget, then shrunk to fit the kernel bytes
+    budget, and the decision is recorded in the ``kernel.block_size``,
     ``kernel.bytes_budget``, ``kernel.block_bytes`` and
-    ``kernel.wedges`` gauges.  ``tie_mode`` and ``with_stats`` go to
-    the kernel; ``tally`` receives every block's outcome.
+    ``kernel.wedges`` gauges.  ``tie_mode`` goes to the kernel.
     """
     block = resolve_block_size(n_trials, block_size)
     with observer.span("wedge-index"):
-        if index is None or index.priority_kind != priority_kind:
+        if index is None:
             index = build()
     graph = inner.graph
     kernel = WedgeBlockKernel(graph, index, tie_mode=tie_mode)
@@ -70,8 +68,7 @@ def wedge_block_loop(
     observer.set("kernel.block_bytes", float(budget.block_bytes))
     observer.set("kernel.wedges", float(index.n_wedges))
     return BlockedWinnerLoop(
-        inner, kernel, n_trials, budget.block_size,
-        with_stats=with_stats, tally=tally, observer=observer,
+        inner, kernel, n_trials, budget.block_size, observer=observer
     )
 
 
@@ -82,8 +79,11 @@ class BlockedWinnerLoop(BlockSchedule):
     block's mask matrix in a single RNG call, the wedge kernel returns
     each row's winner set, and each set is folded into the inner loop's
     counters via :meth:`WinnerCountLoop.record_winners` (so histograms,
-    traces, and checkpoint payloads are byte-compatible with the scalar
-    loop's, apart from the added ``block_size`` guard).
+    traces, and checkpoint payloads are byte-compatible with the
+    reference loop's, apart from the added ``block_size`` guard).  The
+    inner loop's stats are the kernel scan's own work counters:
+    ``wedges_scanned`` presence evaluations and ``trials_pruned``
+    early-exited worlds.
     """
 
     def __init__(
@@ -92,15 +92,12 @@ class BlockedWinnerLoop(BlockSchedule):
         kernel: WedgeBlockKernel,
         n_trials: int,
         block_size: int,
-        with_stats: bool,
-        tally: TallyFn,
         observer: Optional[Observer] = None,
     ) -> None:
         super().__init__(n_trials, block_size)
         self.inner = inner
         self.kernel = kernel
-        self._with_stats = with_stats
-        self._tally = tally
+        inner.stats.update(dict.fromkeys(_KERNEL_STATS, 0.0))
         self._vectorized = ensure_observer(observer).metrics.counter(
             "kernel.trials_vectorized"
         )
@@ -114,10 +111,10 @@ class BlockedWinnerLoop(BlockSchedule):
         length = self.lengths[block - 1]
         start = self.starts[block - 1]
         masks = self.inner.sampler.sample_mask_block(length)
-        outcome = self.kernel.evaluate_block(
-            masks, with_stats=self._with_stats
-        )
-        self._tally(outcome)
+        outcome = self.kernel.evaluate_block(masks)
+        stats = self.inner.stats
+        stats["wedges_scanned"] += outcome.wedges_scanned
+        stats["trials_pruned"] += outcome.rows_pruned
         for offset, winners in enumerate(outcome.winners):
             self.inner.record_winners(start + offset + 1, winners)
         self._vectorized.inc(length)
@@ -126,9 +123,15 @@ class BlockedWinnerLoop(BlockSchedule):
         payload = self.inner.state_payload(
             self.trials_completed(completed)
         )
-        payload["block_size"] = self.block_size
+        payload.update(self.schedule_payload())
         return payload
 
     def restore_state(self, payload: Dict) -> None:
-        self.require_block_size(payload)
+        self.require_schedule(payload)
+        missing = sorted(set(_KERNEL_STATS) - set(payload["stats"]))
+        if missing:
+            raise CheckpointError(
+                f"checkpoint stats lack the wedge kernel's {missing}; "
+                "it was written by another search"
+            )
         self.inner.restore_state(payload)

@@ -2,13 +2,15 @@
 
 The batched winner kernel (:mod:`repro.kernels.wedge_block`) trades
 memory for speed: every block materialises a ``(block, n_edges)`` mask
-matrix, a ``(block, n_wedges)`` wedge-presence matrix, per-group count
-rows, and bounded chunk scratch for the winner scan.  On large graphs a
-naive ``block_size=256`` would allocate hundreds of megabytes, so the
-kernel caps the block size to a fixed **bytes budget** instead of
-trusting the caller's number blindly.
+matrix and chunk scratch for the winner scan.  On large graphs a naive
+``block_size=256`` would allocate hundreds of megabytes, so the kernel
+caps the block size to a fixed **bytes budget** instead of trusting the
+caller's number blindly.
 
-The per-row cost model (see ``docs/kernels.md`` for the derivation)::
+The per-row cost model is a block-size *setting*, not a measurement:
+the wedge-presence and count terms are charged although the kernel
+does not allocate them, because together they fix the block sizes in
+use (see ``docs/kernels.md``)::
 
     row_bytes = n_edges                  # mask row (bool)
               + n_wedges                 # wedge presence row (bool)
@@ -36,10 +38,8 @@ from ..errors import ConfigurationError
 #: Default peak-bytes budget for one block's kernel working set (64 MiB).
 DEFAULT_BYTES_BUDGET = 64 * 1024 * 1024
 
-#: Upper bound on wedges reduced per *counter* chunk (MC-VP's
-#: index-order presence pass).  Bounds the int32 prefix-sum scratch
-#: independently of the wedge-index size (a single oversized group
-#: still forms its own chunk).
+#: Chunk width the block-size model charges scratch for (see
+#: :func:`kernel_row_bytes`).
 WEDGE_CHUNK = 8192
 
 #: Upper bound on wedges evaluated per *winner-scan* chunk.  Much
@@ -75,13 +75,14 @@ class BlockBudget:
 
 
 def kernel_row_bytes(n_edges: int, n_wedges: int, n_groups: int) -> int:
-    """Estimated kernel working-set bytes per block row.
+    """Modelled kernel working-set bytes per block row.
 
-    Mirrors the allocations of
-    :meth:`~repro.kernels.wedge_block.WedgeBlockKernel.evaluate_block`;
-    the chunk terms are bounded by :data:`WEDGE_CHUNK` because the
-    winner scan and the count reduction both work on group chunks, never
-    on the whole wedge axis at float width.
+    A block-size setting, not a measurement of
+    :meth:`~repro.kernels.wedge_block.WedgeBlockKernel.evaluate_block`:
+    the presence and count terms model no allocation of the kernel,
+    but dropping them would grow the blocks, and a larger effective
+    budget measured slower for OS.  The chunk terms are bounded by
+    :data:`WEDGE_CHUNK`.
     """
     chunk = min(WEDGE_CHUNK, max(int(n_wedges), 1))
     # Chunks hold whole groups; in the worst case every chunk group has

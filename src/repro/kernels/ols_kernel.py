@@ -177,14 +177,14 @@ class BlockedOptimizedLoop(BlockSchedule):
             "counts": [int(count) for count in self.counts],
             "edges_sampled": int(self.edges_sampled),
             "edges_queried": int(self.edges_queried),
-            "block_size": self.block_size,
+            **self.schedule_payload(),
             "traces": encode_traces(self.traces),
             "sampler": self.sampler.state_payload(),
         }
 
     def restore_state(self, payload: Dict) -> None:
         self.candidates.require_checkpoint_keys(payload["candidates"])
-        self.require_block_size(payload)
+        self.require_schedule(payload)
         self.counts = np.asarray(
             [int(count) for count in payload["counts"]], dtype=np.int64
         )

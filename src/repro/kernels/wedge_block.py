@@ -1,10 +1,11 @@
 """Vectorised BFC-VP winner kernel over a precomputed wedge-CSR index.
 
-The scalar MC-VP trial body re-enumerates every angle of every sampled
-world in Python (Algorithm 1 lines 5-17).  But the *backbone* wedge set
-is world-independent: a sampled world's angles are exactly the backbone
-wedges whose two edges are present, because the vertex-priority rule is
-evaluated on backbone priorities.  This module exploits that:
+The reference MC-VP trial (:mod:`repro.core.reference`) re-enumerates
+every angle of every sampled world in Python (Algorithm 1 lines 5-17).
+But the *backbone* wedge set is world-independent: a sampled world's
+angles are exactly the backbone wedges whose two edges are present,
+because the vertex-priority rule is evaluated on backbone priorities.
+This module exploits that:
 
 1. :class:`WedgeIndex` enumerates all wedges **once** on the
    deterministic priority-ordered graph into CSR-style arrays — per
@@ -12,16 +13,15 @@ evaluated on backbone priorities.  This module exploits that:
    endpoint-pair group index (every butterfly is an unordered pair of
    wedges inside one group);
 2. :class:`WedgeBlockKernel` evaluates a whole ``(block, n_edges)``
-   Bernoulli mask matrix at once: wedge presence is two masked gathers
-   and an AND, per-world angle/butterfly counts are segment reductions
-   over the group index, and the per-world maximum-weight winner search
-   is a bound-ordered group scan with early exit (groups are visited in
-   descending order of their static best-pair weight, so a world stops
-   as soon as no remaining group can tie its current best).
+   Bernoulli mask matrix at once: the per-world maximum-weight winner
+   search is a bound-ordered group scan with early exit (groups are
+   visited in descending order of their static best-pair weight, so a
+   world stops as soon as no remaining group can tie its current best),
+   and wedge presence inside it is two masked gathers and an AND.
 
 Only the final, tiny winner-candidate set is materialised through the
 unchanged :func:`~repro.butterfly.bfc_vp.assemble_butterfly`, so winner
-*sets* are bit-identical to the scalar search (see the equivalence
+*sets* are bit-identical to the reference search (see the equivalence
 contract in ``docs/kernels.md``).  Peak block memory is capped by the
 bytes budget of :mod:`repro.kernels.memory`.
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from ..butterfly.bfc_vp import assemble_butterfly
 from ..butterfly.max_weight import WEIGHT_RTOL, weights_equal
 from ..errors import ConfigurationError
 from ..graph import UncertainBipartiteGraph, degree_priority
-from .memory import SCAN_CHUNK, WEDGE_CHUNK
+from .memory import SCAN_CHUNK
 
 #: Winner tie semantics the kernel can reproduce (see docs/kernels.md).
 TIE_MODES = ("exact", "rtol")
@@ -66,15 +66,13 @@ def _margin(best: np.ndarray) -> np.ndarray:
 class WedgeIndex:
     """CSR wedge/butterfly index of one priority-ordered backbone.
 
-    Index order (all groups, singletons included — they contribute
-    angles to the MC-VP counters even though they cannot form
-    butterflies):
+    Index order covers every group, singletons included: they cannot
+    form butterflies, but :func:`~repro.kernels.memory.kernel_row_bytes`
+    counts them, so dropping them would change block sizes.
 
     Attributes:
-        priority: The vertex-priority permutation the index was built
+        priority: The degree-priority permutation the index was built
             with (global vertex ids).
-        priority_kind: Which priority builder produced it (``"degree"``
-            for the paper's BFC-VP order).
         wedge_mid: Per wedge, the middle (center) global vertex id.
         wedge_e1: Per wedge, the edge index of ``x``–``mid``.
         wedge_e2: Per wedge, the edge index of ``mid``–``z``.
@@ -104,7 +102,6 @@ class WedgeIndex:
     """
 
     priority: np.ndarray
-    priority_kind: str
     wedge_mid: np.ndarray
     wedge_e1: np.ndarray
     wedge_e2: np.ndarray
@@ -147,28 +144,16 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)])
 
 
-def build_wedge_index(
-    graph: UncertainBipartiteGraph,
-    priority: Optional[np.ndarray] = None,
-    priority_kind: str = "degree",
-) -> WedgeIndex:
+def build_wedge_index(graph: UncertainBipartiteGraph) -> WedgeIndex:
     """Enumerate every backbone wedge once into a :class:`WedgeIndex`.
 
     The enumeration mirrors
-    :func:`~repro.butterfly.bfc_vp.iter_angle_groups` exactly (same
-    priority rule, same traversal order) but keeps singleton groups,
-    because per-world angle counts include them.
-
-    Args:
-        graph: The backbone graph.
-        priority: Vertex priorities over global ids; defaults to
-            :func:`~repro.graph.degree_priority` (the BFC-VP order).
-        priority_kind: Label recording which builder produced
-            ``priority`` (shared-memory reuse checks it).
+    :func:`~repro.butterfly.bfc_vp.iter_angle_groups` exactly (the
+    BFC-VP :func:`~repro.graph.degree_priority` rule, same traversal
+    order) but keeps singleton groups.  Winner sets do not depend on
+    the vertex priority, so the index is built with this one.
     """
-    if priority is None:
-        priority = degree_priority(graph)
-    priority = np.asarray(priority, dtype=np.int64)
+    priority = np.asarray(degree_priority(graph), dtype=np.int64)
     weights = graph.weights
     n_vertices = graph.n_vertices
     edge_left = graph.edge_left
@@ -283,7 +268,6 @@ def build_wedge_index(
 
     return WedgeIndex(
         priority=priority,
-        priority_kind=priority_kind,
         wedge_mid=pair_y[source[perm]],
         wedge_e1=wedge_e1,
         wedge_e2=wedge_e2,
@@ -309,25 +293,15 @@ class BlockOutcome:
     Attributes:
         winners: Per block row, the world's maximum-weight butterfly
             set (empty list for worlds without a butterfly).
-        wedges_present: Total present wedges across the block's worlds
-            (the scalar ``angles_processed`` contribution).
-        wedges_present_peak: Largest single-world present-wedge count
-            (the scalar ``angles_stored_peak`` contribution).
-        butterflies_present: Total present butterflies across the
-            block's worlds (the scalar ``butterflies_checked``
-            contribution — Algorithm 1 inspects each one).
         wedges_scanned: Presence evaluations the bound-ordered winner
             scan actually performed (scanned wedges × active worlds) —
             the kernel analogue of the scalar pruned search's work
-            counters.  Always filled, even with ``with_stats=False``.
+            counters.
         rows_pruned: Worlds whose winner scan exited before the last
             chunk (the kernel analogue of scalar ``trials_pruned``).
     """
 
     winners: List[List[Butterfly]]
-    wedges_present: int = 0
-    wedges_present_peak: int = 0
-    butterflies_present: int = 0
     wedges_scanned: int = 0
     rows_pruned: int = 0
 
@@ -364,79 +338,16 @@ class WedgeBlockKernel:
     # Block evaluation
     # ------------------------------------------------------------------
 
-    def evaluate_block(
-        self, masks: np.ndarray, with_stats: bool = True
-    ) -> BlockOutcome:
-        """Evaluate every world (row) of one mask block.
-
-        Args:
-            masks: ``(block, n_edges)`` boolean edge-presence matrix.
-            with_stats: Also compute the per-world angle/butterfly
-                counts, which need a presence pass over the *full*
-                index order.  MC-VP requires them (its scalar counters
-                are bit-identical segment reductions); OS skips them —
-                its scalar counters measure the pruned scan's work, and
-                the kernel analogue (``wedges_scanned``/``rows_pruned``)
-                falls out of the winner scan for free.
-        """
-        index = self.index
+    def evaluate_block(self, masks: np.ndarray) -> BlockOutcome:
+        """Evaluate every world (row) of one ``(block, n_edges)``
+        boolean edge-presence matrix."""
         n_rows = masks.shape[0]
         outcome = BlockOutcome(winners=[[] for _ in range(n_rows)])
-        if index.n_wedges == 0:
+        if self.index.n_wedges == 0:
             return outcome
-        if with_stats:
-            presence = masks[:, index.wedge_e1] & masks[:, index.wedge_e2]
-            self._count_stats(presence, outcome)
         best, rows, groups = self._scan_winners(masks, outcome)
         self._materialise(masks, best, rows, groups, outcome)
         return outcome
-
-    def _count_stats(
-        self, presence: np.ndarray, outcome: BlockOutcome
-    ) -> None:
-        """Per-world angle and butterfly counts as segment reductions.
-
-        Segment sums are prefix sums sampled at group boundaries — a
-        ``cumsum`` plus a ``diff`` is several times faster than
-        ``np.add.reduceat`` on wide rows.
-        """
-        index = self.index
-        per_row = presence.sum(axis=1)
-        outcome.wedges_present = int(per_row.sum())
-        outcome.wedges_present_peak = int(per_row.max(initial=0))
-        butterflies = 0
-        starts = index.group_start
-        # Chunk the int32 count scratch so memory stays within the
-        # budget's row model (whole groups per chunk).
-        for (g_lo, g_hi), (w_lo, w_hi) in self._stat_chunks():
-            # int32 is deliberate: the cumsum runs over one chunk of
-            # 0/1 presence flags, bounded by the chunker's row budget
-            # (far below 2**31); the stat itself accumulates in int64.
-            prefix = np.cumsum(  # repro: noqa[DTY001]
-                presence[:, w_lo:w_hi], axis=1, dtype=np.int32
-            )
-            ends = (starts[g_lo + 1:g_hi + 1] - w_lo - 1).astype(np.intp)
-            counts = np.diff(
-                prefix[:, ends], axis=1, prepend=0
-            ).astype(np.int64)
-            butterflies += int((counts * (counts - 1) // 2).sum())
-        outcome.butterflies_present = butterflies
-
-    def _stat_chunks(self):
-        """Group-aligned chunks over *index order* (for the counters)."""
-        starts = self.index.group_start
-        n_groups = self.index.n_groups
-        cap = max(WEDGE_CHUNK, 1)
-        g_lo = 0
-        while g_lo < n_groups:
-            g_hi = g_lo + 1
-            while (
-                g_hi < n_groups
-                and starts[g_hi + 1] - starts[g_lo] <= cap
-            ):
-                g_hi += 1
-            yield (g_lo, g_hi), (int(starts[g_lo]), int(starts[g_hi]))
-            g_lo = g_hi
 
     def _scan_winners(
         self, masks: np.ndarray, outcome: BlockOutcome

@@ -158,7 +158,8 @@ METRICS: Tuple[MetricSpec, ...] = (
 #: Every phase-span name the stack records.
 SPANS: Tuple[SpanSpec, ...] = (
     SpanSpec("graph-load", "dataset/graph construction"),
-    SpanSpec("edge-ordering", "Alg. 2 weight-ordered edge index build"),
+    SpanSpec("edge-ordering",
+             "Alg. 2 weight-ordered edge index build (reference OS)"),
     SpanSpec("wedge-index",
              "vectorised kernel wedge-CSR build (or shared reuse)"),
     SpanSpec("candidate-generation",

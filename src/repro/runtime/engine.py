@@ -148,8 +148,10 @@ def execute_trial_loop(
         unit_lengths: For block-granular loops: how many Monte-Carlo
             trials each of the ``n_target`` engine units contains.  The
             engine then counts real trials in the ``engine.trials.*``
-            metrics and reports ``trials_completed``/``trials_target``
-            so degraded runs normalise over trials, not blocks.
+            metrics, snapshots at the first block boundary at or past
+            each multiple of ``policy.checkpoint_every`` trials, and
+            reports ``trials_completed``/``trials_target`` so degraded
+            runs normalise over trials, not blocks.
         observer: Optional :class:`~repro.observability.Observer`; when
             given, the loop runs inside a ``trial-loop`` span and keeps
             the ``engine.trials.completed`` / ``engine.trials.resumed``
@@ -253,18 +255,19 @@ def execute_trial_loop(
                         )
                 loop.run_trial(trial)
                 report.completed = trial
-                if unit_lengths is None:
-                    trials_completed.inc()
-                else:
-                    trials_completed.inc(int(unit_lengths[trial - 1]))
+                step, done = 1, trial
+                if unit_lengths is not None:
+                    step = int(unit_lengths[trial - 1])
                     report.trials_completed = (
-                        (report.trials_completed or 0)
-                        + int(unit_lengths[trial - 1])
+                        (report.trials_completed or 0) + step
                     )
+                    done = report.trials_completed
+                trials_completed.inc(step)
+                every = policy.checkpoint_every
                 if (
                     policy.checkpoint_path is not None
                     and report.completed < n_target
-                    and report.completed % policy.checkpoint_every == 0
+                    and done // every > (done - step) // every
                 ):
                     _snapshot()
         except KeyboardInterrupt:

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, Optional
 
 from ..butterfly import Butterfly, ButterflyKey
 from ..butterfly.model import make_butterfly
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigurationError
 from ..graph import UncertainBipartiteGraph
 from ..observability import Observer, ensure_observer
 from ..sampling.convergence import (
@@ -50,7 +50,7 @@ class WinnerCountLoop:
         self,
         graph: UncertainBipartiteGraph,
         sampler,
-        trial_fn: WinnerTrialFn,
+        trial_fn: Optional[WinnerTrialFn],
         n_target: int,
         track: Optional[Iterable[ButterflyKey]] = None,
         checkpoints: int = 40,
@@ -64,7 +64,8 @@ class WinnerCountLoop:
             sampler: The :class:`~repro.worlds.sampler.WorldSampler`
                 whose stream position is part of every snapshot.
             trial_fn: Zero-argument callable running one trial and
-                returning its winners.
+                returning its winners, or ``None`` when a block driver
+                feeds :meth:`record_winners` instead.
             n_target: Target trial count (fixes the trace schedule).
             track: Butterfly keys to trace for convergence plots.
             checkpoints: Number of evenly spaced trace checkpoints.
@@ -93,6 +94,10 @@ class WinnerCountLoop:
     # ------------------------------------------------------------------
 
     def run_trial(self, trial: int) -> None:
+        if self._trial_fn is None:
+            raise ConfigurationError(
+                "this winner loop is fed by a block driver, not run_trial"
+            )
         self.record_winners(trial, self._trial_fn())
 
     def record_winners(

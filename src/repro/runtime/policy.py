@@ -64,8 +64,10 @@ class RuntimePolicy:
         checkpoint_path: Where to write atomic JSON snapshots; ``None``
             disables checkpointing.
         checkpoint_every: Trials (or candidates, for OLS-KL) between
-            periodic snapshots; a final snapshot is always written when
-            the loop ends, degrades, or is interrupted.
+            periodic snapshots; a block-granular loop snapshots at the
+            first block boundary at or past each multiple.  A final
+            snapshot is always written when the loop ends, degrades, or
+            is interrupted.
         resume_from: Snapshot to restore before running.  A missing file
             starts a fresh run (so the same command line works for the
             first run and every rerun); a snapshot from a different

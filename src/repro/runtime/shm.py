@@ -171,7 +171,6 @@ def publish_graph(
                 getattr(index, name)
             )
         index_meta = {
-            "priority_kind": index.priority_kind,
             "chunks": [list(chunk) for chunk in index.chunks],
         }
     meta = {
@@ -255,7 +254,6 @@ class SharedGraphAttachment:
 
                 index_meta = meta["index"]
                 self.index = WedgeIndex(
-                    priority_kind=index_meta["priority_kind"],
                     chunks=tuple(
                         (int(lo), int(hi))
                         for lo, hi in index_meta["chunks"]

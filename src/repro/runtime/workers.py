@@ -6,8 +6,8 @@ the frequency-based methods pool across independent trial streams by
 trial-weighted averaging (:func:`~repro.core.results.merge_results`).
 This module turns that observation into a production worker pool:
 
-* the graph — and, for OLS and batched runs, the wedge-CSR index — is
-  published **once** into a ``multiprocessing.shared_memory`` segment
+* the graph and its wedge-CSR index are published **once** into a
+  ``multiprocessing.shared_memory`` segment
   (:mod:`~repro.runtime.shm`); workers are **persistent** processes that
   attach to it at startup and then serve task descriptors over pipes,
   so no task ever pickles a graph and retries re-use warm processes;
@@ -66,12 +66,10 @@ from .degradation import recompute_guarantee
 from .faults import CRASH_EXIT_CODE, HANG_SECONDS, FaultPlan
 from .shm import SharedGraphHandle, publish_graph
 
-#: Methods whose results pool by trial-weighted averaging.
+#: Methods whose results pool by trial-weighted averaging.  Each reads
+#: the wedge index: MC-VP and OS run on the wedge kernel, OLS's
+#: preparing phase does too.
 POOLABLE_METHODS = ("mc-vp", "os", "ols")
-
-#: Methods whose batched kernels consume the shared wedge index (OLS's
-#: preparing phase reads it batched or not).
-_INDEXED_METHODS = ("mc-vp", "os")
 
 #: Seconds :meth:`WorkerPool.close` waits for a worker to exit cleanly
 #: after the shutdown sentinel before terminating it.
@@ -156,28 +154,11 @@ def backoff_seconds(
     return delay * fraction
 
 
-def wants_shared_index(method: str, method_kwargs: Dict) -> bool:
-    """Whether a task would consume the pool's shared wedge index.
-
-    OLS always does (its preparing phase runs on the wedge kernel);
-    MC-VP and OS only when batched.  The index is built with the
-    default ``"degree"`` priority; a caller overriding
-    ``priority_kind`` gets a worker-local rebuild instead of a silently
-    mismatched shared index.
-    """
-    if method_kwargs.get("priority_kind", "degree") != "degree":
-        return False
-    return method == "ols" or (
-        method in _INDEXED_METHODS
-        and method_kwargs.get("block_size") is not None
-    )
-
-
 def build_shared_index(graph, observer: Observer):
     """Build the wedge index a pool publishes for its workers.
 
-    Every pool that :func:`wants_shared_index` builds its index here,
-    inside a ``wedge-index`` span marked ``shared=True``.
+    Every pool builds its index here, inside a ``wedge-index`` span
+    marked ``shared=True``.
     """
     # Lazy import: the kernels import this package, so importing them
     # eagerly here would cycle at package load.
@@ -227,9 +208,7 @@ def _persistent_worker_main(
                 # would defeat the chaos harness.
                 time.sleep(HANG_SECONDS)  # repro: noqa[CLK002]
             method_kwargs = dict(task["method_kwargs"])
-            if attachment.index is not None and wants_shared_index(
-                task["method"], method_kwargs
-            ):
+            if attachment.index is not None:
                 method_kwargs["wedge_index"] = attachment.index
             observer = Observer() if task["instrument"] else None
             result = find_mpmb(
@@ -278,7 +257,8 @@ class WorkerPool:
             platform default).
         wedge_index: Optional prebuilt
             :class:`~repro.kernels.wedge_block.WedgeIndex` to publish
-            alongside the graph for batched kernels.
+            alongside the graph; workers of a pool without one build
+            their own.
         checksum: Version key recorded on the handle (defaults to
             :func:`~repro.runtime.shm.graph_checksum`).
         observer: Metric sink for the publication counters.
@@ -418,11 +398,11 @@ def run_parallel_trials(
             pool.
         guarantee_delta: ``δ`` for the re-widened guarantee.
         block_size: Shard whole blocks of this many trials across the
-            workers (no block straddles two workers) and run each worker
-            through the batched kernel layer; ``None`` shards single
-            trials and keeps the scalar loops.  Batched runs (and every
-            OLS run, whose preparing phase reads it) build the wedge-CSR
-            index once on the coordinator and publish it into the shared
+            workers (no block straddles two workers) and pass it to each
+            worker's method; ``None`` shards single trials and leaves
+            each method its default (OLS's scalar loop, MC-VP/OS
+            default-size kernel blocks).  The coordinator builds the
+            wedge-CSR index once and publishes it into the shared
             segment, so workers skip the per-process build.
         observer: Optional :class:`~repro.observability.Observer`.  When
             given, each worker records its own metrics/spans in-process
@@ -486,11 +466,9 @@ def run_parallel_trials(
     observer = ensure_observer(observer)
     owns_pool = pool is None
     if pool is None:
-        wedge_index = None
-        if wants_shared_index(method, method_kwargs):
-            wedge_index = build_shared_index(graph, observer)
         pool = WorkerPool(
-            graph, mp_context=mp_context, wedge_index=wedge_index,
+            graph, mp_context=mp_context,
+            wedge_index=build_shared_index(graph, observer),
             observer=observer,
         )
     else:

@@ -19,10 +19,10 @@ invariant is that no well-formed request can crash the service:
 * **estimator/engine error** (including injected crashes) →
   ``failed`` with the error message.
 
-Determinism contract: a scalar request (``block_size=None``, no
-deadline, no injected faults) executes ``find_mpmb`` with exactly the
-CLI's argument shape, so service answers are bit-identical to
-``python -m repro search`` for the same parameters and seed.
+Determinism contract: a request with no deadline and no injected
+faults executes ``find_mpmb`` with exactly the CLI's argument shape,
+so service answers are bit-identical to ``python -m repro search`` for
+the same parameters and seed.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from ..runtime import (
     run_parallel_trials,
 )
 from ..runtime.faults import ServiceFaultPlan
-from ..runtime.workers import build_shared_index, wants_shared_index
+from ..runtime.workers import build_shared_index
 from ..sampling.rng import RngLike, ensure_rng
 from .admission import AdmissionController
 from .breaker import STATE_VALUES, BreakerBoard
@@ -321,11 +321,9 @@ class QueryBroker:
         Pools are cached per dataset and keyed on the registry
         checksum: consecutive pooled requests against the same graph
         bytes reuse the shared-memory segment and the attached worker
-        processes (``worker.shm.reused``).  A checksum change (reload)
-        or a request that reads the wedge index
-        (:func:`~repro.runtime.workers.wants_shared_index`: any OLS,
-        batched MC-VP/OS) against an index-less pool tears the pool
-        down and republishes.
+        processes (``worker.shm.reused``).  Every pool publishes the
+        wedge index, which every poolable method reads.  A checksum
+        change (reload) tears the pool down and republishes.
 
         Thread safety: concurrent pooled requests race on the pool
         map, so it is only touched under ``_pools_lock`` — but never
@@ -337,34 +335,26 @@ class QueryBroker:
         the winner — no pool is leaked and no published pool is ever
         closed while cached.
         """
-        needs_index = wants_shared_index(
-            request.method, {"block_size": request.block_size}
-        )
         stale: Optional[WorkerPool] = None
         with self._pools_lock:
             cached = self._pools.get(request.dataset)
             if cached is not None:
-                if self._pool_usable(cached, entry, needs_index):
+                if cached[0] == entry.checksum:
                     return cached[1]
                 del self._pools[request.dataset]
                 stale = cached[1]
         if stale is not None:
             stale.close()
-        wedge_index = None
-        if needs_index:
-            wedge_index = build_shared_index(entry.graph, self.observer)
         pool = WorkerPool(
             entry.graph,
-            wedge_index=wedge_index,
+            wedge_index=build_shared_index(entry.graph, self.observer),
             checksum=entry.checksum,
             observer=self.observer if self.observer.enabled else None,
         )
         surplus: Optional[WorkerPool] = None
         with self._pools_lock:
             raced = self._pools.get(request.dataset)
-            if raced is not None and self._pool_usable(
-                raced, entry, needs_index
-            ):
+            if raced is not None and raced[0] == entry.checksum:
                 # Another thread published a usable pool while we were
                 # building: keep the winner, discard our build.
                 surplus, pool = pool, raced[1]
@@ -375,18 +365,6 @@ class QueryBroker:
         if surplus is not None:
             surplus.close()
         return pool
-
-    def _pool_usable(
-        self,
-        cached: Tuple[Optional[str], WorkerPool],
-        entry: RegistryEntry,
-        needs_index: bool,
-    ) -> bool:
-        """Whether a cached pool still serves this entry's bytes."""
-        checksum, pool = cached
-        return checksum == entry.checksum and (
-            not needs_index or pool.handle.has_index
-        )
 
     def _run(
         self,

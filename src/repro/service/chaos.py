@@ -275,8 +275,9 @@ def _run_deadline_expiry(report: ScenarioReport) -> None:
     )
 
     # ...while a clock that steps forward on every read expires the
-    # deadline mid-loop: the engine stops between trials and the
-    # response carries the partial result with a re-widened guarantee.
+    # deadline mid-loop: the engine stops between units (one-trial
+    # blocks here, so the clock reads once per trial) and the response
+    # carries the partial result with a re-widened guarantee.
     class SteppingClock(FakeClock):
         def __call__(self) -> float:
             self.now += 0.01
@@ -292,7 +293,10 @@ def _run_deadline_expiry(report: ScenarioReport) -> None:
     )
     registry.load_all()
     response = hurried.handle(
-        _request(trials=5000, deadline_seconds=1.0, use_cache=False)
+        _request(
+            trials=5000, deadline_seconds=1.0, use_cache=False,
+            block_size=1,
+        )
     )
     well_formed(response, report)
     report.check(

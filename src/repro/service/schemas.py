@@ -59,8 +59,9 @@ class QueryRequest:
         delta: Failure probability of the sized guarantee.
         prepare: Preparing-phase trials (OLS variants).
         top_k: How many ranked butterflies the response carries.
-        block_size: Batched-kernel block size (``None`` = scalar loop,
-            the bit-identical-to-CLI default).
+        block_size: Batched-kernel block size (``None`` = the CLI's
+            default: 256-trial kernel blocks for MC-VP/OS, the scalar
+            loops for OLS/OLS-KL).
         seed: Run RNG seed.
         deadline_seconds: Per-request wall-clock budget, propagated into
             the engine's timeout degradation path.

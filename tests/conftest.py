@@ -74,6 +74,13 @@ def build_graph(edges, name=""):
     return builder.build()
 
 
+def tied_weights(rng: np.random.Generator, n_edges: int) -> np.ndarray:
+    """Integer weights in 1..3, so equal-weight winners are common
+    (a ``weight_fn`` for :func:`~repro.datasets.synthetic.random_bipartite`).
+    """
+    return rng.integers(1, 4, size=n_edges).astype(float)
+
+
 def random_small_graph(
     rng: np.random.Generator,
     max_left: int = 4,

@@ -36,11 +36,15 @@ from repro.core import (
     mc_vp,
     ordering_listing_sampling,
     ordering_sampling,
+    reference_search,
     result_to_dict,
 )
 from repro.core.bounds import preparing_trials_for_recall
 from repro.errors import ConfigurationError
 from repro.graph import save_graph
+from repro.kernels import memory
+from repro.kernels.memory import kernel_row_bytes
+from repro.kernels.wedge_block import build_wedge_index
 from repro.observability import Observer
 from repro.runtime import InjectedCrash
 from repro.runtime.degradation import Guarantee
@@ -93,9 +97,9 @@ class TestAdaptiveOffBitIdentical:
             == baseline
 
     def test_os_scalar_and_blocked(self, graph):
-        baseline = result_to_dict(ordering_sampling(graph, 40, rng=3))
+        baseline = result_to_dict(reference_search(graph, "os", 40, rng=3))
         assert result_to_dict(
-            ordering_sampling(graph, 40, rng=3, adaptive=False)
+            reference_search(graph, "os", 40, rng=3, adaptive=False)
         ) == baseline
         blocked = result_to_dict(
             ordering_sampling(graph, 40, rng=3, block_size=16)
@@ -163,6 +167,34 @@ class TestCertifiedRacingStops:
         assert guarantee.realized_trials == adaptive.n_trials
         assert guarantee.eliminated >= 0
         assert 0.0 < guarantee.epsilon < float("inf")
+
+    def test_os_stops_on_the_capped_block_grid(self, dominant, monkeypatch):
+        """Without ``block_size`` OS still runs in blocks, and the stop
+        rule runs at every block boundary, not every ``check_every``
+        trials.  With the bytes budget capping the default 256-trial
+        block to 56, the run stops after block 3 (168 trials) — where
+        ``block_size=56`` stops — while the reference, checking every
+        64 trials, stops at 128."""
+        index = build_wedge_index(dominant)
+        row = kernel_row_bytes(
+            dominant.n_edges, index.n_wedges, index.n_groups
+        )
+        monkeypatch.setattr(memory, "DEFAULT_BYTES_BUDGET", 56 * row)
+        observer = Observer()
+        adaptive = ordering_sampling(
+            dominant, 2_000, rng=5, adaptive=FAST_RACE, observer=observer
+        )
+        assert observer.metrics.to_dict()["gauges"]["kernel.block_size"] \
+            == 56.0
+        assert adaptive.n_trials == 168
+        assert result_to_dict(adaptive) == result_to_dict(
+            ordering_sampling(
+                dominant, 2_000, rng=5, block_size=56, adaptive=FAST_RACE
+            )
+        )
+        assert reference_search(
+            dominant, "os", 2_000, rng=5, adaptive=FAST_RACE
+        ).n_trials == 128
 
     def test_mc_vp_blocked(self, dominant):
         fixed = mc_vp(dominant, 1_024, rng=2, block_size=64)
@@ -233,19 +265,19 @@ class TestAdaptiveCheckpointResume:
 
     def test_os_adaptive(self, dominant, tmp_path):
         baseline = result_to_dict(ordering_sampling(
-            dominant, 2_000, rng=5, adaptive=FAST_RACE
+            dominant, 2_000, rng=5, block_size=1, adaptive=FAST_RACE
         ))
         path = tmp_path / "os-adaptive.json"
         with pytest.raises(InjectedCrash):
             ordering_sampling(
-                dominant, 2_000, rng=5, adaptive=FAST_RACE,
+                dominant, 2_000, rng=5, block_size=1, adaptive=FAST_RACE,
                 runtime=RuntimePolicy(
                     checkpoint_path=path, checkpoint_every=10,
                     faults=FaultPlan(crash_before_trial=43),
                 ),
             )
         resumed = ordering_sampling(
-            dominant, 2_000, rng=5, adaptive=FAST_RACE,
+            dominant, 2_000, rng=5, block_size=1, adaptive=FAST_RACE,
             runtime=RuntimePolicy(
                 checkpoint_path=path, checkpoint_every=10,
                 resume_from=path,

@@ -10,7 +10,9 @@ other.
 Each case records ``result_to_dict``, the Observer's span paths and
 its metric names (with the deterministic counter values) for
 {mc-vp, os, ols} x {scalar, ``block_size=16``} x {fixed, adaptive},
-on the ``dominant`` graph where the racing rule stops early.  One
+on the ``dominant`` graph where the racing rule stops early.  The
+scalar MC-VP and OS cases run the one-world-per-trial
+``reference_search``.  One
 blocked-adaptive crash/resume per method also records the checkpoint
 document written at the crash and the resumed result.
 
@@ -31,6 +33,7 @@ from repro.core import (
     mc_vp,
     ordering_listing_sampling,
     ordering_sampling,
+    reference_search,
     result_to_dict,
 )
 from repro.runtime import InjectedCrash, read_checkpoint
@@ -51,18 +54,20 @@ CRASH_BEFORE_BLOCK = 6
 def _run(method, block_size, mode, observer=None, runtime=None):
     graph = build_graph(DOMINANT_EDGES, name="dominant")
     kwargs = {
-        "block_size": block_size,
         "adaptive": FAST_RACE if mode == "adaptive" else None,
         "observer": observer,
         "runtime": runtime,
     }
-    if method == "mc-vp":
-        return mc_vp(graph, 1_024, rng=2, **kwargs)
-    if method == "os":
-        return ordering_sampling(graph, 2_000, rng=5, **kwargs)
-    return ordering_listing_sampling(
-        graph, 2_000, n_prepare=40, estimator="optimized", rng=9, **kwargs
-    )
+    if method == "ols":
+        return ordering_listing_sampling(
+            graph, 2_000, n_prepare=40, estimator="optimized", rng=9,
+            block_size=block_size, **kwargs,
+        )
+    n_trials, seed = (1_024, 2) if method == "mc-vp" else (2_000, 5)
+    if block_size is None:
+        return reference_search(graph, method, n_trials, rng=seed, **kwargs)
+    search = mc_vp if method == "mc-vp" else ordering_sampling
+    return search(graph, n_trials, rng=seed, block_size=block_size, **kwargs)
 
 
 def _case_id(method, block_size, mode):

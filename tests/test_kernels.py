@@ -3,8 +3,10 @@
 The acceptance bar for the kernel layer (``repro.kernels``): a batched
 run must be *equivalent* to the scalar path it replaces —
 
-* MC-VP and OS consume the mask matrix row-by-row, so batched results
-  are **bit-identical** to scalar results for *any* block size;
+* MC-VP and OS consume the mask matrix row-by-row, so their results
+  are **bit-identical** to the one-world-per-trial reference
+  (``reference_search``) for *any* block size, apart from the work
+  counters in ``stats``;
 * the blocked optimised estimator draws full masks (partition-invariant
   RNG consumption), so its results are identical across *all* block
   sizes, and checkpoint/resume is exact for a fixed block size;
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import CheckpointError, FaultPlan, Observer, RuntimePolicy
@@ -40,6 +42,7 @@ from repro.core import (
     ordering_listing_sampling,
     ordering_sampling,
     prepare_candidates,
+    reference_search,
     result_to_dict,
 )
 from repro.core.estimation import EstimationOutcome
@@ -61,7 +64,7 @@ from repro.runtime import (
 )
 from repro.worlds import WorldSampler
 
-from .conftest import FIGURE_1_EDGES, build_graph
+from .conftest import FIGURE_1_EDGES, build_graph, tied_weights
 
 
 @pytest.fixture
@@ -183,14 +186,22 @@ class TestMaskBlock:
 
 
 class TestScalarBatchedEquivalence:
-    """Estimates, winner counts, and stats match the scalar path."""
+    """Estimates and winner counts match the one-world-per-trial
+    reference (MC-VP and OS) or the scalar path (OLS, OLS-KL)."""
 
     @pytest.mark.parametrize("block_size", [1, 8, 40, 64])
     def test_mc_vp_bit_identical(self, graph, block_size):
-        scalar = result_to_dict(mc_vp(graph, 40, rng=7))
+        """Everything except ``stats`` is bit-identical; the kernel
+        reports its scan's own work counters because Algorithm 1's
+        enumeration counters have no vectorised equivalent."""
+        scalar = result_to_dict(reference_search(graph, "mc-vp", 40, rng=7))
         blocked = result_to_dict(
             mc_vp(graph, 40, rng=7, block_size=block_size)
         )
+        assert sorted(blocked["stats"]) == [
+            "trials_pruned", "wedges_scanned"
+        ]
+        del scalar["stats"], blocked["stats"]
         assert blocked == scalar
 
     @pytest.mark.parametrize("block_size", [1, 7, 30])
@@ -198,7 +209,7 @@ class TestScalarBatchedEquivalence:
         """Everything except ``stats`` is bit-identical; the batched path
         reports the wedge kernel scan's own work counters because the
         scalar scan's per-edge counters have no vectorised equivalent."""
-        scalar = result_to_dict(ordering_sampling(graph, 30, rng=3))
+        scalar = result_to_dict(reference_search(graph, "os", 30, rng=3))
         blocked = result_to_dict(
             ordering_sampling(graph, 30, rng=3, block_size=block_size)
         )
@@ -210,7 +221,7 @@ class TestScalarBatchedEquivalence:
 
     def test_os_antithetic_bit_identical(self, graph):
         scalar = result_to_dict(
-            ordering_sampling(graph, 30, rng=9, antithetic=True)
+            reference_search(graph, "os", 30, rng=9, antithetic=True)
         )
         blocked = result_to_dict(
             ordering_sampling(
@@ -611,23 +622,33 @@ class TestAdaptivePrepareParity:
 
 class TestWedgeKernelProperty:
     """Satellite: property-based bit-identity of the vectorised wedge
-    kernel against the scalar per-world search — random graphs, random
-    block sizes, antithetic streams, and resume at random block
-    boundaries."""
+    kernel against the reference per-world search — random graphs,
+    random block sizes, antithetic streams, tied integer weights (whole
+    equal-weight winner classes must survive), and resume at random
+    block boundaries.  The kernel's stats are its scan's own counters,
+    so they are the one documented carve-out."""
 
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         block_size=st.integers(1, 12),
         antithetic=st.booleans(),
+        tied=st.booleans(),
         crash_block=st.integers(1, 6),
     )
+    @example(
+        seed=0, block_size=5, antithetic=False, tied=True, crash_block=2
+    )  # worlds with tied winner classes
     def test_mc_vp_bit_identical_with_resume(
-        self, seed, block_size, antithetic, crash_block
+        self, seed, block_size, antithetic, tied, crash_block
     ):
-        graph = random_bipartite(6, 7, 18, rng=seed)
+        graph = random_bipartite(
+            6, 7, 18, rng=seed, weight_fn=tied_weights if tied else None
+        )
         scalar = result_to_dict(
-            mc_vp(graph, 24, rng=seed, antithetic=antithetic)
+            reference_search(
+                graph, "mc-vp", 24, rng=seed, antithetic=antithetic
+            )
         )
         blocked = result_to_dict(
             mc_vp(
@@ -635,9 +656,9 @@ class TestWedgeKernelProperty:
                 block_size=block_size,
             )
         )
-        assert blocked == scalar
+        assert dict(blocked, stats=None) == dict(scalar, stats=None)
         # Crash before a random block boundary, resume, and the stitched
-        # run must still equal the scalar baseline bit for bit.
+        # run must still equal the uninterrupted run bit for bit.
         n_blocks = -(-24 // block_size)
         crash_at = min(crash_block, n_blocks - 1)
         with tempfile.TemporaryDirectory() as tmp:
@@ -655,20 +676,31 @@ class TestWedgeKernelProperty:
                     runtime=_resume_policy(path),
                 )
             )
-        assert resumed == scalar
+        assert resumed == blocked
 
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         block_size=st.integers(1, 12),
         antithetic=st.booleans(),
+        tied=st.booleans(),
     )
-    def test_os_winners_bit_identical(self, seed, block_size, antithetic):
+    @example(
+        seed=0, block_size=5, antithetic=False, tied=True
+    )  # worlds with tied winner classes
+    def test_os_winners_bit_identical(
+        self, seed, block_size, antithetic, tied
+    ):
         """OS shares the kernel with ``tie_mode="rtol"``; everything but
-        the (documented) stats carve-out matches the scalar search."""
-        graph = random_bipartite(7, 6, 18, rng=seed + 1)
+        the (documented) stats carve-out matches the reference search."""
+        graph = random_bipartite(
+            7, 6, 18, rng=seed + 1,
+            weight_fn=tied_weights if tied else None,
+        )
         scalar = result_to_dict(
-            ordering_sampling(graph, 24, rng=seed, antithetic=antithetic)
+            reference_search(
+                graph, "os", 24, rng=seed, antithetic=antithetic
+            )
         )
         blocked = result_to_dict(
             ordering_sampling(

@@ -12,8 +12,9 @@ from repro import (
     ordering_sampling,
     prepare_candidates,
 )
-from repro.core import backbone_butterflies
+from repro.core import backbone_butterflies, reference_search
 from repro.core.mpmb import METHODS, mpmb_probability
+from repro.errors import ConfigurationError
 
 from .conftest import FIGURE_1_EXACT
 
@@ -66,7 +67,7 @@ class TestDeterminism:
 
 class TestMcVp:
     def test_stats_counters(self, figure1):
-        result = mc_vp(figure1, 50, rng=0)
+        result = reference_search(figure1, "mc-vp", 50, rng=0)
         assert result.method == "mc-vp"
         assert result.stats["angles_processed"] > 0
         assert result.stats["butterflies_checked"] > 0
@@ -82,14 +83,16 @@ class TestMcVp:
 
 class TestOrderingSampling:
     def test_stats_counters(self, figure1):
-        result = ordering_sampling(figure1, 50, rng=0)
+        result = reference_search(figure1, "os", 50, rng=0)
         assert result.method == "os"
         assert result.stats["edges_processed"] > 0
         assert result.stats["angles_processed"] > 0
 
     def test_prune_toggle_same_estimates(self, figure1):
-        pruned = ordering_sampling(figure1, 400, rng=3, prune=True)
-        unpruned = ordering_sampling(figure1, 400, rng=3, prune=False)
+        pruned = reference_search(figure1, "os", 400, rng=3, prune=True)
+        unpruned = reference_search(
+            figure1, "os", 400, rng=3, prune=False
+        )
         assert pruned.estimates == unpruned.estimates
         assert (
             pruned.stats["edges_processed"]
@@ -97,9 +100,31 @@ class TestOrderingSampling:
         )
 
     def test_pair_side_same_estimates(self, figure1):
-        left = ordering_sampling(figure1, 400, rng=3, pair_side="left")
-        right = ordering_sampling(figure1, 400, rng=3, pair_side="right")
+        left = reference_search(figure1, "os", 400, rng=3, pair_side="left")
+        right = reference_search(
+            figure1, "os", 400, rng=3, pair_side="right"
+        )
         assert left.estimates == right.estimates
+
+
+class TestReferenceSwitches:
+    """Each reference method takes only its own ablation switches."""
+
+    @pytest.mark.parametrize(
+        "method, switch",
+        [
+            ("mc-vp", {"prune": False}),
+            ("mc-vp", {"pair_side": "left"}),
+            ("os", {"priority_kind": "expected-degree"}),
+        ],
+    )
+    def test_other_methods_switch_rejected(self, figure1, method, switch):
+        with pytest.raises(ConfigurationError, match="switch"):
+            reference_search(figure1, method, 10, rng=0, **switch)
+
+    def test_unknown_method_rejected(self, figure1):
+        with pytest.raises(ConfigurationError, match="reference_search"):
+            reference_search(figure1, "ols", 10, rng=0)
 
 
 class TestOls:
@@ -270,10 +295,9 @@ class TestMergeResults:
 
     def test_stats_summed(self, figure1):
         from repro.core import merge_results
-        from repro import ordering_sampling
 
-        a = ordering_sampling(figure1, 100, rng=1)
-        b = ordering_sampling(figure1, 100, rng=2)
+        a = reference_search(figure1, "os", 100, rng=1)
+        b = reference_search(figure1, "os", 100, rng=2)
         merged = merge_results(a, b)
         assert merged.stats["edges_processed"] == (
             a.stats["edges_processed"] + b.stats["edges_processed"]

@@ -142,21 +142,25 @@ class TestLemmaVi5Experiment:
 
 class TestMcVpPriorityKinds:
     def test_both_orders_estimate_correctly(self, figure1):
-        from repro.core import mc_vp
+        from repro.core import reference_search
 
-        default = mc_vp(figure1, 3_000, rng=4, priority_kind="degree")
-        expected = mc_vp(
-            figure1, 3_000, rng=4, priority_kind="expected-degree"
+        default = reference_search(
+            figure1, "mc-vp", 3_000, rng=4, priority_kind="degree"
+        )
+        expected = reference_search(
+            figure1, "mc-vp", 3_000, rng=4, priority_kind="expected-degree"
         )
         # Identical worlds (same RNG consumption), identical S_MB —
         # priority only changes the enumeration order, never the result.
         assert default.estimates == expected.estimates
 
     def test_unknown_kind(self, figure1):
-        from repro.core import mc_vp
+        from repro.core import reference_search
 
         with pytest.raises(ValueError, match="priority_kind"):
-            mc_vp(figure1, 10, priority_kind="alphabetical")
+            reference_search(
+                figure1, "mc-vp", 10, priority_kind="alphabetical"
+            )
 
 
 class TestMarkdownContextCoverage:

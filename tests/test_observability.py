@@ -9,7 +9,7 @@ from repro import FaultPlan, find_mpmb
 from repro.core import (
     mc_vp,
     ordering_listing_sampling,
-    ordering_sampling,
+    reference_search,
 )
 from repro.graph import save_graph
 from repro.observability import (
@@ -199,7 +199,9 @@ class TestPerMethodMetrics:
 
     def test_os_records_prune_rate(self, figure1):
         observer = Observer()
-        result = ordering_sampling(figure1, 50, rng=2, observer=observer)
+        result = reference_search(
+            figure1, "os", 50, rng=2, observer=observer
+        )
         snapshot = observer.metrics.to_dict()
         assert snapshot["counters"]["sampling.trials"] == result.n_trials
         assert "os.trials_pruned" in snapshot["counters"]

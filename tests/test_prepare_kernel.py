@@ -10,7 +10,7 @@ the phase can tell them apart.
 
 Also pinned here: the wedge index against the scalar enumeration
 (:func:`~repro.butterfly.bfc_vp.iter_angle_groups`) and its scan arrays
-against a plain sort, pooled OLS reading the published index, the
+against a plain sort, pooled runs reading the published index, the
 memory bound of one mask-block draw, and mask blocks drawn in several
 chunks against the scalar stream.
 """
@@ -38,27 +38,22 @@ from repro.datasets.synthetic import random_bipartite
 from repro.kernels import build_wedge_index, resolve_block_budget, wedge_block
 from repro.kernels.memory import SCAN_CHUNK
 from repro.runtime import run_parallel_trials, workers
-from repro.runtime.workers import WorkerPool, wants_shared_index
+from repro.runtime.workers import WorkerPool
 from repro.sampling import ensure_rng
 from repro.worlds import WorldSampler, sampler as sampler_module
 from repro.worlds.sampler import DRAW_CHUNK
 
 from . import test_kernels
-from .conftest import FIGURE_1_EDGES, build_graph
+from .conftest import FIGURE_1_EDGES, build_graph, tied_weights
 
 BENCH_GRAPHS = ("abide", "movielens", "jester", "protein")
-
-
-def _tied_weights(rng, n_edges):
-    """Integer weights in 1..3, so equal-weight winners are common."""
-    return rng.integers(1, 4, size=n_edges).astype(float)
 
 
 def _random_graph(seed, n_left, n_right, density, tied):
     n_edges = max(1, int(density * n_left * n_right))
     return random_bipartite(
         n_left, n_right, n_edges, rng=seed,
-        weight_fn=_tied_weights if tied else None,
+        weight_fn=tied_weights if tied else None,
     )
 
 
@@ -254,32 +249,29 @@ class _RecordingPool(WorkerPool):
 
 
 class TestPooledOls:
-    def test_ols_wants_the_index_batched_or_not(self):
-        assert wants_shared_index("ols", {})
-        assert wants_shared_index("ols", {"block_size": 64})
-        assert not wants_shared_index("os", {})
-
     def test_pooled_run_publishes_the_index(self, monkeypatch):
         graph = build_graph(FIGURE_1_EDGES, name="figure-1")
         monkeypatch.setattr(workers, "WorkerPool", _RecordingPool)
-        _RecordingPool.created = []
-        published = run_parallel_trials(
-            graph, 200, 2, method="ols", rng=5, n_prepare=30
-        )
-        assert [p.handle.has_index for p in _RecordingPool.created] == [
-            True
-        ]
-        # Workers that build their own index reach the same result.
-        bare = WorkerPool(graph)
-        try:
-            assert not bare.handle.has_index
-            local = run_parallel_trials(
-                graph, 200, 2, method="ols", rng=5, n_prepare=30,
-                pool=bare,
+        # Every poolable method reads the index, so every pool has one.
+        for method in ("ols", "mc-vp", "os"):
+            _RecordingPool.created = []
+            published = run_parallel_trials(
+                graph, 200, 2, method=method, rng=5, n_prepare=30
             )
-        finally:
-            bare.close()
-        assert result_to_dict(published) == result_to_dict(local)
+            assert [
+                p.handle.has_index for p in _RecordingPool.created
+            ] == [True], method
+            # Workers that build their own index reach the same result.
+            bare = WorkerPool(graph)
+            try:
+                assert not bare.handle.has_index
+                local = run_parallel_trials(
+                    graph, 200, 2, method=method, rng=5, n_prepare=30,
+                    pool=bare,
+                )
+            finally:
+                bare.close()
+            assert result_to_dict(published) == result_to_dict(local), method
 
 
 class TestMaskDrawMemory:

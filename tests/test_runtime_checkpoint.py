@@ -20,6 +20,7 @@ from repro.core import (
     mc_vp,
     ordering_listing_sampling,
     ordering_sampling,
+    reference_search,
     result_from_dict,
     result_to_dict,
     save_result,
@@ -62,22 +63,47 @@ class TestResumeDeterminism:
     """Crash mid-run, resume, and compare bit-for-bit with a clean run."""
 
     def test_mc_vp(self, graph, tmp_path):
-        baseline = result_to_dict(mc_vp(graph, 40, rng=7))
+        baseline = result_to_dict(mc_vp(graph, 40, rng=7, block_size=1))
         path = tmp_path / "mc.json"
         with pytest.raises(InjectedCrash):
-            mc_vp(graph, 40, rng=7, runtime=_crash_policy(path, 23))
-        resumed = mc_vp(graph, 40, rng=7, runtime=_resume_policy(path))
+            mc_vp(
+                graph, 40, rng=7, block_size=1,
+                runtime=_crash_policy(path, 23),
+            )
+        resumed = mc_vp(
+            graph, 40, rng=7, block_size=1, runtime=_resume_policy(path)
+        )
         assert result_to_dict(resumed) == baseline
 
     def test_os(self, graph, tmp_path):
-        baseline = result_to_dict(ordering_sampling(graph, 40, rng=3))
+        baseline = result_to_dict(
+            ordering_sampling(graph, 40, rng=3, block_size=1)
+        )
         path = tmp_path / "os.json"
         with pytest.raises(InjectedCrash):
             ordering_sampling(
-                graph, 40, rng=3, runtime=_crash_policy(path, 17)
+                graph, 40, rng=3, block_size=1, runtime=_crash_policy(path, 17)
             )
         resumed = ordering_sampling(
-            graph, 40, rng=3, runtime=_resume_policy(path)
+            graph, 40, rng=3, block_size=1, runtime=_resume_policy(path)
+        )
+        assert result_to_dict(resumed) == baseline
+
+    def test_default_blocks_snapshot_every_n_trials(self, graph, tmp_path):
+        """``checkpoint_every`` counts trials on block runs too: with
+        256-trial blocks and ``checkpoint_every=1_000`` the snapshot
+        lands after block 4 (1 024 trials), so a crash before block 7
+        resumes from there."""
+        baseline = result_to_dict(ordering_sampling(graph, 3_000, rng=3))
+        path = tmp_path / "os.json"
+        with pytest.raises(InjectedCrash):
+            ordering_sampling(
+                graph, 3_000, rng=3,
+                runtime=_crash_policy(path, 7, every=1_000),
+            )
+        assert read_checkpoint(path)["completed"] == 4
+        resumed = ordering_sampling(
+            graph, 3_000, rng=3, runtime=_resume_policy(path, every=1_000)
         )
         assert result_to_dict(resumed) == baseline
 
@@ -85,17 +111,17 @@ class TestResumeDeterminism:
         """A crash between antithetic pair halves must not lose the
         buffered uniforms."""
         baseline = result_to_dict(
-            ordering_sampling(graph, 30, rng=9, antithetic=True)
+            ordering_sampling(graph, 30, rng=9, block_size=1, antithetic=True)
         )
         path = tmp_path / "anti.json"
         # Odd checkpoint interval so snapshots land mid-pair.
         with pytest.raises(InjectedCrash):
             ordering_sampling(
-                graph, 30, rng=9, antithetic=True,
+                graph, 30, rng=9, block_size=1, antithetic=True,
                 runtime=_crash_policy(path, 12, every=3),
             )
         resumed = ordering_sampling(
-            graph, 30, rng=9, antithetic=True,
+            graph, 30, rng=9, block_size=1, antithetic=True,
             runtime=_resume_policy(path, every=3),
         )
         assert result_to_dict(resumed) == baseline
@@ -169,11 +195,55 @@ class TestCheckpointValidation:
     def test_target_mismatch_rejected(self, graph, tmp_path):
         path = tmp_path / "os.json"
         ordering_sampling(
-            graph, 10, rng=1,
+            graph, 10, rng=1, block_size=1,
             runtime=RuntimePolicy(checkpoint_path=path),
         )
         with pytest.raises(CheckpointError, match="target"):
-            ordering_sampling(graph, 99, rng=1, runtime=_resume_policy(path))
+            ordering_sampling(
+                graph, 99, rng=1, block_size=1,
+                runtime=_resume_policy(path),
+            )
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            mc_vp,
+            ordering_sampling,
+            lambda graph, n, **kw: ordering_listing_sampling(
+                graph, n, n_prepare=20, estimator="optimized",
+                block_size=256, **kw
+            ),
+        ],
+        ids=["mc-vp", "os", "ols-batched"],
+    )
+    def test_block_target_mismatch_rejected(self, graph, tmp_path, search):
+        """300 and 400 trials are both two 256-trial blocks, so the
+        engine's block-count target matches; the trial target must not."""
+        path = tmp_path / "run.json"
+        search(graph, 300, rng=1, runtime=RuntimePolicy(checkpoint_path=path))
+        assert read_checkpoint(path)["target"] == 2
+        with pytest.raises(CheckpointError, match="300 trials"):
+            search(graph, 400, rng=1, runtime=_resume_policy(path))
+
+    def test_foreign_block_payload_rejected(self, graph, tmp_path):
+        """A block checkpoint without a trial target (as written before
+        block checkpoints stored one), or with Alg. 1's counters instead
+        of the wedge kernel's, is a CheckpointError, not a KeyError."""
+        path = tmp_path / "mc.json"
+        mc_vp(graph, 300, rng=1, runtime=RuntimePolicy(checkpoint_path=path))
+        document = read_checkpoint(path)
+        document["state"]["stats"] = {
+            "angles_processed": 1.0,
+            "angles_stored_peak": 1.0,
+            "butterflies_checked": 1.0,
+        }
+        write_checkpoint(path, document)
+        with pytest.raises(CheckpointError, match="wedge kernel"):
+            mc_vp(graph, 300, rng=1, runtime=_resume_policy(path))
+        del document["state"]["n_trials"]
+        write_checkpoint(path, document)
+        with pytest.raises(CheckpointError, match="no trial target"):
+            mc_vp(graph, 300, rng=1, runtime=_resume_policy(path))
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"
@@ -191,6 +261,53 @@ class TestCheckpointValidation:
         assert read_checkpoint(tmp_path / "absent.json") is None
 
 
+class TestReferenceKernelResume:
+    """The reference counts trials, the wedge kernel counts blocks: a
+    checkpoint resumes only through the entry point that wrote it."""
+
+    KERNELS = {"mc-vp": mc_vp, "os": ordering_sampling}
+
+    @pytest.mark.parametrize("method", ["mc-vp", "os"])
+    def test_reference_checkpoint(self, graph, tmp_path, method):
+        baseline = result_to_dict(reference_search(graph, method, 40, rng=3))
+        path = tmp_path / "reference.json"
+        with pytest.raises(InjectedCrash):
+            reference_search(
+                graph, method, 40, rng=3, runtime=_crash_policy(path, 17)
+            )
+        assert read_checkpoint(path)["unit"] == "trial"
+        with pytest.raises(CheckpointError, match="unit"):
+            self.KERNELS[method](
+                graph, 40, rng=3, runtime=_resume_policy(path)
+            )
+        resumed = reference_search(
+            graph, method, 40, rng=3, runtime=_resume_policy(path)
+        )
+        assert result_to_dict(resumed) == baseline
+
+    @pytest.mark.parametrize("method", ["mc-vp", "os"])
+    def test_kernel_checkpoint(self, graph, tmp_path, method):
+        kernel = self.KERNELS[method]
+        baseline = result_to_dict(kernel(graph, 40, rng=3, block_size=8))
+        path = tmp_path / "kernel.json"
+        with pytest.raises(InjectedCrash):
+            kernel(
+                graph, 40, rng=3, block_size=8,
+                runtime=_crash_policy(path, 3, every=1),
+            )
+        assert read_checkpoint(path)["unit"] == "block"
+        with pytest.raises(CheckpointError, match="unit"):
+            reference_search(
+                graph, method, 40, rng=3,
+                runtime=_resume_policy(path, every=1),
+            )
+        resumed = kernel(
+            graph, 40, rng=3, block_size=8,
+            runtime=_resume_policy(path, every=1),
+        )
+        assert result_to_dict(resumed) == baseline
+
+
 class TestAtomicWrites:
     def test_injected_write_failure_keeps_previous_snapshot(
         self, graph, tmp_path
@@ -202,8 +319,8 @@ class TestAtomicWrites:
             on_checkpoint_error="continue",
             faults=FaultPlan(checkpoint_failures=(2, 3)),
         )
-        result = mc_vp(graph, 30, rng=7)
-        faulty = mc_vp(graph, 30, rng=7, runtime=policy)
+        result = mc_vp(graph, 30, rng=7, block_size=1)
+        faulty = mc_vp(graph, 30, rng=7, block_size=1, runtime=policy)
         # Failed writes were tolerated and the run still completed.
         assert result_to_dict(faulty) == result_to_dict(result)
         document = read_checkpoint(path)
@@ -243,7 +360,9 @@ class TestDeadlineDegradation:
         policy = RuntimePolicy(
             timeout_seconds=10.0, clock=self._ticking_clock(1.0)
         )
-        result = ordering_sampling(graph, 1000, rng=5, runtime=policy)
+        result = ordering_sampling(
+            graph, 1000, rng=5, block_size=1, runtime=policy
+        )
         assert result.degraded
         assert result.degraded_reason == "deadline"
         assert 0 < result.n_trials < 1000
@@ -288,7 +407,9 @@ class TestDeadlineDegradation:
         policy = RuntimePolicy(
             faults=FaultPlan(interrupt_before_trial=8)
         )
-        result = ordering_sampling(graph, 100, rng=5, runtime=policy)
+        result = ordering_sampling(
+            graph, 100, rng=5, block_size=1, runtime=policy
+        )
         assert result.degraded
         assert result.degraded_reason == "interrupted"
         assert result.n_trials == 7
@@ -308,7 +429,9 @@ class TestDegradedSerialisation:
         policy = RuntimePolicy(
             faults=FaultPlan(interrupt_before_trial=10)
         )
-        result = ordering_sampling(graph, 100, rng=5, runtime=policy)
+        result = ordering_sampling(
+            graph, 100, rng=5, block_size=1, runtime=policy
+        )
         target = tmp_path / "degraded.json"
         save_result(result, target)
         loaded = load_result(target, graph)

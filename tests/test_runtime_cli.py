@@ -131,7 +131,7 @@ class TestInterrupt:
         )
         code = cli.main([
             "search", graph_file, "--method", "os",
-            "--trials", "500", "--seed", "3",
+            "--trials", "500", "--seed", "3", "--block-size", "1",
         ])
         captured = capsys.readouterr()
         assert code == 130
@@ -168,7 +168,7 @@ class TestSigterm:
         )
         code = cli.main([
             "search", graph_file, "--method", "os",
-            "--trials", "500", "--seed", "3",
+            "--trials", "500", "--seed", "3", "--block-size", "1",
         ])
         captured = capsys.readouterr()
         assert code == 143
@@ -239,7 +239,7 @@ class TestRuntimeFlags:
         checkpoint = tmp_path / "search.ckpt.json"
         code = cli.main([
             "search", graph_file, "--method", "os",
-            "--trials", "40", "--seed", "3",
+            "--trials", "40", "--seed", "3", "--block-size", "1",
             "--checkpoint", str(checkpoint), "--checkpoint-every", "10",
         ])
         first = capsys.readouterr().out
@@ -250,7 +250,7 @@ class TestRuntimeFlags:
 
         code = cli.main([
             "search", graph_file, "--method", "os",
-            "--trials", "40", "--seed", "99",
+            "--trials", "40", "--seed", "99", "--block-size", "1",
             "--resume", str(checkpoint),
         ])
         second = capsys.readouterr().out
