@@ -9,9 +9,8 @@ Karp-Luby at equal trial counts.
 import pytest
 
 from repro.core import (
-    estimate_probabilities_karp_luby,
-    estimate_probabilities_optimized,
     prepare_candidates,
+    reference_listing_sampling,
     reference_search,
 )
 from repro.experiments import run_experiment
@@ -49,21 +48,19 @@ def test_estimator_cost_at_equal_trials(
 ):
     """Lemma VI.2 vs VI.3: at the same trial count, per-candidate KL
     costs O(|C|) per candidate-trial while the shared estimator costs
-    O(|C|) per trial total."""
+    O(|C|) per trial total (the paper's per-trial Algorithms 4 and 5)."""
     graph = bench_datasets["protein"]
     candidates = prepare_candidates(graph, 80, rng=4)
     trials = 200
 
-    if estimator == "optimized":
-        run = lambda: estimate_probabilities_optimized(  # noqa: E731
-            candidates, trials, rng=5
-        )
-    else:
-        run = lambda: estimate_probabilities_karp_luby(  # noqa: E731
-            candidates, rng=5, n_trials=trials
-        )
-    outcome = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert outcome.estimates
+    result = benchmark.pedantic(
+        lambda: reference_listing_sampling(
+            graph, trials, estimator=estimator, rng=5,
+            candidates=candidates,
+        ),
+        rounds=2, iterations=1,
+    )
+    assert result.estimates
 
 
 def test_pair_side_choice_matters(bench_datasets):

@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.core import (
-    estimate_probabilities_optimized,
-    prepare_candidates,
-)
+from repro.core import prepare_candidates, reference_listing_sampling
 from repro.experiments import run_experiment
 
 from .conftest import SWEEP_CONFIG
@@ -24,14 +21,17 @@ def test_preparing_phase(benchmark, bench_datasets, name):
 
 @pytest.mark.parametrize("name", SWEEP_CONFIG.datasets)
 def test_sampling_phase(benchmark, bench_datasets, name):
-    """The shared-trial estimator over a prepared candidate set."""
+    """The paper's per-trial shared-trial estimator (Algorithm 5) over a
+    prepared candidate set."""
     graph = bench_datasets[name]
     candidates = prepare_candidates(graph, 100, rng=1)
-    outcome = benchmark.pedantic(
-        lambda: estimate_probabilities_optimized(candidates, 500, rng=2),
+    result = benchmark.pedantic(
+        lambda: reference_listing_sampling(
+            graph, 500, rng=2, candidates=candidates
+        ),
         rounds=2, iterations=1,
     )
-    assert outcome.total_trials == 500
+    assert result.n_trials == 500
 
 
 def test_fig8_report_and_shape(benchmark, capsys):
@@ -63,15 +63,16 @@ def test_fig8_report_and_shape(benchmark, capsys):
 
 
 def test_sampling_cheaper_than_direct_trials(bench_datasets):
-    """The OLS sampling phase walks candidates only — its per-trial cost
-    must be far below an OS full-network trial (the Figure 8 story)."""
+    """The OLS sampling phase walks candidates only — the paper's
+    per-trial cost must be far below an OS full-network trial (the
+    Figure 8 story)."""
     import time
 
     graph = bench_datasets["protein"]
     candidates = prepare_candidates(graph, 100, rng=1)
 
     start = time.perf_counter()
-    estimate_probabilities_optimized(candidates, 500, rng=2)
+    reference_listing_sampling(graph, 500, rng=2, candidates=candidates)
     ols_per_trial = (time.perf_counter() - start) / 500
 
     from repro.core import ordering_sampling

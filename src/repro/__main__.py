@@ -90,10 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--block-size", type=int, default=None, metavar="N",
-        help="evaluate trials through the batched kernel layer, N "
-             "trials per vectorised call (sampling methods only; "
-             "default: 256-trial blocks for mc-vp/os, the scalar "
-             "per-trial loop for ols/ols-kl; see docs/performance.md)",
+        help="trials per batched-kernel call (sampling methods only; "
+             "default: 256-trial blocks; see docs/performance.md)",
     )
     search.add_argument(
         "--top", type=int, default=1, help="how many MPMBs to report"

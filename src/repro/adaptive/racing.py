@@ -4,7 +4,8 @@ Two schedulers share the empirical-Bernstein machinery of
 :mod:`~repro.adaptive.intervals`:
 
 - :class:`RacingFrequencyLoop` wraps the frequency-method loops (MC-VP,
-  OS, and OLS's optimised estimator — scalar and blocked alike) and
+  OS, and OLS's optimised estimator — block loops and the per-trial
+  references alike) and
   stops the whole run as soon as the incumbent butterfly's lower
   confidence limit clears every rival's upper limit.  Frequency trials
   are shared by all arms, so "racing" degenerates to certified early
@@ -12,8 +13,8 @@ Two schedulers share the empirical-Bernstein machinery of
   counts, evaluated at deterministic trial boundaries, which makes
   checkpoint/resume exact with no extra state.
 - :func:`adaptive_karp_luby` replaces Algorithm 4's fixed per-candidate
-  Lemma VI.4 budgets: each engine unit is one *round* handing a block
-  of union trials to every surviving candidate, candidates whose
+  Lemma VI.4 budgets: each engine unit is one *round* handing one
+  union-kernel block of trials to every surviving candidate, candidates whose
   ``P(B)`` upper bound falls below the incumbent's lower bound are
   eliminated and stop consuming trials, and the run ends when one
   survivor remains (or every survivor exhausts its static budget — the
@@ -42,9 +43,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 from ..butterfly import ButterflyKey
 from ..core.candidates import CandidateSet
 from ..core.estimation import EstimationOutcome
-from ..core.karp_luby_estimator import _candidate_budget, _to_probability
+from ..core.karp_luby_estimator import (
+    _candidate_budget,
+    _to_probability,
+    union_block_size,
+    union_blocks,
+)
 from ..errors import ConfigurationError
-from ..kernels import UnionBlockKernel, WedgeIndex
+from ..kernels import DEFAULT_BLOCK_SIZE, UnionBlockKernel, WedgeIndex
 from ..observability import Observer, ensure_observer
 from ..runtime.degradation import Guarantee
 from ..runtime.engine import LoopInterrupt, LoopReport, execute_trial_loop
@@ -80,13 +86,12 @@ class AdaptiveConfig:
             every elimination check, union-bounded).  ``None`` inherits
             the method's own δ so the adaptive run certifies the same
             confidence level as the fixed-budget run it replaces.
-        block_trials: Karp-Luby trials handed to each surviving
-            candidate per racing round.
         check_every: Trials between stop-rule evaluations on the
-            frequency methods' per-trial paths (OLS's scalar loop and
-            the reference).  Block paths, which include MC-VP and OS
-            without ``block_size``, check at every block boundary
-            instead.
+            frequency methods' per-trial references
+            (:mod:`repro.core.reference`).  Production MC-VP, OS and
+            OLS check at every block boundary instead, and adaptive
+            OLS-KL hands each surviving candidate one kernel block
+            (``block_size``) per racing round.
         min_trials: Trials required before the first frequency-method
             stop-rule evaluation may fire.
         prescreen: Run the sublinear wedge-pair pre-screen before
@@ -95,7 +100,6 @@ class AdaptiveConfig:
     """
 
     delta: Optional[float] = None
-    block_trials: int = 256
     check_every: int = 256
     min_trials: int = 64
     prescreen: bool = True
@@ -106,7 +110,7 @@ class AdaptiveConfig:
             raise ConfigurationError(
                 f"adaptive delta must be in (0, 1), got {self.delta}"
             )
-        for name in ("block_trials", "check_every", "min_trials"):
+        for name in ("check_every", "min_trials"):
             value = getattr(self, name)
             if value <= 0:
                 raise ConfigurationError(
@@ -144,7 +148,7 @@ def resolve_adaptive(
 class RacingFrequencyLoop:
     """Certified early stopping for the winner-frequency loops.
 
-    Wraps an engine loop (scalar or blocked) and raises
+    Wraps an engine loop (per-trial or blocked) and raises
     :data:`ADAPTIVE_STOP` once the incumbent's empirical-Bernstein
     lower limit exceeds every rival's upper limit — including, when
     ``phantom`` is set, a phantom zero-count arm standing in for every
@@ -281,9 +285,9 @@ class _RacingKarpLubyLoop:
     """Algorithm 4's candidate sampling as racing rounds.
 
     One engine unit is one *round*: every surviving, trial-needing
-    candidate receives up to ``block_trials`` Karp-Luby union trials
-    (through the vectorised :class:`~repro.kernels.UnionBlockKernel`
-    when a block size is set), capped at its static Lemma VI.4 budget.
+    candidate receives one :class:`~repro.kernels.UnionBlockKernel`
+    block of up to ``block`` Karp-Luby union trials, capped at its
+    static Lemma VI.4 budget.
     Eliminations for the state after round ``k`` are applied at the
     start of round ``k+1`` — a pure function of the checkpointed
     interval state, so resume replays them exactly.
@@ -300,7 +304,7 @@ class _RacingKarpLubyLoop:
         pre_eliminated: Iterable[int] = (),
         track: Optional[Iterable[ButterflyKey]] = None,
         deadline=None,
-        block_size: Optional[int] = None,
+        block: int = DEFAULT_BLOCK_SIZE,
         observer: Optional[Observer] = None,
     ) -> None:
         self.candidates = candidates
@@ -312,7 +316,7 @@ class _RacingKarpLubyLoop:
         self.delta_race = delta_race
         self.config = config
         self.deadline = deadline
-        self.block_size = block_size
+        self.block = block
         self._tracked = set(track) if track is not None else set()
         self.existence = [
             candidates.existence_probability(i) for i in range(self.m)
@@ -325,7 +329,7 @@ class _RacingKarpLubyLoop:
         self.eliminated_upper: List[Optional[float]] = [None] * self.m
         self.race_eliminated = 0
         self.traces: Dict[ButterflyKey, ConvergenceTrace] = {}
-        self._samplers: Dict[int, KarpLubyUnionSampler] = {}
+        self._kernels: Dict[int, UnionBlockKernel] = {}
         self._events: Dict[int, list] = {}
         self._vectorized = ensure_observer(observer).metrics.counter(
             "kernel.trials_vectorized"
@@ -344,19 +348,13 @@ class _RacingKarpLubyLoop:
             if self.deadline is not None and self.deadline.expired:
                 interrupted = True
                 break
-            share = min(
-                self.config.block_trials,
-                self.budgets[index] - self.done[index],
+            share = min(self.block, self.budgets[index] - self.done[index])
+            accepted = sum(
+                int(flags.sum()) for flags in union_blocks(
+                    self._kernel(index), share, self.block,
+                    self._vectorized,
+                )
             )
-            sampler = self._sampler(index)
-            before = sampler.accepted
-            if self.block_size is not None:
-                UnionBlockKernel(sampler).run_block(share)
-                self._vectorized.inc(share)
-            else:
-                for _ in range(share):
-                    sampler.trial()
-            accepted = sampler.accepted - before
             self.intervals[index].update_block(
                 share, float(accepted), float(accepted)
             )
@@ -398,7 +396,7 @@ class _RacingKarpLubyLoop:
         ]
         self.race_eliminated = int(payload["race_eliminated"])
         self.traces = decode_traces(payload["traces"])
-        self._samplers = {}
+        self._kernels = {}
         restore_rng_state(self.generator, payload["rng"])
 
     # ------------------------------------------------------------------
@@ -410,20 +408,22 @@ class _RacingKarpLubyLoop:
             self._events[index] = self.candidates.difference_events(index)
         return self._events[index]
 
-    def _sampler(self, index: int) -> KarpLubyUnionSampler:
-        sampler = self._samplers.get(index)
-        if sampler is None:
+    def _kernel(self, index: int) -> UnionBlockKernel:
+        """Candidate ``index``'s union kernel, built once with its
+        sampler."""
+        kernel = self._kernels.get(index)
+        if kernel is None:
             probs = self.candidates.graph.probs
             sampler = KarpLubyUnionSampler(
                 self._events_of(index),
                 lambda e: float(probs[e]),
                 self.generator,
             )
-            self._samplers[index] = sampler
+            kernel = self._kernels[index] = UnionBlockKernel(sampler)
             # The sampler's event-ordered sum is the S_i every estimate
             # uses from here on (bit-consistent with the fixed path).
             self.mass[index] = sampler.weight_sum
-        return sampler
+        return kernel
 
     def _needs_trials(self, index: int) -> bool:
         return (
@@ -523,8 +523,10 @@ def adaptive_karp_luby(
     """Anytime replacement for Algorithm 4's fixed Lemma VI.4 budgets.
 
     Runs the sublinear pre-screen (unless disabled), then races the
-    surviving candidates: blocks of Karp-Luby trials per round, interval
-    eliminations between rounds, early stop at one survivor.  The
+    surviving candidates: one union-kernel block of ``block_size``
+    Karp-Luby trials (``None``:
+    :data:`~repro.kernels.DEFAULT_BLOCK_SIZE`) per survivor and round,
+    interval eliminations between rounds, early stop at one survivor.  The
     static Lemma VI.4 budgets are still computed — they cap each
     candidate's trials and are the baseline the reported
     ``trials_saved`` is measured against.
@@ -590,26 +592,18 @@ def adaptive_karp_luby(
             min_trials, max_trials,
         ))
     static_total = sum(budgets)
+    block = union_block_size(n_trials, max_trials, block_size, observer)
     max_rounds = 1
     for index in range(m):
         if index in pre_eliminated or budgets[index] == 0:
             continue
-        max_rounds = max(
-            max_rounds,
-            -(-budgets[index] // config.block_trials),
-        )
+        max_rounds = max(max_rounds, -(-budgets[index] // block))
 
     deadline = runtime.make_deadline() if runtime is not None else None
-    if block_size is not None:
-        if block_size <= 0:
-            raise ConfigurationError(
-                f"block_size must be positive, got {block_size}"
-            )
-        observer.set("kernel.block_size", float(block_size))
     loop = _RacingKarpLubyLoop(
         candidates, generator, budgets, mass, delta_race, config,
         pre_eliminated=pre_eliminated, track=track, deadline=deadline,
-        block_size=block_size, observer=observer,
+        block=block, observer=observer,
     )
     with observer.span(
         "sampling", method="ols-kl", candidates=m, adaptive=True

@@ -9,6 +9,8 @@
   Algorithm 3 (OLS) with either sampling-phase estimator.
 * :func:`estimate_probabilities_karp_luby` — Algorithm 4.
 * :func:`estimate_probabilities_optimized` — Algorithm 5.
+* :func:`reference_listing_sampling` — Algorithm 3 with the paper's
+  per-trial Algorithms 4 and 5 (the timing and test reference).
 * :func:`exact_mpmb_by_worlds` / :func:`exact_mpmb_by_inclusion_exclusion`
   / :func:`exact_probability` — exponential validation oracles.
 * :mod:`repro.core.bounds` — Theorem IV.1 / Lemmas V.2, VI.1, VI.4, VI.5.
@@ -46,7 +48,11 @@ from .ols import (
 from .optimized_estimator import estimate_probabilities_optimized
 from .query import ProbabilityEstimate, estimate_probability
 from .ordering_sampling import ordering_sampling
-from .reference import os_trial, reference_search
+from .reference import (
+    os_trial,
+    reference_listing_sampling,
+    reference_search,
+)
 from .results import MPMBResult, merge_results, result_from_frequency_loop
 from .serialize import (
     load_result,
@@ -80,6 +86,7 @@ __all__ = [
     "mc_vp",
     "ordering_sampling",
     "os_trial",
+    "reference_listing_sampling",
     "reference_search",
     "ordering_listing_sampling",
     "prepare_candidates",

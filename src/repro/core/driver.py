@@ -4,9 +4,10 @@ MC-VP (Alg. 1), OS (Alg. 2) and OLS's shared-trial estimator (Alg. 5)
 are one estimator with three per-trial searches: each estimates
 ``P(B)`` as how often ``B`` wins a sampled world, the estimator
 Theorem IV.1 sizes.  Each method supplies only its checkpointable loop
-(scalar, or blocked over a batched kernel); :func:`drive_frequency_loop`
-owns everything around it — the one engine call, the anytime racing
-wrap, and the certified-stop or degraded-run guarantee.
+(blocked over a batched kernel, or per trial in the references);
+:func:`drive_frequency_loop` owns everything around it — the one engine
+call, the anytime racing wrap, and the certified-stop or degraded-run
+guarantee.
 :func:`search_winners` adds the ``sampling`` span and the result for
 MC-VP and OS, whose production (wedge kernel) and reference
 (:mod:`repro.core.reference`) runs share one winner loop.

@@ -10,24 +10,30 @@ Trial counts are either fixed or sized dynamically per candidate through
 the Lemma VI.4 ratio (Equation 8) against a common Monte-Carlo baseline —
 which is exactly how the paper configures OLS-KL in Section VIII-B.
 
+Each candidate's union trials run in blocks on the vectorised
+:class:`~repro.kernels.UnionBlockKernel`; the paper's one-trial-at-a-time
+union loop is the reference
+(:func:`~repro.core.reference.reference_listing_sampling`), which shares
+everything here but the per-candidate runner.
+
 The candidate loop routes through the resilient runtime engine with
 ``unit="candidate"``: checkpoints snapshot fully-completed candidates
 only, and a wall-clock deadline can stop *inside* a candidate's trial
-run — the partial estimate is kept and the outcome degrades with a
-guarantee re-widened via the inverted Lemma VI.4 bound.
+run, between blocks — the partial estimate is kept and the outcome
+degrades with a guarantee re-widened via the inverted Lemma VI.4 bound.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from ..butterfly import ButterflyKey
 from ..errors import ConfigurationError
-from ..kernels import UnionBlockKernel, resolve_block_size
-from ..observability import Observer, ensure_observer
+from ..kernels import DEFAULT_BLOCK_SIZE, UnionBlockKernel, resolve_block_size
+from ..observability import Counter, Observer, ensure_observer
 from ..sampling import (
     ConvergenceTrace,
     KarpLubyUnionSampler,
@@ -45,9 +51,6 @@ from .bounds import karp_luby_achievable_epsilon, karp_luby_trial_bound
 from .candidates import CandidateSet
 from .estimation import EstimationOutcome
 
-#: How many Karp-Luby trials run between mid-candidate deadline checks.
-DEADLINE_CHECK_EVERY = 64
-
 
 class _KarpLubyLoop:
     """Algorithm 4's candidate loop behind the engine's contract.
@@ -57,7 +60,8 @@ class _KarpLubyLoop:
     trial counts, traces — plus the candidate keys (resume validation)
     and the RNG stream position; a candidate interrupted mid-run is
     re-estimated from scratch on resume, which keeps the checkpoint
-    payload exact.
+    payload exact.  A candidate's trials run in :meth:`_run_candidate`,
+    the one method the reference's per-trial loop overrides.
     """
 
     def __init__(
@@ -73,7 +77,7 @@ class _KarpLubyLoop:
         track: Optional[Iterable[ButterflyKey]] = None,
         checkpoints: int = 40,
         deadline: Optional[Deadline] = None,
-        block_size: Optional[int] = None,
+        block: int = DEFAULT_BLOCK_SIZE,
         observer: Optional[Observer] = None,
     ) -> None:
         self.candidates = candidates
@@ -86,7 +90,7 @@ class _KarpLubyLoop:
         self.min_trials = min_trials
         self.max_trials = max_trials
         self.deadline = deadline
-        self.block_size = block_size
+        self.block = block
         self._tracked = set(track) if track is not None else set()
         self._checkpoints = checkpoints
         self.estimates: Dict[ButterflyKey, float] = {}
@@ -134,30 +138,9 @@ class _KarpLubyLoop:
             trace = ConvergenceTrace(label=str(butterfly.key))
             schedule = set(checkpoint_schedule(budget, self._checkpoints))
 
-        if self.block_size is not None:
-            done = self._run_blocked(
-                sampler, budget, existence, trace, schedule
-            )
-        else:
-            done = 0
-            for step in range(1, budget + 1):
-                sampler.trial()
-                done = step
-                if trace is not None and step in schedule:
-                    trace.record(
-                        step,
-                        _to_probability(
-                            sampler.estimate().raw_probability, existence
-                        ),
-                    )
-                if (
-                    self.deadline is not None
-                    and step < budget
-                    and step % DEADLINE_CHECK_EVERY == 0
-                    and self.deadline.expired
-                ):
-                    break
-
+        done = self._run_candidate(
+            sampler, budget, existence, trace, schedule
+        )
         self.estimates[butterfly.key] = _to_probability(
             sampler.estimate().raw_probability, existence
         )
@@ -169,7 +152,7 @@ class _KarpLubyLoop:
             # but the engine's completed count excludes this candidate.
             raise LoopInterrupt("deadline")
 
-    def _run_blocked(
+    def _run_candidate(
         self,
         sampler: KarpLubyUnionSampler,
         budget: int,
@@ -177,41 +160,25 @@ class _KarpLubyLoop:
         trace: Optional[ConvergenceTrace],
         schedule: set,
     ) -> int:
-        """This candidate's trials via the vectorised union kernel.
-
-        Deadlines are checked between blocks (the block takes over the
-        scalar path's every-:data:`DEADLINE_CHECK_EVERY` cadence), and
-        scheduled trace points inside a block are reconstructed from the
-        kernel's per-trial acceptance vector.
-        """
-        kernel = UnionBlockKernel(sampler)
-        block = resolve_block_size(budget, self.block_size)
+        """Run this candidate's ``budget`` union trials in kernel blocks
+        and return how many ran before a deadline stopped them; trace
+        points inside a block come from its acceptance vector."""
         done = 0
-        while done < budget:
-            length = min(block, budget - done)
-            accepted = kernel.run_block(length)
-            self._vectorized.inc(length)
+        for accepted in union_blocks(
+            UnionBlockKernel(sampler), budget, self.block,
+            self._vectorized, self.deadline,
+        ):
             if trace is not None:
-                points = [
-                    t for t in range(done + 1, done + length + 1)
-                    if t in schedule
-                ]
-                if points:
-                    before = sampler.accepted - int(accepted.sum())
-                    cumulative = np.cumsum(accepted)
-                    for t in points:
+                before = sampler.accepted - int(accepted.sum())
+                cumulative = np.cumsum(accepted)
+                for t in range(done + 1, done + accepted.size + 1):
+                    if t in schedule:
                         raw = (
                             (before + int(cumulative[t - done - 1])) / t
                             * sampler.weight_sum
                         )
                         trace.record(t, _to_probability(raw, existence))
-            done += length
-            if (
-                self.deadline is not None
-                and done < budget
-                and self.deadline.expired
-            ):
-                break
+            done += accepted.size
         return done
 
     def state_payload(self, completed: int) -> Dict:
@@ -279,16 +246,14 @@ def estimate_probabilities_karp_luby(
         max_trials: Cap on the per-candidate trial count.
         track: Optional butterfly keys to trace (Figure 11).
         checkpoints: Number of evenly spaced trace checkpoints.
-        block_size: Run each candidate's union trials through the
-            vectorised :class:`~repro.kernels.UnionBlockKernel` in
-            blocks of this size (``None`` keeps the scalar lazy trials).
-            Unbiased either way; deterministic for a fixed block size.
+        block_size: Union trials per
+            :class:`~repro.kernels.UnionBlockKernel` call (``None``:
+            :data:`~repro.kernels.DEFAULT_BLOCK_SIZE`).  Deterministic
+            for a fixed block size.
         runtime: Optional :class:`~repro.runtime.policy.RuntimePolicy`
             enabling candidate-granular checkpoint/resume and deadline
             degradation (the deadline is also checked *inside* each
-            candidate's trial run — every
-            :data:`DEADLINE_CHECK_EVERY` trials on the scalar path,
-            between blocks on the batched path).
+            candidate's trial run, between blocks).
         observer: Optional :class:`~repro.observability.Observer`
             recording the ``sampling`` span, engine counters, and the
             per-candidate trial-count histogram (the Lemma VI.4 budget
@@ -303,6 +268,41 @@ def estimate_probabilities_karp_luby(
         inverted Lemma VI.4 bound over the trials each candidate
         actually received; unprocessed candidates have no estimate.
     """
+    observer = ensure_observer(observer)
+    return run_karp_luby_loop(
+        _KarpLubyLoop, candidates, rng,
+        n_trials=n_trials, mu=mu, epsilon=epsilon, delta=delta,
+        min_trials=min_trials, max_trials=max_trials,
+        track=track, checkpoints=checkpoints,
+        runtime=runtime, observer=observer,
+        block=union_block_size(n_trials, max_trials, block_size, observer),
+    )
+
+
+def run_karp_luby_loop(
+    loop_type: type,
+    candidates: CandidateSet,
+    rng: RngLike = None,
+    *,
+    n_trials: Optional[int] = None,
+    mu: float = 0.05,
+    epsilon: float = 0.1,
+    delta: float = 0.1,
+    min_trials: int = 16,
+    max_trials: int = 200_000,
+    track: Optional[Iterable[ButterflyKey]] = None,
+    checkpoints: int = 40,
+    runtime: Optional[RuntimePolicy] = None,
+    observer: Optional[Observer] = None,
+    block: int = DEFAULT_BLOCK_SIZE,
+) -> EstimationOutcome:
+    """Run Algorithm 4's candidate loop under the engine.
+
+    ``loop_type`` is :class:`_KarpLubyLoop` (kernel blocks of
+    ``block`` trials) in production and its per-trial subclass in the
+    reference; the other arguments are
+    :func:`estimate_probabilities_karp_luby`'s.
+    """
     if n_trials is not None and n_trials <= 0:
         raise ConfigurationError(f"n_trials must be positive, got {n_trials}")
     observer = ensure_observer(observer)
@@ -315,17 +315,11 @@ def estimate_probabilities_karp_luby(
             stats={"total_trials": 0.0, "base_trials": float(base)},
         )
     deadline = runtime.make_deadline() if runtime is not None else None
-    if block_size is not None:
-        if block_size <= 0:
-            raise ConfigurationError(
-                f"block_size must be positive, got {block_size}"
-            )
-        observer.set("kernel.block_size", float(block_size))
-    loop = _KarpLubyLoop(
+    loop = loop_type(
         candidates, generator, n_trials, mu, epsilon, delta,
         min_trials, max_trials,
         track=track, checkpoints=checkpoints, deadline=deadline,
-        block_size=block_size, observer=observer,
+        block=block, observer=observer,
     )
     with observer.span(
         "sampling", method="ols-kl", candidates=len(candidates)
@@ -362,6 +356,46 @@ def estimate_probabilities_karp_luby(
         target_trials=target_trials,
         guarantee=guarantee,
     )
+
+
+def union_block_size(
+    n_trials: Optional[int],
+    max_trials: int,
+    block_size: Optional[int],
+    observer: Observer,
+) -> int:
+    """The union kernel's block size, clamped to the largest
+    per-candidate budget (which never changes how a budget splits into
+    blocks) and recorded as ``kernel.block_size``."""
+    block = resolve_block_size(
+        max_trials if n_trials is None else n_trials, block_size
+    )
+    observer.set("kernel.block_size", float(block))
+    return block
+
+
+def union_blocks(
+    kernel: UnionBlockKernel,
+    count: int,
+    block: int,
+    vectorized: Counter,
+    deadline: Optional[Deadline] = None,
+) -> Iterator[np.ndarray]:
+    """Run ``count`` union trials on ``kernel`` in blocks of at most
+    ``block``, yielding each block's per-trial acceptance vector.
+
+    Counts every trial in ``vectorized`` (``kernel.trials_vectorized``)
+    and stops early, between blocks, once ``deadline`` has expired.
+    """
+    done = 0
+    while done < count:
+        length = min(block, count - done)
+        accepted = kernel.run_block(length)
+        vectorized.inc(length)
+        yield accepted
+        done += length
+        if deadline is not None and done < count and deadline.expired:
+            return
 
 
 def _degraded_guarantee(

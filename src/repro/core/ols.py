@@ -15,12 +15,13 @@ OLS splits the work into two phases:
    small candidate set only, never touching the full network again —
    either the paper's optimised shared-trial estimator (Algorithm 5,
    method ``"ols"``) or per-candidate Karp-Luby (Algorithm 4, method
-   ``"ols-kl"``).
+   ``"ols-kl"``), each on its block kernel; the paper's per-trial loops
+   are :func:`~repro.core.reference.reference_listing_sampling`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..butterfly import Butterfly, ButterflyKey, top_weight_butterflies
 from ..butterfly.model import make_butterfly
@@ -35,6 +36,7 @@ from ..worlds import WorldSampler
 from ..runtime.checkpoint import read_checkpoint
 from ..runtime.policy import RuntimePolicy
 from .candidates import CandidateSet
+from .estimation import EstimationOutcome
 from .karp_luby_estimator import estimate_probabilities_karp_luby
 from .optimized_estimator import estimate_probabilities_optimized
 from .results import MPMBResult, record_sampling_metrics
@@ -235,9 +237,8 @@ def ordering_listing_sampling(
         mu: Dynamic Karp-Luby certification target (ignored otherwise).
         epsilon: ε of the ε-δ guarantee for dynamic sizing.
         delta: δ of the ε-δ guarantee for dynamic sizing.
-        block_size: Route the sampling phase through the batched kernel
-            layer (:mod:`repro.kernels`), evaluating this many trials
-            per vectorised call; ``None`` keeps the scalar loops.  See
+        block_size: Sampling-phase trials per kernel call (``None``:
+            :data:`~repro.kernels.DEFAULT_BLOCK_SIZE`); see
             ``docs/performance.md``.
         runtime: Optional :class:`~repro.runtime.policy.RuntimePolicy`
             for the sampling phase.  On resume the candidate set is
@@ -269,13 +270,7 @@ def ordering_listing_sampling(
         or ``"ols-kl"`` and stats including ``n_prepare``,
         ``candidates_listed`` and the estimator's counters.
     """
-    if estimator not in ("optimized", "karp-luby"):
-        raise ConfigurationError(
-            "estimator must be 'optimized' or 'karp-luby', "
-            f"got {estimator!r}"
-        )
     observer = ensure_observer(observer)
-    generator = ensure_rng(rng)
     adaptive_config = None
     if adaptive is not None and estimator == "karp-luby":
         # Lazy import: repro.adaptive consumes the core estimators,
@@ -283,23 +278,88 @@ def ordering_listing_sampling(
         from ..adaptive.racing import resolve_adaptive
 
         adaptive_config = resolve_adaptive(adaptive)
+
+    def sample(candidates, generator, index):
+        kl_trials = n_trials if n_trials > 0 else None
+        if estimator == "optimized":
+            outcome = estimate_probabilities_optimized(
+                candidates, n_trials, generator,
+                track=track, checkpoints=checkpoints,
+                block_size=block_size, runtime=runtime,
+                observer=observer, adaptive=adaptive,
+            )
+        elif adaptive_config is not None:
+            from ..adaptive.racing import adaptive_karp_luby
+
+            outcome = adaptive_karp_luby(
+                candidates, generator,
+                config=adaptive_config, n_trials=kl_trials,
+                mu=mu, epsilon=epsilon, delta=delta,
+                track=track, checkpoints=checkpoints,
+                block_size=block_size, runtime=runtime,
+                observer=observer, wedge_index=index,
+            )
+        else:
+            outcome = estimate_probabilities_karp_luby(
+                candidates, generator, n_trials=kl_trials,
+                mu=mu, epsilon=epsilon, delta=delta,
+                track=track, checkpoints=checkpoints,
+                block_size=block_size, runtime=runtime,
+                observer=observer,
+            )
+        return outcome
+
+    return run_listing_sampling(
+        graph, n_trials, n_prepare, estimator, rng, candidates,
+        runtime, observer, sample,
+        wedge_index=wedge_index,
+        keep_index=adaptive_config is not None and adaptive_config.prescreen,
+    )
+
+
+def run_listing_sampling(
+    graph: UncertainBipartiteGraph,
+    n_trials: int,
+    n_prepare: int,
+    estimator: str,
+    rng: RngLike,
+    candidates: Optional[CandidateSet],
+    runtime: Optional[RuntimePolicy],
+    observer: Optional[Observer],
+    sample: Callable[..., EstimationOutcome],
+    *,
+    wedge_index: Optional[WedgeIndex] = None,
+    keep_index: bool = False,
+) -> MPMBResult:
+    """Algorithm 3 around ``sample(candidates, generator, wedge_index)``,
+    the sampling phase, which is all production and the reference
+    differ in: prepare ``C_MB`` (or rebuild it from the resume
+    checkpoint), sample, assemble the result and metrics.  The wedge
+    index reaches ``sample`` only with ``keep_index`` (adaptive OLS-KL's
+    pre-screen reads it); otherwise the run drops it first.
+    """
+    if estimator not in ("optimized", "karp-luby"):
+        raise ConfigurationError(
+            "estimator must be 'optimized' or 'karp-luby', "
+            f"got {estimator!r}"
+        )
+    observer = ensure_observer(observer)
+    generator = ensure_rng(rng)
+    method = "ols" if estimator == "optimized" else "ols-kl"
     resumed_candidates = False
     if candidates is None and runtime is not None:
-        candidates = _candidates_from_checkpoint(
-            graph, runtime,
-            "ols" if estimator == "optimized" else "ols-kl",
-        )
+        candidates = _candidates_from_checkpoint(graph, runtime, method)
         resumed_candidates = candidates is not None
     with stopwatch() as timer:
         if candidates is None:
             candidates, wedge_index = _prepare(
                 graph, n_prepare, generator, 0, observer, wedge_index
             )
-        if adaptive_config is None or not adaptive_config.prescreen:
-            wedge_index = None  # only adaptive OLS-KL's pre-screen reads it
+        if not keep_index:
+            wedge_index = None
         if len(candidates) == 0:
             return MPMBResult(
-                method="ols" if estimator == "optimized" else "ols-kl",
+                method=method,
                 graph=graph,
                 n_trials=0,
                 estimates={},
@@ -309,43 +369,12 @@ def ordering_listing_sampling(
                     "candidates_listed": 0.0,
                 },
             )
-
-        if estimator == "optimized":
-            if n_trials <= 0:
-                raise ConfigurationError(
-                    f"n_trials must be positive for the optimised "
-                    f"estimator, got {n_trials}"
-                )
-            outcome = estimate_probabilities_optimized(
-                candidates, n_trials, generator,
-                track=track, checkpoints=checkpoints,
-                block_size=block_size, runtime=runtime,
-                observer=observer, adaptive=adaptive,
+        if estimator == "optimized" and n_trials <= 0:
+            raise ConfigurationError(
+                f"n_trials must be positive for the optimised "
+                f"estimator, got {n_trials}"
             )
-            method = "ols"
-        else:
-            if adaptive_config is not None:
-                from ..adaptive.racing import adaptive_karp_luby
-
-                outcome = adaptive_karp_luby(
-                    candidates, generator,
-                    config=adaptive_config,
-                    n_trials=n_trials if n_trials > 0 else None,
-                    mu=mu, epsilon=epsilon, delta=delta,
-                    track=track, checkpoints=checkpoints,
-                    block_size=block_size, runtime=runtime,
-                    observer=observer, wedge_index=wedge_index,
-                )
-            else:
-                outcome = estimate_probabilities_karp_luby(
-                    candidates, generator,
-                    n_trials=n_trials if n_trials > 0 else None,
-                    mu=mu, epsilon=epsilon, delta=delta,
-                    track=track, checkpoints=checkpoints,
-                    block_size=block_size, runtime=runtime,
-                    observer=observer,
-                )
-            method = "ols-kl"
+        outcome = sample(candidates, generator, wedge_index)
 
     stats = {
         "n_prepare": float(n_prepare),

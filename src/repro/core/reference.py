@@ -1,16 +1,25 @@
-"""Reference MC-VP and OS: Algorithms 1 and 2, one world per trial.
+"""Reference searches and sampling phases: the paper's per-trial loops.
 
-Production :func:`~repro.core.mc_vp.mc_vp` and
-:func:`~repro.core.ordering_sampling.ordering_sampling` evaluate blocks
-of worlds on the wedge kernel.  :func:`reference_search` keeps the
-paper's per-trial searches: Algorithm 1 enumerates every angle and
-butterfly of the world with the BFC-VP vertex-priority scheme [50] (the
-cost profile Section V removes); Algorithm 2 runs the Section V
-weight-ordered search.  Both count winners through the same trial
-driver as production — the estimator Theorem IV.1 sizes — so
-checkpoints, deadlines and racing apply unchanged.  The kernel must
-reproduce their estimates, winner sets and traces (``docs/kernels.md``);
-their own work counters are what the experiments harness times.
+Production evaluates blocks of trials on the kernels of
+:mod:`repro.kernels`.  This module keeps the paper's one-trial-at-a-time
+algorithms as the timing and test reference:
+
+- :func:`reference_search` — MC-VP and OS.  Algorithm 1 enumerates
+  every angle and butterfly of the world with the BFC-VP
+  vertex-priority scheme [50] (the cost profile Section V removes);
+  Algorithm 2 runs the Section V weight-ordered search.  Both count
+  winners through the same trial driver as production — the estimator
+  Theorem IV.1 sizes — so checkpoints, deadlines and racing apply
+  unchanged.  The kernel must reproduce their estimates, winner sets
+  and traces (``docs/kernels.md``); their own work counters are what
+  the experiments harness times.
+- :func:`reference_listing_sampling` — OLS and OLS-KL with the paper's
+  sampling loops: Algorithm 5's lazy walk over the weight-sorted
+  candidates (one trial per engine unit) and Algorithm 4's per-trial
+  union loop.  It shares the preparing phase, the checkpoint rebuild
+  of ``C_MB`` and the result assembly with production
+  (:func:`~repro.core.ols.run_listing_sampling`); the kernels agree
+  with it in distribution, not bit for bit (``docs/kernels.md``).
 """
 
 from __future__ import annotations
@@ -32,9 +41,25 @@ from ..graph import (
 from ..observability import Observer, ensure_observer
 from ..runtime.frequency import WinnerCountLoop
 from ..runtime.policy import RuntimePolicy
-from ..sampling import RngLike, ensure_rng
+from ..sampling import (
+    ConvergenceTrace,
+    KarpLubyUnionSampler,
+    RngLike,
+    checkpoint_schedule,
+    ensure_rng,
+)
+from ..sampling.convergence import decode_traces, encode_traces
+from ..sampling.rng import restore_rng_state, rng_state_payload
 from ..worlds import WorldSampler
+from .candidates import CandidateSet
 from .driver import search_winners
+from .karp_luby_estimator import (
+    _KarpLubyLoop,
+    _to_probability,
+    run_karp_luby_loop,
+)
+from .ols import DEFAULT_PREPARE_TRIALS, run_listing_sampling
+from .optimized_estimator import run_optimized_loop
 from .results import MPMBResult
 
 
@@ -156,6 +181,252 @@ def reference_search(
         method, loop, n_trials, lambda loop: loop,
         runtime=runtime, observer=observer, adaptive=adaptive,
     )
+
+
+def reference_listing_sampling(
+    graph: UncertainBipartiteGraph,
+    n_trials: int,
+    n_prepare: int = DEFAULT_PREPARE_TRIALS,
+    estimator: str = "optimized",
+    rng: RngLike = None,
+    track: Optional[Iterable[ButterflyKey]] = None,
+    checkpoints: int = 40,
+    candidates: Optional[CandidateSet] = None,
+    mu: float = 0.05,
+    epsilon: float = 0.1,
+    delta: float = 0.1,
+    runtime: Optional[RuntimePolicy] = None,
+    observer: Optional[Observer] = None,
+    adaptive=None,
+) -> MPMBResult:
+    """Run reference OLS (``estimator="optimized"``) or OLS-KL
+    (``"karp-luby"``) with the paper's per-trial sampling loops.
+
+    The arguments are those of
+    :func:`~repro.core.ols.ordering_listing_sampling` without
+    ``block_size`` and ``wedge_index``.  Algorithm 5 walks the
+    weight-sorted candidates once per trial, sampling edges lazily and
+    stopping at the first candidate lighter than the heaviest existing
+    one; its engine unit is one trial, so ``adaptive`` checks the
+    racing rule every ``check_every`` trials.  Algorithm 4 runs each
+    candidate's union trials one at a time, with fixed or Lemma VI.4
+    budgets, checking a deadline after every trial.  OLS checkpoints
+    count trials here and blocks in production, so neither resumes the
+    other's; OLS-KL checkpoints count candidates on both sides.
+
+    Raises:
+        ConfigurationError: On an unknown estimator, or ``adaptive``
+            with ``estimator="karp-luby"`` (adaptive OLS-KL runs only
+            on the union kernel).
+    """
+    observer = ensure_observer(observer)
+    if estimator == "karp-luby":
+        # Lazy import: repro.adaptive consumes the core estimators.
+        from ..adaptive.racing import resolve_adaptive
+
+        if resolve_adaptive(adaptive) is not None:
+            raise ConfigurationError(
+                "adaptive OLS-KL runs only on the union kernel; use "
+                "ordering_listing_sampling"
+            )
+
+    def sample(candidates, generator, _index):
+        if estimator == "optimized":
+            loop = _OptimizedLoop(
+                candidates, generator, n_trials,
+                track=track, checkpoints=checkpoints,
+            )
+            return run_optimized_loop(
+                loop, n_trials, runtime=runtime, observer=observer,
+                adaptive=adaptive,
+            )
+        return run_karp_luby_loop(
+            _PerTrialKarpLubyLoop, candidates, generator,
+            n_trials=n_trials if n_trials > 0 else None,
+            mu=mu, epsilon=epsilon, delta=delta,
+            track=track, checkpoints=checkpoints,
+            runtime=runtime, observer=observer,
+        )
+
+    return run_listing_sampling(
+        graph, n_trials, n_prepare, estimator, rng, candidates,
+        runtime, observer, sample,
+    )
+
+
+class _OptimizedLoop:
+    """Algorithm 5's per-trial walk behind the engine's checkpoint
+    contract.
+
+    Snapshot state: per-candidate winner counts (in candidate order),
+    the candidate keys themselves (resume validation), the lazy-sampling
+    edge counters, trace checkpoints, and the RNG stream position.
+    """
+
+    def __init__(
+        self,
+        candidates: CandidateSet,
+        generator,
+        n_target: int,
+        track: Optional[Iterable[ButterflyKey]] = None,
+        checkpoints: int = 40,
+    ) -> None:
+        self.candidates = candidates
+        self.generator = generator
+        self.items = candidates.butterflies
+        self.counts = [0] * len(self.items)
+        self.edges_sampled = 0
+        self.edges_queried = 0
+        tracked = set(track) if track is not None else set()
+        self.traces: Dict[ButterflyKey, ConvergenceTrace] = {
+            key: ConvergenceTrace(label=str(key)) for key in tracked
+        }
+        self._tracked_indices = [
+            index for index, butterfly in enumerate(self.items)
+            if butterfly.key in tracked
+        ]
+        self._schedule = set(checkpoint_schedule(n_target, checkpoints))
+
+    def run_trial(self, trial: int) -> None:
+        lazy = LazyEdgeTrial(self.candidates.graph, self.generator)
+        w_max = float("-inf")
+        # Walk candidates heaviest-first; the first existing butterfly
+        # pins w_max, equal-weight peers are still checked, and the loop
+        # exits at the first strictly lighter candidate (Alg. 5 line 5).
+        for index, butterfly in enumerate(self.items):
+            if butterfly.weight < w_max:
+                break
+            if lazy.all_present(butterfly.edges):
+                self.counts[index] += 1
+                w_max = butterfly.weight
+        self.edges_sampled += lazy.n_sampled
+        self.edges_queried += lazy.n_queries
+        if self.traces and trial in self._schedule:
+            for index in self._tracked_indices:
+                self.traces[self.items[index].key].record(
+                    trial, self.counts[index] / trial
+                )
+
+    def state_payload(self, completed: int) -> Dict:
+        return {
+            "candidates": [list(b.key) for b in self.items],
+            "counts": list(self.counts),
+            "edges_sampled": int(self.edges_sampled),
+            "edges_queried": int(self.edges_queried),
+            "traces": encode_traces(self.traces),
+            "rng": rng_state_payload(self.generator),
+        }
+
+    def restore_state(self, payload: Dict) -> None:
+        self.candidates.require_checkpoint_keys(payload["candidates"])
+        self.counts = [int(count) for count in payload["counts"]]
+        self.edges_sampled = int(payload["edges_sampled"])
+        # Checkpoints written before the query counter existed lack the
+        # key; resuming from them keeps the hit rate merely incomplete.
+        self.edges_queried = int(payload.get("edges_queried", 0))
+        self.traces = decode_traces(payload["traces"], keys=self.traces)
+        restore_rng_state(self.generator, payload["rng"])
+
+    def estimates(self, completed: int) -> Dict[ButterflyKey, float]:
+        if completed <= 0:
+            return {butterfly.key: 0.0 for butterfly in self.items}
+        return {
+            butterfly.key: count / completed
+            for butterfly, count in zip(self.items, self.counts)
+        }
+
+
+class LazyEdgeTrial:
+    """Memoised per-edge Bernoulli sampling within a single trial.
+
+    Algorithm 5's walk never materialises a full world: each trial asks
+    about at most a few dozen edges (those of the candidate butterflies it
+    walks before the weight-order early exit).  This class samples each
+    queried edge exactly once per trial, so the answers within a trial are
+    mutually consistent — together they describe one possible world
+    restricted to the queried edges.
+
+    Attributes:
+        n_queries: Total :meth:`edge_present` calls this trial (memoised
+            hits included); with :attr:`n_sampled` it yields the lazy
+            cache hit rate ``1 - n_sampled / n_queries``.
+    """
+
+    __slots__ = ("_graph", "_rng", "_state", "n_queries")
+
+    def __init__(
+        self, graph: UncertainBipartiteGraph, rng: np.random.Generator
+    ) -> None:
+        self._graph = graph
+        self._rng = rng
+        self._state: Dict[int, bool] = {}
+        self.n_queries = 0
+
+    def edge_present(self, edge: int) -> bool:
+        """Whether ``edge`` exists in this trial's implicit world."""
+        self.n_queries += 1
+        state = self._state.get(edge)
+        if state is None:
+            state = bool(self._rng.random() < self._graph.probs[edge])
+            self._state[edge] = state
+        return state
+
+    def force_present(self, edges: Iterable[int]) -> None:
+        """Condition this trial's world on the given edges being present,
+        as Algorithm 4 line 7 samples a world *given* that a chosen
+        butterfly's extra edges exist.
+
+        Raises:
+            ConfigurationError: If an edge was already sampled absent —
+                the caller must force edges before querying them.
+        """
+        for edge in edges:
+            previous = self._state.get(edge)
+            if previous is False:
+                raise ConfigurationError(
+                    f"edge {edge} was already sampled absent; conditioning "
+                    "must happen before the edge is queried"
+                )
+            self._state[edge] = True
+
+    def all_present(self, edges: Iterable[int]) -> bool:
+        """Whether every edge in ``edges`` exists in this trial's world."""
+        return all(self.edge_present(e) for e in edges)
+
+    @property
+    def n_sampled(self) -> int:
+        """How many distinct edges this trial has touched."""
+        return len(self._state)
+
+
+class _PerTrialKarpLubyLoop(_KarpLubyLoop):
+    """Algorithm 4's candidate loop with the paper's per-trial union
+    runner: one :meth:`KarpLubyUnionSampler.trial` at a time."""
+
+    def _run_candidate(
+        self,
+        sampler: KarpLubyUnionSampler,
+        budget: int,
+        existence: float,
+        trace: Optional[ConvergenceTrace],
+        schedule: set,
+    ) -> int:
+        for step in range(1, budget + 1):
+            sampler.trial()
+            if trace is not None and step in schedule:
+                trace.record(
+                    step,
+                    _to_probability(
+                        sampler.estimate().raw_probability, existence
+                    ),
+                )
+            if (
+                self.deadline is not None
+                and step < budget
+                and self.deadline.expired
+            ):
+                return step
+        return budget
 
 
 def os_trial(

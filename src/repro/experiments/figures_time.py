@@ -17,11 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..core import (
-    estimate_probabilities_karp_luby,
-    estimate_probabilities_optimized,
-    reference_search,
-)
+from ..core import reference_listing_sampling, reference_search
 from ..graph import sample_vertices
 from ..sampling import ensure_rng
 from .harness import (
@@ -154,24 +150,28 @@ def fig8_phase_time(config: ExperimentConfig) -> ExperimentOutcome:
 
 
 def _optimized_runner(candidates, config: ExperimentConfig):
+    # The paper's per-trial Algorithm 5 over the one shared C_MB.
     def run(fraction: float):
         n = max(1, int(config.n_sampling * fraction))
-        return estimate_probabilities_optimized(
-            candidates, n, rng=config.seed + 31
+        return reference_listing_sampling(
+            candidates.graph, n, rng=config.seed + 31,
+            candidates=candidates,
         )
 
     return run
 
 
 def _kl_runner(candidates, config: ExperimentConfig):
-    # Fixed per-candidate trials scaled by the fraction, so the sweep is
-    # monotone like the paper's x-axis.
+    # The paper's per-trial Algorithm 4, fixed per-candidate trials
+    # scaled by the fraction, so the sweep is monotone like the paper's
+    # x-axis.
     base = max(32, config.n_sampling // max(1, len(candidates)))
 
     def run(fraction: float):
         n = max(1, int(base * fraction))
-        return estimate_probabilities_karp_luby(
-            candidates, rng=config.seed + 32, n_trials=n
+        return reference_listing_sampling(
+            candidates.graph, n, estimator="karp-luby",
+            rng=config.seed + 32, candidates=candidates,
         )
 
     return run

@@ -18,6 +18,7 @@ from ..core import (
     ordering_listing_sampling,
     ordering_sampling,
     prepare_candidates,
+    reference_listing_sampling,
     reference_search,
 )
 from ..core.results import MPMBResult
@@ -53,9 +54,12 @@ class ExperimentConfig:
             instead of blocking the whole sweep.
         block_size: Route the sampling methods through the batched
             kernel layer with this many trials per vectorised call;
-            ``None`` times the paper's algorithms: the scalar OLS/OLS-KL
-            loops and the MC-VP/OS
-            :func:`~repro.core.reference.reference_search` (see
+            ``None`` times the paper's algorithms: the MC-VP/OS
+            :func:`~repro.core.reference.reference_search` and the
+            OLS/OLS-KL
+            :func:`~repro.core.reference.reference_listing_sampling`
+            (adaptive OLS-KL exists only on the union kernel, so it
+            runs the kernel at its default block size; see
             ``docs/performance.md``).
         adaptive: Run the sampling methods in anytime adaptive mode —
             racing elimination with empirical-Bernstein intervals and,
@@ -178,21 +182,23 @@ def _method_runner(
             graph, n, rng=seed, block_size=block_size,
             runtime=runtime, observer=observer, adaptive=adaptive,
         )
-    if method == "ols":
-        n = n_override or config.n_sampling
-        return lambda: ordering_listing_sampling(
-            graph, n, n_prepare=config.n_prepare,
-            estimator="optimized", rng=seed, block_size=block_size,
-            runtime=runtime, observer=observer, adaptive=adaptive,
-        )
-    if method == "ols-kl":
-        n = n_override if n_override is not None else 0  # 0 = dynamic
-        return lambda: ordering_listing_sampling(
-            graph, n, n_prepare=config.n_prepare,
-            estimator="karp-luby", rng=seed,
-            mu=config.mu, epsilon=config.epsilon, delta=config.delta,
-            block_size=block_size, runtime=runtime, observer=observer,
+    if method in ("ols", "ols-kl"):
+        if method == "ols":
+            n = n_override or config.n_sampling
+        else:
+            n = n_override if n_override is not None else 0  # 0 = dynamic
+        kwargs = dict(
+            n_prepare=config.n_prepare,
+            estimator="optimized" if method == "ols" else "karp-luby",
+            rng=seed, mu=config.mu, epsilon=config.epsilon,
+            delta=config.delta, runtime=runtime, observer=observer,
             adaptive=adaptive,
+        )
+        # Adaptive OLS-KL exists only on the union kernel.
+        if block_size is None and (method == "ols" or adaptive is None):
+            return lambda: reference_listing_sampling(graph, n, **kwargs)
+        return lambda: ordering_listing_sampling(
+            graph, n, block_size=block_size, **kwargs
         )
     raise ValueError(
         f"unknown method {method!r}; expected one of {METHOD_ORDER}"

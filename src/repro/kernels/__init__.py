@@ -2,8 +2,8 @@
 
 This package evaluates Monte-Carlo trials in *blocks* — one NumPy kernel
 call per few hundred trials instead of a Python-level per-trial loop.
-MC-VP and OS always run on it; OLS and OLS-KL route through it when
-given a ``block_size``:
+Every sampling method runs on it; ``block_size`` (``None``:
+:data:`DEFAULT_BLOCK_SIZE`) sizes the blocks:
 
 - MC-VP / OS: :func:`wedge_block_loop` builds a :class:`BlockedWinnerLoop`
   that draws one mask matrix per block and hands the whole matrix to
@@ -11,15 +11,17 @@ given a ``block_size``:
   once-built :class:`WedgeIndex`), whose per-world winner sets are
   bit-identical to the reference search (:mod:`repro.core.reference`).
 - OLS: :class:`BlockedOptimizedLoop` + :class:`CandidateBlockKernel`
-  replace the per-trial candidate walk with gather/reduce/argmax.
+  replace the per-trial candidate walk with gather/reduce/argmax over
+  a block drawn on the candidate-union edges only.
 - OLS-KL: :class:`UnionBlockKernel` vectorises the Karp-Luby
   (event, world) trials of each candidate through the shared
   :func:`first_all_present` CSR presence primitive.
 
-Peak block memory is capped by the bytes budget of
-:mod:`repro.kernels.memory` (:func:`resolve_block_budget`).  See
-``docs/kernels.md`` for the kernel design and the scalar/batched
-equivalence contract, ``docs/performance.md`` for measured numbers.
+MC-VP/OS block memory is capped by the bytes budget of
+:mod:`repro.kernels.memory` (:func:`resolve_block_budget`); an OLS
+block holds ``block × n_union`` entries, bounded by the candidate set.
+See ``docs/kernels.md`` for the kernel design and the kernel/reference
+contract, ``docs/performance.md`` for measured numbers.
 """
 
 from .blocks import (

@@ -1,24 +1,28 @@
 """Vectorised Algorithm 5: the OLS candidate block kernel.
 
-The scalar optimised estimator walks the weight-sorted candidate list
+The paper's optimised estimator walks the weight-sorted candidate list
 once per trial, lazily sampling edges until the first strictly lighter
-candidate.  This kernel evaluates a whole *block* of trials at once:
+candidate (kept as the reference, :mod:`repro.core.reference`).  This
+kernel evaluates a whole *block* of trials at once:
 
-1. the candidate→edge incidence matrix (``|C_MB| × 4`` edge indices) is
-   gathered once per run;
-2. a ``(block, n_edges)`` mask matrix from
-   :meth:`~repro.worlds.sampler.WorldSampler.sample_mask_block` yields
-   the presence of every candidate in every trial with one NumPy gather
-   and an ``all``-reduce;
+1. the candidate→edge incidence matrix (``|C_MB| × 4``) is gathered
+   once per run, in *union-local* columns: column ``i`` is the ``i``-th
+   smallest edge id any candidate references;
+2. a block draws only those union edges, the ones Alg. 5's lazy
+   sampling can touch — a ``(block, n_union)`` Bernoulli matrix read
+   row-major (:func:`~repro.worlds.sampler.bernoulli_rows`) — and one
+   NumPy gather plus an ``all``-reduce yields every candidate's
+   presence in every trial;
 3. the weight-ordered "first surviving weight class wins" rule
    (Alg. 5 line 5) becomes a vectorised ``argmax`` over the per-trial
    presence matrix — candidates are weight-sorted, so the first present
    candidate pins ``w_max`` and every present candidate of equal weight
-   shares the win, exactly like the scalar walk.
+   shares the win, exactly like the per-trial walk.
 
-The winner rule compares candidate weights exactly (as the scalar walk
-does); weight-class *construction* tolerance lives upstream in
-:mod:`repro.butterfly.max_weight`.
+A block holds ``block × n_union ≤ block × 4·|C_MB|`` entries, whatever
+the graph's edge count.  The winner rule compares candidate weights
+exactly (as the walk does); weight-class *construction* tolerance lives
+upstream in :mod:`repro.butterfly.max_weight`.
 """
 
 from __future__ import annotations
@@ -28,37 +32,55 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from ..butterfly import ButterflyKey
+from ..errors import CheckpointError
 from ..observability import Observer, ensure_observer
 from ..sampling import ConvergenceTrace, checkpoint_schedule
 from ..sampling.convergence import decode_traces, encode_traces
-from ..worlds import WorldSampler
+from ..sampling.rng import restore_rng_state, rng_state_payload
+from ..worlds.sampler import bernoulli_rows
 from .blocks import BlockSchedule
+
+#: Checkpoint tag of the union-edge draw.  Block checkpoints written
+#: when the kernel drew full-graph masks carry no tag, and resuming one
+#: would continue on another stream.
+UNION_DRAW = "candidate-edges"
 
 
 class CandidateBlockKernel:
     """Presence/winner evaluation for one fixed candidate set.
 
     Attributes:
-        edge_index: ``(|C|, 4)`` candidate→edge incidence matrix.
+        union_edges: ``(n_union,)`` sorted distinct edge ids referenced
+            by any candidate — the columns a block draws.
+        union_probs: Their existence probabilities.
+        edge_index: ``(|C|, 4)`` candidate→column incidence matrix in
+            union-local columns.
         weights: ``(|C|,)`` candidate weights, descending.
-        n_union_edges: Distinct edges referenced by any candidate — the
-            per-trial ``edges_sampled`` accounting unit (the world
-            restricted to candidate edges is all a trial consumes).
+        n_union_edges: ``n_union`` — the per-trial ``edges_sampled``
+            accounting unit.
     """
 
     def __init__(self, candidates) -> None:
         items = candidates.butterflies
         self.n_candidates = len(items)
-        self.edge_index = np.asarray(
+        edges = np.asarray(
             [butterfly.edges for butterfly in items], dtype=np.intp
         ).reshape(self.n_candidates, 4)
+        self.union_edges, columns = np.unique(edges, return_inverse=True)
+        self.edge_index = columns.reshape(self.n_candidates, 4)
+        self.union_probs = candidates.graph.probs[self.union_edges]
         self.weights = np.asarray(
             [butterfly.weight for butterfly in items], dtype=float
         )
-        self.n_union_edges = int(np.unique(self.edge_index).size)
+        self.n_union_edges = int(self.union_edges.size)
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``(count, n_union)`` union-edge presence for ``count`` trials."""
+        return bernoulli_rows(rng, self.union_probs, count)
 
     def presence(self, masks: np.ndarray) -> np.ndarray:
-        """``(block, |C|)`` — whether each candidate exists per trial."""
+        """``(block, |C|)`` — whether each candidate exists per trial,
+        from a ``(block, n_union)`` union-column mask block."""
         return masks[:, self.edge_index].all(axis=2)
 
     def winners(self, masks: np.ndarray) -> np.ndarray:
@@ -83,23 +105,23 @@ class BlockedOptimizedLoop(BlockSchedule):
     """Algorithm 5's block loop behind the engine's checkpoint contract.
 
     One engine "trial" is one block; checkpoints therefore land on block
-    boundaries only, where the wrapped sampler's RNG stream position is
-    exact.  Snapshot state matches the scalar loop (candidate keys,
-    winner counts, edge accounting, traces) plus the sampler state and
-    the block size — resuming at a different block size is rejected, as
-    the scalar/batched equivalence contract only holds per block size.
+    boundaries only, where the RNG stream position is exact.  Blocks
+    draw row-major from one stream, so every block size gives the same
+    result.  Snapshot state: candidate keys, winner counts, edge
+    accounting, traces, the RNG position, the block schedule and the
+    :data:`UNION_DRAW` tag.
 
     Edge accounting follows the batched access pattern: every trial
     gathers all ``4·|C_MB|`` incidence slots (``edges_queried``) from a
     world restricted to the distinct candidate edges
-    (``edges_sampled``), so the lazy-cache hit rate degenerates to the
-    candidate-set edge-sharing ratio.
+    (``edges_sampled``), so the lazy-cache hit rate is the candidate
+    set's edge-sharing ratio.
     """
 
     def __init__(
         self,
         candidates,
-        sampler: WorldSampler,
+        generator: np.random.Generator,
         n_target: int,
         block_size: int,
         track: Optional[Iterable[ButterflyKey]] = None,
@@ -108,7 +130,7 @@ class BlockedOptimizedLoop(BlockSchedule):
     ) -> None:
         super().__init__(n_target, block_size)
         self.candidates = candidates
-        self.sampler = sampler
+        self.generator = generator
         self.items = candidates.butterflies
         self.kernel = CandidateBlockKernel(candidates)
         self.counts = np.zeros(len(self.items), dtype=np.int64)
@@ -131,8 +153,9 @@ class BlockedOptimizedLoop(BlockSchedule):
         """Evaluate the 1-based ``block`` (one vectorised kernel call)."""
         length = self.lengths[block - 1]
         start = self.starts[block - 1]
-        masks = self.sampler.sample_mask_block(length)
-        winners = self.kernel.winners(masks)
+        winners = self.kernel.winners(
+            self.kernel.draw(self.generator, length)
+        )
         self.counts += winners.sum(axis=0)
         self.edges_sampled += length * self.kernel.n_union_edges
         self.edges_queried += length * 4 * self.kernel.n_candidates
@@ -145,7 +168,7 @@ class BlockedOptimizedLoop(BlockSchedule):
     ) -> None:
         """Record schedule points landing inside this block.
 
-        The scalar loop records ``counts/trial`` after each scheduled
+        The per-trial walk records ``counts/trial`` after each scheduled
         trial; the block equivalent reconstructs those intermediate
         counts from the within-block cumulative winner sums.
         """
@@ -173,16 +196,23 @@ class BlockedOptimizedLoop(BlockSchedule):
 
     def state_payload(self, completed: int) -> Dict:
         return {
+            "draw": UNION_DRAW,
             "candidates": [list(b.key) for b in self.items],
             "counts": [int(count) for count in self.counts],
             "edges_sampled": int(self.edges_sampled),
             "edges_queried": int(self.edges_queried),
             **self.schedule_payload(),
             "traces": encode_traces(self.traces),
-            "sampler": self.sampler.state_payload(),
+            "rng": rng_state_payload(self.generator),
         }
 
     def restore_state(self, payload: Dict) -> None:
+        if payload.get("draw") != UNION_DRAW:
+            raise CheckpointError(
+                "checkpoint was written when OLS blocks drew full-graph "
+                "masks; this run draws candidate edges only, so it "
+                "cannot continue that stream — rerun from the start"
+            )
         self.candidates.require_checkpoint_keys(payload["candidates"])
         self.require_schedule(payload)
         self.counts = np.asarray(
@@ -191,7 +221,7 @@ class BlockedOptimizedLoop(BlockSchedule):
         self.edges_sampled = int(payload["edges_sampled"])
         self.edges_queried = int(payload["edges_queried"])
         self.traces = decode_traces(payload["traces"], keys=self.traces)
-        self.sampler.restore_state(payload["sampler"])
+        restore_rng_state(self.generator, payload["rng"])
 
     # ------------------------------------------------------------------
     # Result assembly

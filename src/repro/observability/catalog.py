@@ -67,7 +67,7 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("trial.winners", "histogram",
                "maximum-butterfly set size per trial"),
     MetricSpec("kernel.block_size", "gauge",
-               "trials per vectorised kernel call (batched runs only)"),
+               "trials per vectorised kernel call"),
     MetricSpec("kernel.trials_vectorized", "counter",
                "trials executed through the batched kernel layer"),
     MetricSpec("kernel.bytes_budget", "gauge",
@@ -86,8 +86,8 @@ METRICS: Tuple[MetricSpec, ...] = (
                "fraction of trials ended by the early-exit bound "
                "(Alg. 2, line 5)"),
     MetricSpec("<method>.lazy_cache.hit_rate", "gauge",
-               "1 - edges_sampled / edges_queried of Alg. 5's lazy "
-               "memoised edge sampling"),
+               "1 - edges_sampled / edges_queried: the candidate set's "
+               "edge-sharing ratio (the reference: Alg. 5's lazy memo)"),
     MetricSpec("ols-kl.trials_per_candidate", "histogram",
                "dynamic Lemma VI.4 budgets spent per candidate (Alg. 4)"),
     MetricSpec("adaptive.trials_saved", "counter",

@@ -400,10 +400,9 @@ def run_parallel_trials(
         block_size: Shard whole blocks of this many trials across the
             workers (no block straddles two workers) and pass it to each
             worker's method; ``None`` shards single trials and leaves
-            each method its default (OLS's scalar loop, MC-VP/OS
-            default-size kernel blocks).  The coordinator builds the
-            wedge-CSR index once and publishes it into the shared
-            segment, so workers skip the per-process build.
+            each method its default-size kernel blocks.  The coordinator
+            builds the wedge-CSR index once and publishes it into the
+            shared segment, so workers skip the per-process build.
         observer: Optional :class:`~repro.observability.Observer`.  When
             given, each worker records its own metrics/spans in-process
             and ships them with its result; the coordinator merges the

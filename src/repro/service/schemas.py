@@ -60,8 +60,7 @@ class QueryRequest:
         prepare: Preparing-phase trials (OLS variants).
         top_k: How many ranked butterflies the response carries.
         block_size: Batched-kernel block size (``None`` = the CLI's
-            default: 256-trial kernel blocks for MC-VP/OS, the scalar
-            loops for OLS/OLS-KL).
+            default: 256-trial kernel blocks for every sampling method).
         seed: Run RNG seed.
         deadline_seconds: Per-request wall-clock budget, propagated into
             the engine's timeout degradation path.

@@ -6,12 +6,11 @@ from .enumerator import (
     iter_subset_worlds,
 )
 from .possible_world import PossibleWorld
-from .sampler import LazyEdgeTrial, WorldSampler
+from .sampler import WorldSampler
 
 __all__ = [
     "PossibleWorld",
     "WorldSampler",
-    "LazyEdgeTrial",
     "iter_all_worlds",
     "iter_subset_worlds",
     "DEFAULT_MAX_WORLDS",

@@ -42,7 +42,7 @@ from repro.core import (
 from repro.core.bounds import preparing_trials_for_recall
 from repro.errors import ConfigurationError
 from repro.graph import save_graph
-from repro.kernels import memory
+from repro.kernels import UnionBlockKernel, memory
 from repro.kernels.memory import kernel_row_bytes
 from repro.kernels.wedge_block import build_wedge_index
 from repro.observability import Observer
@@ -288,23 +288,23 @@ class TestAdaptiveCheckpointResume:
     def test_ols_kl_adaptive(self, tmp_path):
         # A dense 3x3 graph lists several candidates with blocking mass
         # and close probabilities, so the race spans many rounds; small
-        # rounds and no pre-screen so the crash lands mid-race with
-        # live interval state in the checkpoint payload.
+        # rounds (8-trial blocks) and no pre-screen so the crash lands
+        # mid-race with live interval state in the checkpoint payload.
         edges = [
             (f"u{i}", f"v{j}", 1.0 + ((i + j) % 3), 0.5)
             for i in range(3) for j in range(3)
         ]
         dense = build_graph(edges, name="dense")
-        knobs = {"block_trials": 8, "prescreen": False}
+        knobs = {"prescreen": False}
         baseline = result_to_dict(ordering_listing_sampling(
             dense, 200, n_prepare=30, estimator="karp-luby", rng=13,
-            adaptive=knobs,
+            adaptive=knobs, block_size=8,
         ))
         path = tmp_path / "kl-adaptive.json"
         with pytest.raises(InjectedCrash):
             ordering_listing_sampling(
                 dense, 200, n_prepare=30, estimator="karp-luby",
-                rng=13, adaptive=knobs,
+                rng=13, adaptive=knobs, block_size=8,
                 runtime=RuntimePolicy(
                     checkpoint_path=path, checkpoint_every=1,
                     faults=FaultPlan(crash_before_trial=4),
@@ -312,7 +312,7 @@ class TestAdaptiveCheckpointResume:
             )
         resumed = ordering_listing_sampling(
             dense, 200, n_prepare=30, estimator="karp-luby", rng=13,
-            adaptive=knobs,
+            adaptive=knobs, block_size=8,
             runtime=RuntimePolicy(
                 checkpoint_path=path, checkpoint_every=1,
                 resume_from=path,
@@ -322,6 +322,36 @@ class TestAdaptiveCheckpointResume:
         # The resume marker is the only permitted divergence.
         assert payload["stats"].pop("resumed_candidates") == 1.0
         assert payload == baseline
+
+
+class TestAdaptiveKarpLubyBlocks:
+    """Adaptive OLS-KL hands each survivor one kernel block of
+    ``block_size`` trials per round (it used to run 256-trial rounds
+    whatever ``block_size`` said)."""
+
+    def test_rounds_run_block_size_blocks(self, monkeypatch):
+        edges = [
+            (f"u{i}", f"v{j}", 1.0 + ((i + j) % 3), 0.5)
+            for i in range(3) for j in range(3)
+        ]
+        dense = build_graph(edges, name="dense")
+        lengths = []
+        run_block = UnionBlockKernel.run_block
+
+        def recording(kernel, count):
+            lengths.append(count)
+            return run_block(kernel, count)
+
+        monkeypatch.setattr(UnionBlockKernel, "run_block", recording)
+        observer = Observer()
+        result = ordering_listing_sampling(
+            dense, 0, n_prepare=30, estimator="karp-luby", rng=13,
+            adaptive={"prescreen": False}, block_size=8,
+            observer=observer,
+        )
+        gauges = observer.metrics.to_dict()["gauges"]
+        assert result.n_trials == sum(lengths) > 8
+        assert max(lengths) == gauges["kernel.block_size"] == 8.0
 
 
 class _ReplayLoop:

@@ -11,10 +11,13 @@ Each case records ``result_to_dict``, the Observer's span paths and
 its metric names (with the deterministic counter values) for
 {mc-vp, os, ols} x {scalar, ``block_size=16``} x {fixed, adaptive},
 on the ``dominant`` graph where the racing rule stops early.  The
-scalar MC-VP and OS cases run the one-world-per-trial
-``reference_search``.  One
-blocked-adaptive crash/resume per method also records the checkpoint
-document written at the crash and the resumed result.
+scalar cases run the references: MC-VP and OS the one-world-per-trial
+``reference_search``, OLS the per-trial walk of
+``reference_listing_sampling``.  Every edge of ``dominant`` is a
+candidate edge, so the OLS kernel's union-edge draw equals a full-graph
+draw here; the golden does not cover that draw (``test_kernels.py``
+does).  One blocked-adaptive crash/resume per method also records the
+checkpoint document written at the crash and the resumed result.
 
 Regenerate (only when a change is *meant* to alter these outputs)::
 
@@ -33,6 +36,7 @@ from repro.core import (
     mc_vp,
     ordering_listing_sampling,
     ordering_sampling,
+    reference_listing_sampling,
     reference_search,
     result_to_dict,
 )
@@ -59,6 +63,11 @@ def _run(method, block_size, mode, observer=None, runtime=None):
         "runtime": runtime,
     }
     if method == "ols":
+        if block_size is None:
+            return reference_listing_sampling(
+                graph, 2_000, n_prepare=40, estimator="optimized", rng=9,
+                **kwargs,
+            )
         return ordering_listing_sampling(
             graph, 2_000, n_prepare=40, estimator="optimized", rng=9,
             block_size=block_size, **kwargs,

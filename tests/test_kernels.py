@@ -7,10 +7,14 @@ run must be *equivalent* to the scalar path it replaces —
   are **bit-identical** to the one-world-per-trial reference
   (``reference_search``) for *any* block size, apart from the work
   counters in ``stats``;
-* the blocked optimised estimator draws full masks (partition-invariant
-  RNG consumption), so its results are identical across *all* block
-  sizes, and checkpoint/resume is exact for a fixed block size;
-* blocked Karp-Luby is deterministic for a fixed block size.
+* the OLS kernel draws the candidate-union edges row-major
+  (partition-invariant RNG consumption), so its results are identical
+  across *all* block sizes, checkpoint/resume is exact for a fixed
+  block size, and it tracks the per-trial walk of
+  ``reference_listing_sampling`` and the exact oracle on a graph with
+  non-candidate edges;
+* blocked Karp-Luby is deterministic for a fixed block size and tracks
+  the reference's per-trial union loop.
 
 Alongside the kernels this file pins the satellite regressions the
 batching work exposed: the symmetric ``edges_sampled``/``edges_queried``
@@ -36,12 +40,16 @@ from repro.butterfly.max_weight import (
     weights_equal,
 )
 from repro.core import (
+    CandidateSet,
     adaptive_prepare_candidates,
+    backbone_butterflies,
+    exact_mpmb_by_inclusion_exclusion,
     find_mpmb,
     mc_vp,
     ordering_listing_sampling,
     ordering_sampling,
     prepare_candidates,
+    reference_listing_sampling,
     reference_search,
     result_to_dict,
 )
@@ -67,9 +75,27 @@ from repro.worlds import WorldSampler
 from .conftest import FIGURE_1_EDGES, build_graph, tied_weights
 
 
+#: Figure 1 behind four edges that lie in no butterfly, so the candidate
+#: edges are neither all the edges nor the lowest edge ids: they are
+#: edges 4-9, and union-local column ``i`` is edge ``i + 4``.  The
+#: non-candidate probabilities differ from the candidates', so reading
+#: the wrong column or probability moves the estimates.
+MIXED_EDGES = [
+    ("u0", "v0", 5.0, 0.95),
+    ("u0", "v4", 4.0, 0.05),
+    ("u3", "v4", 6.0, 0.9),
+    ("u3", "v1", 9.0, 0.1),
+] + FIGURE_1_EDGES
+
+
 @pytest.fixture
 def graph():
     return build_graph(FIGURE_1_EDGES, name="figure-1")
+
+
+@pytest.fixture
+def mixed():
+    return build_graph(MIXED_EDGES, name="mixed")
 
 
 def _crash_policy(path, crash_at, every=1):
@@ -232,8 +258,9 @@ class TestScalarBatchedEquivalence:
         assert blocked == scalar
 
     def test_ols_partition_invariant(self, graph):
-        """Full-mask draws consume the RNG identically regardless of how
-        trials are grouped, so every block size yields the same result."""
+        """Row-major candidate-edge draws consume the RNG identically
+        regardless of how trials are grouped, so every block size
+        yields the same result."""
         results = [
             result_to_dict(
                 ordering_listing_sampling(
@@ -246,10 +273,10 @@ class TestScalarBatchedEquivalence:
         assert all(r == results[0] for r in results[1:])
 
     def test_ols_blocked_tracks_scalar_estimate(self, graph):
-        """The blocked optimised estimator draws worlds eagerly while the
-        scalar path samples edges lazily, so the runs see different
+        """The kernel draws every candidate edge per trial while the
+        reference walk samples edges lazily, so the runs see different
         worlds — but both are unbiased, so long runs agree closely."""
-        scalar = ordering_listing_sampling(
+        scalar = reference_listing_sampling(
             graph, 4_000, n_prepare=30, estimator="optimized", rng=2
         )
         blocked = ordering_listing_sampling(
@@ -275,7 +302,7 @@ class TestScalarBatchedEquivalence:
 
     def test_ols_kl_blocked_tracks_scalar_estimate(self):
         small = random_bipartite(8, 8, 30, rng=1)
-        scalar = ordering_listing_sampling(
+        scalar = reference_listing_sampling(
             small, 400, n_prepare=50, estimator="karp-luby", rng=5
         )
         blocked = ordering_listing_sampling(
@@ -431,31 +458,46 @@ def test_property_crash_resume_bit_identical(block_size, crash_at, seed):
 
 class TestCandidateBlockKernel:
     """The incidence-matrix kernel reproduces the weight-ordered
-    "first surviving weight class wins" scan."""
+    "first surviving weight class wins" scan over union-local columns
+    — here on figure 1, where every edge is a candidate edge."""
 
     @pytest.fixture
-    def candidates(self, graph):
-        return prepare_candidates(graph, 200, rng=0)
+    def kernel_graph(self, graph):
+        return graph
 
-    def test_presence_matches_per_candidate_all(self, graph, candidates):
+    @pytest.fixture
+    def candidates(self, kernel_graph):
+        return prepare_candidates(kernel_graph, 200, rng=0)
+
+    @staticmethod
+    def _masks(kernel, graph, count):
+        """Full-graph worlds and their union-column restriction."""
+        full = WorldSampler(graph, 4).sample_mask_block(count)
+        return full, full[:, kernel.union_edges]
+
+    def test_presence_matches_per_candidate_all(
+        self, kernel_graph, candidates
+    ):
         kernel = CandidateBlockKernel(candidates)
-        masks = WorldSampler(graph, 4).sample_mask_block(16)
+        full, masks = self._masks(kernel, kernel_graph, 16)
         presence = kernel.presence(masks)
         items = list(candidates)
-        for t in range(masks.shape[0]):
+        for t in range(full.shape[0]):
             for c, butterfly in enumerate(items):
-                expected = all(masks[t, e] for e in butterfly.edges)
+                expected = all(full[t, e] for e in butterfly.edges)
                 assert presence[t, c] == expected
 
-    def test_winners_are_heaviest_surviving_class(self, graph, candidates):
+    def test_winners_are_heaviest_surviving_class(
+        self, kernel_graph, candidates
+    ):
         kernel = CandidateBlockKernel(candidates)
-        masks = WorldSampler(graph, 4).sample_mask_block(32)
+        full, masks = self._masks(kernel, kernel_graph, 32)
         winners = kernel.winners(masks)
         items = list(candidates)
-        for t in range(masks.shape[0]):
+        for t in range(full.shape[0]):
             present = [
                 c for c, b in enumerate(items)
-                if all(masks[t, e] for e in b.edges)
+                if all(full[t, e] for e in b.edges)
             ]
             if not present:
                 assert not winners[t].any()
@@ -464,10 +506,79 @@ class TestCandidateBlockKernel:
             expected = {c for c in present if items[c].weight == best}
             assert set(np.flatnonzero(winners[t])) == expected
 
-    def test_union_edges_counted_once(self, graph, candidates):
+    def test_union_edges_counted_once(self, kernel_graph, candidates):
         kernel = CandidateBlockKernel(candidates)
-        union = {e for b in candidates for e in b.edges}
+        union = sorted({e for b in candidates for e in b.edges})
         assert kernel.n_union_edges == len(union)
+        assert kernel.union_edges.tolist() == union
+        assert kernel.union_edges[kernel.edge_index].tolist() == [
+            list(b.edges) for b in candidates
+        ]
+        assert np.array_equal(
+            kernel.union_probs, kernel_graph.probs[union]
+        )
+
+    def test_draw_reads_union_edges_row_major(
+        self, kernel_graph, candidates
+    ):
+        """A block is ``rng.random((count, n_union)) < p[union]``: the
+        union edges in ascending id order, trial by trial."""
+        kernel = CandidateBlockKernel(candidates)
+        drawn = kernel.draw(np.random.default_rng(5), 7)
+        expected = (
+            np.random.default_rng(5).random((7, kernel.n_union_edges))
+            < kernel_graph.probs[kernel.union_edges]
+        )
+        assert np.array_equal(drawn, expected)
+
+
+class TestCandidateBlockKernelMixedGraph(TestCandidateBlockKernel):
+    """The same checks on the mixed graph, whose candidate edges are
+    edges 4-9: there union-local column ``i`` is edge ``i + 4``, so a
+    kernel reading global edge ids fails."""
+
+    @pytest.fixture
+    def kernel_graph(self, mixed):
+        return mixed
+
+
+class TestUnionDrawAgainstExact:
+    """Seeded OLS kernel runs on the mixed graph, where the union draw
+    differs from a full-graph draw, over the complete backbone candidate
+    set (so Lemma VI.5 adds no bias)."""
+
+    N_TRIALS = 20_000
+
+    @pytest.fixture
+    def backbone(self, mixed):
+        return CandidateSet(mixed, backbone_butterflies(mixed))
+
+    def _run(self, mixed, backbone, n_trials, block_size):
+        return ordering_listing_sampling(
+            mixed, n_trials, rng=3, candidates=backbone,
+            block_size=block_size,
+        )
+
+    def test_partition_invariant(self, mixed, backbone):
+        results = [
+            result_to_dict(self._run(mixed, backbone, 600, block_size))
+            for block_size in (1, 7, 256, 600)
+        ]
+        assert all(r == results[0] for r in results[1:])
+
+    def test_estimates_within_exact_band(self, mixed, backbone):
+        result = self._run(mixed, backbone, self.N_TRIALS, None)
+        exact = exact_mpmb_by_inclusion_exclusion(mixed).estimates
+        assert set(result.estimates) == set(exact)
+        for key, truth in exact.items():
+            # Five standard errors of a winner frequency over N trials.
+            band = 5.0 * np.sqrt(truth * (1.0 - truth) / self.N_TRIALS)
+            assert abs(result.estimates[key] - truth) <= band, (
+                key, result.estimates[key], truth, band,
+            )
+        # Three candidates share six union edges: 12 incidence slots.
+        assert result.stats["edges_sampled"] == 6 * self.N_TRIALS
+        assert result.stats["edges_queried"] == 12 * self.N_TRIALS
 
 
 class TestWorkerBlockSharding:

@@ -12,7 +12,11 @@ from repro import (
     ordering_sampling,
     prepare_candidates,
 )
-from repro.core import backbone_butterflies, reference_search
+from repro.core import (
+    backbone_butterflies,
+    reference_listing_sampling,
+    reference_search,
+)
 from repro.core.mpmb import METHODS, mpmb_probability
 from repro.errors import ConfigurationError
 
@@ -125,6 +129,26 @@ class TestReferenceSwitches:
     def test_unknown_method_rejected(self, figure1):
         with pytest.raises(ConfigurationError, match="reference_search"):
             reference_search(figure1, "ols", 10, rng=0)
+
+    @pytest.mark.parametrize("adaptive", [True, {"prescreen": False}])
+    def test_listing_reference_refuses_adaptive_ols_kl(
+        self, figure1, adaptive
+    ):
+        """Adaptive OLS-KL exists only on the union kernel."""
+        with pytest.raises(ConfigurationError, match="union kernel"):
+            reference_listing_sampling(
+                figure1, 0, n_prepare=20, estimator="karp-luby", rng=0,
+                adaptive=adaptive,
+            )
+        # Adaptive off is the fixed reference run.
+        assert reference_listing_sampling(
+            figure1, 0, n_prepare=200, estimator="karp-luby", rng=0,
+            adaptive=False,
+        ).n_trials > 0
+
+    def test_listing_reference_rejects_unknown_estimator(self, figure1):
+        with pytest.raises(ConfigurationError, match="estimator"):
+            reference_listing_sampling(figure1, 10, estimator="magic")
 
 
 class TestOls:

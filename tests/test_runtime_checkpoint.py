@@ -20,6 +20,7 @@ from repro.core import (
     mc_vp,
     ordering_listing_sampling,
     ordering_sampling,
+    reference_listing_sampling,
     reference_search,
     result_from_dict,
     result_to_dict,
@@ -127,22 +128,25 @@ class TestResumeDeterminism:
         assert result_to_dict(resumed) == baseline
 
     def test_ols_optimized(self, graph, tmp_path):
+        # One-trial blocks, so the crash lands mid-run (OLS gives the
+        # same result at every block size).
         baseline = result_to_dict(
             ordering_listing_sampling(
-                graph, 60, n_prepare=20, estimator="optimized", rng=11
+                graph, 60, n_prepare=20, estimator="optimized", rng=11,
+                block_size=1,
             )
         )
         path = tmp_path / "ols.json"
         with pytest.raises(InjectedCrash):
             ordering_listing_sampling(
                 graph, 60, n_prepare=20, estimator="optimized", rng=11,
-                runtime=_crash_policy(path, 41, every=10),
+                block_size=1, runtime=_crash_policy(path, 41, every=10),
             )
         # Resume rebuilds the candidate set from the checkpoint itself
         # and skips the preparing phase entirely.
         resumed = ordering_listing_sampling(
             graph, 60, n_prepare=20, estimator="optimized", rng=11,
-            runtime=_resume_policy(path, every=10),
+            block_size=1, runtime=_resume_policy(path, every=10),
         )
         payload = result_to_dict(resumed)
         assert resumed.stats["resumed_candidates"] == 1.0
@@ -306,6 +310,90 @@ class TestReferenceKernelResume:
             runtime=_resume_policy(path, every=1),
         )
         assert result_to_dict(resumed) == baseline
+
+
+class TestReferenceKernelOlsResume:
+    """The OLS reference counts trials, its kernel counts blocks of
+    candidate-edge draws: a checkpoint resumes only through the entry
+    point that wrote it, and a block checkpoint from the full-graph
+    draw is refused rather than resumed on another stream."""
+
+    @staticmethod
+    def _run(entry, graph, **kwargs):
+        return entry(
+            graph, 60, n_prepare=20, estimator="optimized", rng=11,
+            **kwargs,
+        )
+
+    @staticmethod
+    def _resumed(result):
+        payload = result_to_dict(result)
+        assert payload["stats"].pop("resumed_candidates") == 1.0
+        return payload
+
+    def _kernel_checkpoint(self, graph, path):
+        with pytest.raises(InjectedCrash):
+            self._run(
+                ordering_listing_sampling, graph, block_size=8,
+                runtime=_crash_policy(path, 4, every=1),
+            )
+        document = read_checkpoint(path)
+        assert document["unit"] == "block"
+        return document
+
+    def test_reference_checkpoint(self, graph, tmp_path):
+        baseline = result_to_dict(
+            self._run(reference_listing_sampling, graph)
+        )
+        path = tmp_path / "reference.json"
+        with pytest.raises(InjectedCrash):
+            self._run(
+                reference_listing_sampling, graph,
+                runtime=_crash_policy(path, 41, every=10),
+            )
+        assert read_checkpoint(path)["unit"] == "trial"
+        with pytest.raises(CheckpointError, match="unit"):
+            self._run(
+                ordering_listing_sampling, graph,
+                runtime=_resume_policy(path, every=10),
+            )
+        resumed = self._run(
+            reference_listing_sampling, graph,
+            runtime=_resume_policy(path, every=10),
+        )
+        assert self._resumed(resumed) == baseline
+
+    def test_kernel_checkpoint(self, graph, tmp_path):
+        baseline = result_to_dict(
+            self._run(ordering_listing_sampling, graph, block_size=8)
+        )
+        path = tmp_path / "kernel.json"
+        self._kernel_checkpoint(graph, path)
+        with pytest.raises(CheckpointError, match="unit"):
+            self._run(
+                reference_listing_sampling, graph,
+                runtime=_resume_policy(path, every=1),
+            )
+        resumed = self._run(
+            ordering_listing_sampling, graph, block_size=8,
+            runtime=_resume_policy(path, every=1),
+        )
+        assert self._resumed(resumed) == baseline
+
+    def test_full_graph_draw_checkpoint_rejected(self, graph, tmp_path):
+        """A block checkpoint as the full-graph draw wrote it: no draw
+        tag, and the stream position inside a ``sampler`` payload."""
+        path = tmp_path / "kernel.json"
+        document = self._kernel_checkpoint(graph, path)
+        state = document["state"]
+        del state["draw"]
+        state["sampler"] = {"rng": state.pop("rng"), "pending": None}
+        write_checkpoint(path, document)
+        with pytest.raises(CheckpointError, match="full-graph"):
+            self._run(
+                ordering_listing_sampling, graph, block_size=8,
+                runtime=_resume_policy(path, every=1),
+            )
 
 
 class TestAtomicWrites:

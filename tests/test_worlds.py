@@ -5,7 +5,7 @@ import pytest
 
 from repro import IntractableError, PossibleWorld, WorldSampler
 from repro.worlds import iter_all_worlds, iter_subset_worlds
-from repro.worlds.sampler import LazyEdgeTrial
+from repro.core.reference import LazyEdgeTrial
 
 from .conftest import build_graph
 
