@@ -114,6 +114,27 @@ def _decode_pairs(
     return first, second
 
 
+def _pair_slots(
+    index: WedgeIndex, draws: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Scan positions ``(a, b)`` of the wedge pairs numbered ``draws``.
+
+    Every same-group pair of the index's scan groups (which are all the
+    groups of two or more wedges, so the pairs are the graph's
+    butterflies) is numbered once: group by group in scan order,
+    row-major inside a group.  A uniform draw over
+    ``range(total pairs)`` is therefore a uniform draw over the pairs.
+    """
+    sizes = np.diff(index.scan_start)
+    pair_counts = sizes * (sizes - 1) // 2
+    cumulative = np.cumsum(pair_counts)
+    groups = np.searchsorted(cumulative, draws, side="right")
+    offsets = draws - (cumulative[groups] - pair_counts[groups])
+    first, second = _decode_pairs(offsets, sizes[groups])
+    base = index.scan_start[groups]
+    return base + first, base + second
+
+
 def prescreen_candidates(
     candidates: CandidateSet,
     rng: RngLike = None,
@@ -166,30 +187,24 @@ def prescreen_candidates(
         graph = candidates.graph
         if wedge_index is None:
             wedge_index = build_wedge_index(graph)
-        sizes = np.diff(wedge_index.group_start).astype(np.int64)
-        pair_counts = sizes * (sizes - 1) // 2
-        total_pairs = int(pair_counts.sum())
+        sizes = np.diff(wedge_index.scan_start)
+        total_pairs = int((sizes * (sizes - 1) // 2).sum())
         if total_pairs > 0:
             generator = ensure_rng(rng)
-            cumulative = np.cumsum(pair_counts)
             draws = generator.integers(0, total_pairs, size=n_samples)
             samples_drawn = n_samples
-            groups = np.searchsorted(cumulative, draws, side="right")
-            offsets = draws - (cumulative[groups] - pair_counts[groups])
-            first, second = _decode_pairs(offsets, sizes[groups])
-            base = wedge_index.group_start[groups]
-            wedge_a = base + first
-            wedge_b = base + second
+            wedge_a, wedge_b = _pair_slots(wedge_index, draws)
             probs = np.asarray(graph.probs, dtype=np.float64)
+            scan_e1 = wedge_index.scan_e1
+            scan_e2 = wedge_index.scan_e2
             presence = (
-                probs[wedge_index.wedge_e1[wedge_a]]
-                * probs[wedge_index.wedge_e2[wedge_a]]
-                * probs[wedge_index.wedge_e1[wedge_b]]
-                * probs[wedge_index.wedge_e2[wedge_b]]
+                probs[scan_e1[wedge_a]]
+                * probs[scan_e2[wedge_a]]
+                * probs[scan_e1[wedge_b]]
+                * probs[scan_e2[wedge_b]]
             )
             weights = (
-                wedge_index.wedge_weight[wedge_a]
-                + wedge_index.wedge_weight[wedge_b]
+                wedge_index.scan_w[wedge_a] + wedge_index.scan_w[wedge_b]
             )
             values = float(total_pairs) * presence
             # Sort samples lightest-first; every candidate threshold is

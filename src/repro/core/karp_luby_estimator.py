@@ -31,7 +31,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 import numpy as np
 
 from ..butterfly import ButterflyKey
-from ..errors import ConfigurationError
+from ..errors import CheckpointError, ConfigurationError
 from ..kernels import DEFAULT_BLOCK_SIZE, UnionBlockKernel, resolve_block_size
 from ..observability import Counter, Observer, ensure_observer
 from ..sampling import (
@@ -61,8 +61,13 @@ class _KarpLubyLoop:
     and the RNG stream position; a candidate interrupted mid-run is
     re-estimated from scratch on resume, which keeps the checkpoint
     payload exact.  A candidate's trials run in :meth:`_run_candidate`,
-    the one method the reference's per-trial loop overrides.
+    the one method the reference's per-trial loop overrides.  The two
+    runners consume the RNG stream differently, so a checkpoint records
+    its runner (:attr:`RUNNER`) and resumes only on the same one.
     """
+
+    #: Checkpoint tag of the per-candidate runner.
+    RUNNER = "union-kernel"
 
     def __init__(
         self,
@@ -185,6 +190,7 @@ class _KarpLubyLoop:
         completed_items = self.items[:completed]
         index_of = {b.key: i for i, b in enumerate(self.items)}
         return {
+            "runner": self.RUNNER,
             "candidates": [list(b.key) for b in self.items],
             "estimates": [
                 [list(b.key), float(self.estimates[b.key])]
@@ -201,6 +207,15 @@ class _KarpLubyLoop:
         }
 
     def restore_state(self, payload: Dict) -> None:
+        runner = payload.get("runner")
+        if runner != self.RUNNER:
+            written = "an untagged" if runner is None else f"the {runner!r}"
+            raise CheckpointError(
+                f"checkpoint was written by {written} Karp-Luby runner; "
+                f"this run uses the {self.RUNNER!r} runner, which draws "
+                "another stream — resume through the entry point that "
+                "wrote it"
+            )
         self.candidates.require_checkpoint_keys(payload["candidates"])
         self.estimates = {
             tuple(int(part) for part in raw): float(value)

@@ -259,11 +259,10 @@ def ordering_listing_sampling(
             keeps the fixed budgets bit-identical.
         wedge_index: Optional prebuilt
             :class:`~repro.kernels.wedge_block.WedgeIndex` of ``graph``
-            (e.g. one attached from shared memory by the worker pool)
-            for the preparing phase; otherwise the phase builds one.
-            Adaptive OLS-KL hands the same index to its pre-screen; the
-            other sampling phases never read it, so the run drops its
-            reference before they start.
+            (e.g. the service's shared one, or one attached from shared
+            memory by the worker pool) for the preparing phase;
+            otherwise the phase builds one.  Adaptive OLS-KL hands the
+            same index to its pre-screen.
 
     Returns:
         An :class:`~repro.core.results.MPMBResult` with ``method="ols"``
@@ -313,7 +312,6 @@ def ordering_listing_sampling(
         graph, n_trials, n_prepare, estimator, rng, candidates,
         runtime, observer, sample,
         wedge_index=wedge_index,
-        keep_index=adaptive_config is not None and adaptive_config.prescreen,
     )
 
 
@@ -329,14 +327,14 @@ def run_listing_sampling(
     sample: Callable[..., EstimationOutcome],
     *,
     wedge_index: Optional[WedgeIndex] = None,
-    keep_index: bool = False,
 ) -> MPMBResult:
     """Algorithm 3 around ``sample(candidates, generator, wedge_index)``,
     the sampling phase, which is all production and the reference
     differ in: prepare ``C_MB`` (or rebuild it from the resume
-    checkpoint), sample, assemble the result and metrics.  The wedge
-    index reaches ``sample`` only with ``keep_index`` (adaptive OLS-KL's
-    pre-screen reads it); otherwise the run drops it first.
+    checkpoint), sample, assemble the result and metrics.  ``sample``
+    receives the index the preparing phase ran on (``None`` when a
+    resumed run skipped the phase without one); only adaptive OLS-KL's
+    pre-screen reads it.
     """
     if estimator not in ("optimized", "karp-luby"):
         raise ConfigurationError(
@@ -355,8 +353,6 @@ def run_listing_sampling(
             candidates, wedge_index = _prepare(
                 graph, n_prepare, generator, 0, observer, wedge_index
             )
-        if not keep_index:
-            wedge_index = None
         if len(candidates) == 0:
             return MPMBResult(
                 method=method,

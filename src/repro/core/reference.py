@@ -212,7 +212,8 @@ def reference_listing_sampling(
     candidate's union trials one at a time, with fixed or Lemma VI.4
     budgets, checking a deadline after every trial.  OLS checkpoints
     count trials here and blocks in production, so neither resumes the
-    other's; OLS-KL checkpoints count candidates on both sides.
+    other's; OLS-KL checkpoints count candidates on both sides and
+    record their runner, so neither resumes the other's either.
 
     Raises:
         ConfigurationError: On an unknown estimator, or ``adaptive``
@@ -402,6 +403,8 @@ class LazyEdgeTrial:
 class _PerTrialKarpLubyLoop(_KarpLubyLoop):
     """Algorithm 4's candidate loop with the paper's per-trial union
     runner: one :meth:`KarpLubyUnionSampler.trial` at a time."""
+
+    RUNNER = "per-trial"
 
     def _run_candidate(
         self,

@@ -8,10 +8,11 @@ because the vertex-priority rule is evaluated on backbone priorities.
 This module exploits that:
 
 1. :class:`WedgeIndex` enumerates all wedges **once** on the
-   deterministic priority-ordered graph into CSR-style arrays — per
-   wedge the ``(center, edge_x_center, edge_center_z)`` triple plus an
-   endpoint-pair group index (every butterfly is an unordered pair of
-   wedges inside one group);
+   deterministic priority-ordered graph and keeps the endpoint-pair
+   groups that can hold a butterfly (every butterfly is an unordered
+   pair of wedges inside one group) as CSR arrays in winner-scan order
+   — per wedge its two edges and its weight, per group its endpoints
+   and static bound;
 2. :class:`WedgeBlockKernel` evaluates a whole ``(block, n_edges)``
    Bernoulli mask matrix at once: the per-world maximum-weight winner
    search is a bound-ordered group scan with early exit (groups are
@@ -34,7 +35,7 @@ sets.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -57,6 +58,10 @@ TIE_MODES = ("exact", "rtol")
 _CANDIDATE_MARGIN = 4.0
 
 
+#: Largest edge or vertex id the index's int32 columns hold.
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
 def _margin(best: np.ndarray) -> np.ndarray:
     """Candidate-collection margin around per-world best pair sums."""
     return _CANDIDATE_MARGIN * WEIGHT_RTOL * np.abs(best)
@@ -64,79 +69,57 @@ def _margin(best: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WedgeIndex:
-    """CSR wedge/butterfly index of one priority-ordered backbone.
+    """Scan-ordered wedge index of one priority-ordered backbone.
 
-    Index order covers every group, singletons included: they cannot
-    form butterflies, but :func:`~repro.kernels.memory.kernel_row_bytes`
-    counts them, so dropping them would change block sizes.
+    Only butterfly-capable groups (``k >= 2`` wedges) are laid out, in
+    winner-scan order: groups by static best-pair weight, descending,
+    and each group's wedges heaviest-first.  A wedge is its two edges
+    and its weight; its middle vertex is the far endpoint of its
+    ``x``–``mid`` edge.  Every array is read-only, so one index can be
+    shared by concurrent runs.
 
     Attributes:
-        priority: The degree-priority permutation the index was built
-            with (global vertex ids).
-        wedge_mid: Per wedge, the middle (center) global vertex id.
-        wedge_e1: Per wedge, the edge index of ``x``–``mid``.
-        wedge_e2: Per wedge, the edge index of ``mid``–``z``.
-        wedge_weight: Per wedge, ``w(e1) + w(e2)``.
-        group_start: ``(n_groups + 1,)`` CSR row pointer over wedges.
-        group_x: Per group, the high-priority endpoint ``x``.
-        group_z: Per group, the two-hop endpoint ``z``.
-        scan_order: Butterfly-capable groups (``k >= 2``) sorted by
-            static best-pair weight, descending — the winner scan order.
+        scan_e1: Per scan wedge, the edge index of ``x``–``mid``
+            (int32).
+        scan_e2: Per scan wedge, the edge index of ``mid``–``z``
+            (int32).
+        scan_w: Per scan wedge, ``w(e1) + w(e2)``.
+        scan_start: ``(n_scan_groups + 1,)`` CSR row pointer into the
+            scan wedges.
         scan_bound: Per scan group, its static best-pair weight (sum of
             its two heaviest wedges); an upper bound on any present
             butterfly weight of the group.
-        scan_wedge: Wedge ids (index order) flattened in scan order —
-            within each scan group sorted by wedge weight descending, so
-            winner materialisation can stop at the first light pair.
-        scan_start: ``(n_scan_groups + 1,)`` CSR row pointer into
-            ``scan_wedge``.
-        scan_e1: ``wedge_e1`` pre-gathered into scan order (the per-chunk
-            mask gathers read these as plain slices).
-        scan_e2: ``wedge_e2`` pre-gathered into scan order.
-        scan_w: ``wedge_weight`` pre-gathered into scan order.
-        chunks: Winner-scan chunking: ``(g_lo, g_hi)`` ranges over
-            ``scan_order`` whose total wedge count stays near
+        scan_x: Per scan group, the high-priority endpoint ``x`` (int32,
+            global vertex id).
+        scan_z: Per scan group, the two-hop endpoint ``z`` (int32).
+        chunks: Winner-scan chunking: ``(g_lo, g_hi)`` scan-group ranges
+            whose total wedge count stays near
             :data:`~repro.kernels.memory.SCAN_CHUNK` — narrow on
             purpose, because the scan's early exit fires *between*
             chunks and the chunk width floors the wasted work.
+        n_wedges: Every backbone wedge, singleton groups included.
+        n_groups: Every endpoint-pair group, singletons included.
+            Singletons cannot form butterflies, but
+            :func:`~repro.kernels.memory.kernel_row_bytes` counts them
+            both, so block sizes do not depend on the layout.
     """
 
-    priority: np.ndarray
-    wedge_mid: np.ndarray
-    wedge_e1: np.ndarray
-    wedge_e2: np.ndarray
-    wedge_weight: np.ndarray
-    group_start: np.ndarray
-    group_x: np.ndarray
-    group_z: np.ndarray
-    scan_order: np.ndarray
-    scan_bound: np.ndarray
-    scan_wedge: np.ndarray
-    scan_start: np.ndarray
     scan_e1: np.ndarray
     scan_e2: np.ndarray
     scan_w: np.ndarray
+    scan_start: np.ndarray
+    scan_bound: np.ndarray
+    scan_x: np.ndarray
+    scan_z: np.ndarray
     chunks: Tuple[Tuple[int, int], ...]
+    n_wedges: int
+    n_groups: int
 
-    @property
-    def n_wedges(self) -> int:
-        return int(self.wedge_e1.shape[0])
-
-    @property
-    def n_groups(self) -> int:
-        return int(self.group_x.shape[0])
-
-    @property
-    def n_butterflies(self) -> int:
-        """Backbone butterflies the index spans (Σ per-group C(k, 2))."""
-        sizes = np.diff(self.group_start)
-        return int((sizes * (sizes - 1) // 2).sum())
-
-    def group_wedges(self, group: int) -> range:
-        """Wedge ids (index order) of one group."""
-        return range(
-            int(self.group_start[group]), int(self.group_start[group + 1])
-        )
+    def __post_init__(self) -> None:
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
@@ -150,9 +133,21 @@ def build_wedge_index(graph: UncertainBipartiteGraph) -> WedgeIndex:
     The enumeration mirrors
     :func:`~repro.butterfly.bfc_vp.iter_angle_groups` exactly (the
     BFC-VP :func:`~repro.graph.degree_priority` rule, same traversal
-    order) but keeps singleton groups.  Winner sets do not depend on
-    the vertex priority, so the index is built with this one.
+    order), so each scan group lists its wedges as the scalar
+    enumeration would, re-sorted heaviest-first with ties in that
+    order.  Winner sets do not depend on the vertex priority, so the
+    index is built with this one.
+
+    Raises:
+        ConfigurationError: When edge or vertex ids do not fit the
+            index's int32 columns.
     """
+    if max(graph.n_edges, graph.n_vertices) > _INT32_MAX:
+        raise ConfigurationError(
+            f"the wedge index stores int32 edge and vertex ids; graph "
+            f"{graph.name!r} has {graph.n_edges} edges and "
+            f"{graph.n_vertices} vertices"
+        )
     priority = np.asarray(degree_priority(graph), dtype=np.int64)
     weights = graph.weights
     n_vertices = graph.n_vertices
@@ -226,9 +221,9 @@ def build_wedge_index(graph: UncertainBipartiteGraph) -> WedgeIndex:
     group_first = perm[group_start[:-1]]
 
     # Heaviest-first permutation per group, as one stable sort of a
-    # (group, descending weight rank) key — ties keep index order,
-    # matching the scalar per-group argsort; the two leading wedges of
-    # each capable group give its static best-pair bound.
+    # (group, descending weight rank) key — ties keep enumeration
+    # order, matching the scalar per-group argsort; the two leading
+    # wedges of each capable group give its static best-pair bound.
     distinct, weight_rank = np.unique(wedge_weight, return_inverse=True)
     n_distinct = np.int64(distinct.shape[0])
     group_of = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
@@ -244,9 +239,9 @@ def build_wedge_index(graph: UncertainBipartiteGraph) -> WedgeIndex:
     order = np.argsort(-bounds, kind="stable")
     scan_order = capable[order]
 
-    # Flatten the scan groups' wedges (heaviest-first within each group,
-    # so materialisation's pair walk can stop early) and pre-gather their
-    # edge/weight columns — the per-block scan then reads plain slices.
+    # Lay out the scan groups' wedges (heaviest-first within each group,
+    # so materialisation's pair walk can stop early): the per-block scan
+    # then reads plain slices.
     scan_sizes = sizes[scan_order]
     scan_start = _offsets(scan_sizes)
     scan_wedge = heavy[
@@ -266,23 +261,18 @@ def build_wedge_index(graph: UncertainBipartiteGraph) -> WedgeIndex:
         chunks.append((lo, hi))
         lo = hi
 
+    scan_first = group_first[scan_order]
     return WedgeIndex(
-        priority=priority,
-        wedge_mid=pair_y[source[perm]],
-        wedge_e1=wedge_e1,
-        wedge_e2=wedge_e2,
-        wedge_weight=wedge_weight,
-        group_start=group_start,
-        group_x=wedge_x[group_first],
-        group_z=wedge_z[group_first],
-        scan_order=scan_order,
-        scan_bound=bounds[order],
-        scan_wedge=scan_wedge,
-        scan_start=scan_start,
-        scan_e1=wedge_e1[scan_wedge],
-        scan_e2=wedge_e2[scan_wedge],
+        scan_e1=wedge_e1[scan_wedge].astype(np.int32),
+        scan_e2=wedge_e2[scan_wedge].astype(np.int32),
         scan_w=wedge_weight[scan_wedge],
+        scan_start=scan_start,
+        scan_bound=bounds[order],
+        scan_x=wedge_x[scan_first].astype(np.int32),
+        scan_z=wedge_z[scan_first].astype(np.int32),
         chunks=tuple(chunks),
+        n_wedges=int(n_wedges),
+        n_groups=int(sizes.shape[0]),
     )
 
 
@@ -439,78 +429,94 @@ class WedgeBlockKernel:
         Any butterfly that can end up in a winner set — exactly equal or
         rtol-equal to the row's true canonical maximum — has a wedge-pair
         sum within ``_margin`` of the row's best pair sum, so the walk
-        below only forms pairs above that cutoff: wedges are visited
-        heaviest-first (the scan order pre-sorts them), and both loops
-        break as soon as the heaviest remaining pair falls under it.
+        below only forms pairs above that cutoff: a group's present
+        wedges are visited heaviest-first (its scan slice is sorted so),
+        and both loops break as soon as the heaviest remaining pair
+        falls under it.
         """
+        if rows.size == 0:
+            return
         index = self.index
-        exact = self.tie_mode == "exact"
-        weight_of = index.wedge_weight
-        scan_wedge = index.scan_wedge
-        scan_start = index.scan_start
-        by_row: Dict[int, List[int]] = defaultdict(list)
-        for row, scan_group in zip(rows.tolist(), scan_groups.tolist()):
-            by_row[row].append(scan_group)
-        for row, row_groups in by_row.items():
-            mask = masks[row]
-            # Rows holding candidates always have a finite best.
-            row_best = float(best[row])
-            cutoff = row_best - _CANDIDATE_MARGIN * WEIGHT_RTOL * abs(
-                row_best
-            )
-            found: List[Tuple[float, Butterfly]] = []
-            for scan_group in row_groups:
-                group = int(index.scan_order[scan_group])
-                heavy_first = scan_wedge[
-                    scan_start[scan_group]:scan_start[scan_group + 1]
-                ]
-                present = [
-                    int(w) for w in heavy_first
-                    if mask[index.wedge_e1[w]] and mask[index.wedge_e2[w]]
-                ]
-                weights = [float(weight_of[w]) for w in present]
-                for i in range(len(present) - 1):
-                    if weights[i] + weights[i + 1] < cutoff:
+        # One gather tests every candidate group's wedges for presence
+        # in its row: the groups' scan slices, concatenated.
+        lo = index.scan_start[scan_groups]
+        sizes = index.scan_start[scan_groups + 1] - lo
+        starts = _offsets(sizes)
+        slots = np.repeat(lo - starts[:-1], sizes) + np.arange(
+            int(starts[-1]), dtype=np.int64
+        )
+        row_of = np.repeat(rows, sizes)
+        hits = np.flatnonzero(
+            masks[row_of, index.scan_e1[slots]]
+            & masks[row_of, index.scan_e2[slots]]
+        )
+        # Candidate k's present wedges are present[bounds[k]:bounds[k+1]].
+        bounds = np.searchsorted(hits, starts).tolist()
+        present = slots[hits]
+        weights = index.scan_w[present].tolist()
+        present = present.tolist()
+        cutoffs = (best[rows] - _margin(best[rows])).tolist()
+        found: Dict[int, List[Tuple[float, Butterfly]]] = defaultdict(list)
+        for k, (row, scan_group) in enumerate(
+            zip(rows.tolist(), scan_groups.tolist())
+        ):
+            cutoff = cutoffs[k]
+            row_found = found[row]
+            last = bounds[k + 1]
+            for i in range(bounds[k], last - 1):
+                if weights[i] + weights[i + 1] < cutoff:
+                    break
+                for j in range(i + 1, last):
+                    if weights[i] + weights[j] < cutoff:
                         break
-                    for j in range(i + 1, len(present)):
-                        if weights[i] + weights[j] < cutoff:
-                            break
-                        butterfly = self._butterfly(
-                            group, present[i], present[j]
-                        )
-                        found.append((butterfly.weight, butterfly))
-            if not found:
+                    butterfly = self._butterfly(
+                        scan_group, present[i], present[j]
+                    )
+                    row_found.append((butterfly.weight, butterfly))
+        exact = self.tie_mode == "exact"
+        for row, row_found in found.items():
+            if not row_found:
                 continue
-            w_max = max(weight for weight, _ in found)
+            w_max = max(weight for weight, _ in row_found)
             if exact:
-                winners = [bf for w, bf in found if w == w_max]
+                winners = [bf for w, bf in row_found if w == w_max]
             else:
                 winners = [
-                    bf for w, bf in found if weights_equal(w, w_max)
+                    bf for w, bf in row_found if weights_equal(w, w_max)
                 ]
             outcome.winners[row] = winners
 
     def _butterfly(self, group: int, a: int, b: int) -> Butterfly:
-        """Cached canonical assembly of one wedge pair (winners recur)."""
+        """Cached canonical assembly of the wedges at scan positions
+        ``a`` and ``b`` of scan group ``group`` (winners recur)."""
         key = (a, b)
         cached = self._butterflies.get(key)
         if cached is not None:
             return cached
         index = self.index
+        graph = self.graph
+        x = int(index.scan_x[group])
+        e1a = int(index.scan_e1[a])
+        e1b = int(index.scan_e1[b])
         butterfly = assemble_butterfly(
-            int(index.group_x[group]),
-            int(index.group_z[group]),
-            int(index.wedge_mid[a]),
-            int(index.wedge_mid[b]),
-            (
-                int(index.wedge_e1[a]), int(index.wedge_e2[a]),
-                int(index.wedge_e1[b]), int(index.wedge_e2[b]),
-            ),
-            self.graph.n_left,
-            self.graph.weights,
+            x,
+            int(index.scan_z[group]),
+            _far_end(graph, x, e1a),
+            _far_end(graph, x, e1b),
+            (e1a, int(index.scan_e2[a]), e1b, int(index.scan_e2[b])),
+            graph.n_left,
+            graph.weights,
         )
         self._butterflies[key] = butterfly
         return butterfly
+
+
+def _far_end(graph: UncertainBipartiteGraph, vertex: int, edge: int) -> int:
+    """The endpoint of ``edge`` that is not ``vertex`` (global ids) —
+    a wedge's middle vertex, from its ``x``–``mid`` edge."""
+    if vertex < graph.n_left:
+        return int(graph.edge_right[edge]) + graph.n_left
+    return int(graph.edge_left[edge])
 
 
 def first_all_present(

@@ -6,7 +6,7 @@ replaces that with a publish-once/attach-many protocol built on
 :mod:`multiprocessing.shared_memory`:
 
 * :func:`publish_graph` copies the graph's edge arrays — and, for
-  batched runs, the wedge index's CSR arrays — into **one** shared
+  batched runs, every array of the wedge index — into **one** shared
   segment and returns a tiny picklable :class:`SharedGraphHandle`
   (segment name + per-array shapes/dtypes/offsets + the registry
   checksum).  The handle is the *only* object that crosses the process
@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import shared_memory
 from typing import Any, Dict, Optional, Tuple
 
@@ -48,12 +48,8 @@ _ALIGN = 64
 #: Graph arrays published for every pool.
 GRAPH_ARRAYS = ("edge_left", "edge_right", "weights", "probs")
 
-#: Wedge-index arrays published when the pool serves batched kernels.
-INDEX_ARRAYS = (
-    "priority", "wedge_mid", "wedge_e1", "wedge_e2", "wedge_weight",
-    "group_start", "group_x", "group_z", "scan_order", "scan_bound",
-    "scan_wedge", "scan_start", "scan_e1", "scan_e2", "scan_w",
-)
+#: Name prefix of the wedge index's arrays inside the segment.
+_INDEX = "index."
 
 #: Reserved in-segment name of the pickled metadata blob (labels, graph
 #: name, wedge-index scalars) — data that is not array-shaped but still
@@ -166,13 +162,15 @@ def publish_graph(
     }
     index_meta: Optional[Dict[str, Any]] = None
     if index is not None:
-        for name in INDEX_ARRAYS:
-            arrays[f"index.{name}"] = np.ascontiguousarray(
-                getattr(index, name)
-            )
-        index_meta = {
-            "chunks": [list(chunk) for chunk in index.chunks],
-        }
+        # Every array field of the index goes in the segment; its
+        # scalars and chunk ranges ride in the metadata blob.
+        index_meta = {}
+        for item in fields(index):
+            value = getattr(index, item.name)
+            if isinstance(value, np.ndarray):
+                arrays[_INDEX + item.name] = np.ascontiguousarray(value)
+            else:
+                index_meta[item.name] = value
     meta = {
         "name": graph.name,
         "left_labels": list(graph.left_labels),
@@ -252,18 +250,13 @@ class SharedGraphAttachment:
                 # initialisation.
                 from ..kernels.wedge_block import WedgeIndex
 
-                index_meta = meta["index"]
                 self.index = WedgeIndex(
-                    chunks=tuple(
-                        (int(lo), int(hi))
-                        for lo, hi in index_meta["chunks"]
-                    ),
+                    **meta["index"],
                     **{
-                        name: views[f"index.{name}"]
-                        for name in INDEX_ARRAYS
-                        if name != "priority"
+                        name[len(_INDEX):]: view
+                        for name, view in views.items()
+                        if name.startswith(_INDEX)
                     },
-                    priority=views["index.priority"],
                 )
         except BaseException:
             # A stale handle (wrong specs, truncated segment, garbled

@@ -155,10 +155,11 @@ def backoff_seconds(
 
 
 def build_shared_index(graph, observer: Observer):
-    """Build the wedge index a pool publishes for its workers.
+    """Build a wedge index that outlives one run.
 
-    Every pool builds its index here, inside a ``wedge-index`` span
-    marked ``shared=True``.
+    A pool's index for its workers and the query service's per-graph
+    index are built here, inside a ``wedge-index`` span marked
+    ``shared=True``.
     """
     # Lazy import: the kernels import this package, so importing them
     # eagerly here would cycle at package load.

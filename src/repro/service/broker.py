@@ -40,6 +40,7 @@ from ..errors import (
     ReproError,
     WorkerFailureError,
 )
+from ..kernels.wedge_block import WedgeIndex
 from ..observability import Observer, ensure_observer
 from ..runtime import (
     RuntimePolicy,
@@ -56,6 +57,11 @@ from .breaker import STATE_VALUES, BreakerBoard
 from .cache import ResultCache
 from .registry import GraphRegistry, RegistryEntry
 from .schemas import QueryRequest, QueryResponse
+
+
+#: Methods whose runs read the wedge index: every sampling method, never
+#: the exact solvers.
+INDEXED_METHODS = ("mc-vp", "os", "ols", "ols-kl")
 
 
 def _ranking_rows(
@@ -126,6 +132,12 @@ class QueryBroker:
         # spawning workers is slow).
         self._pools: Dict[str, Tuple[Optional[str], WorkerPool]] = {}
         self._pools_lock = threading.Lock()
+        # Per-dataset wedge indexes, keyed like the pools: one read-only
+        # index per graph version, shared by unpooled requests, the
+        # dataset's pool and adaptive OLS-KL's pre-screen.  Guarded by
+        # _indexes_lock; builds run outside it.
+        self._indexes: Dict[str, Tuple[Optional[str], WedgeIndex]] = {}
+        self._indexes_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Request lifecycle
@@ -313,6 +325,31 @@ class QueryBroker:
             "service.breaker.state", STATE_VALUES[breaker.state]
         )
 
+    def _index_for(
+        self, dataset: str, checksum: Optional[str], graph
+    ) -> WedgeIndex:
+        """The dataset's wedge index, built on first use.
+
+        Indexes are cached per dataset and keyed on the registry
+        checksum, as pools are: every request against the same graph
+        bytes reads one index, and a checksum change (reload) builds a
+        fresh one.  The build runs outside ``_indexes_lock`` (it takes
+        tens of milliseconds), in the ``wedge-index shared=True`` span;
+        the publishing section re-checks the map, so of two threads
+        building concurrently the second adopts the first's index.
+        """
+        with self._indexes_lock:
+            cached = self._indexes.get(dataset)
+            if cached is not None and cached[0] == checksum:
+                return cached[1]
+        index = build_shared_index(graph, self.observer)
+        with self._indexes_lock:
+            raced = self._indexes.get(dataset)
+            if raced is not None and raced[0] == checksum:
+                return raced[1]
+            self._indexes[dataset] = (checksum, index)
+        return index
+
     def _pool_for(
         self, request: QueryRequest, entry: RegistryEntry
     ) -> WorkerPool:
@@ -322,8 +359,9 @@ class QueryBroker:
         checksum: consecutive pooled requests against the same graph
         bytes reuse the shared-memory segment and the attached worker
         processes (``worker.shm.reused``).  Every pool publishes the
-        wedge index, which every poolable method reads.  A checksum
-        change (reload) tears the pool down and republishes.
+        dataset's wedge index (:meth:`_index_for`), which every
+        poolable method reads.  A checksum change (reload) tears the
+        pool down and republishes.
 
         Thread safety: concurrent pooled requests race on the pool
         map, so it is only touched under ``_pools_lock`` — but never
@@ -347,7 +385,9 @@ class QueryBroker:
             stale.close()
         pool = WorkerPool(
             entry.graph,
-            wedge_index=build_shared_index(entry.graph, self.observer),
+            wedge_index=self._index_for(
+                request.dataset, entry.checksum, entry.graph
+            ),
             checksum=entry.checksum,
             observer=self.observer if self.observer.enabled else None,
         )
@@ -421,6 +461,10 @@ class QueryBroker:
             )
         if request.block_size is not None:
             kwargs["block_size"] = request.block_size
+        if request.method in INDEXED_METHODS:
+            kwargs["wedge_index"] = self._index_for(
+                request.dataset, entry.checksum, graph
+            )
         return find_mpmb(
             graph, method=request.method, n_trials=trials,
             n_prepare=request.prepare, rng=request.seed,
@@ -514,12 +558,18 @@ class QueryBroker:
     def reload(self, dataset: Optional[str] = None) -> None:
         """Reload graph(s) and drop the (now unreachable) cached answers.
 
-        Cached worker pools for the reloaded dataset(s) are closed —
-        their shared-memory segments hold the *old* graph bytes, and
-        the checksum key would force a republish anyway.
+        Cached wedge indexes and worker pools for the reloaded
+        dataset(s) are dropped — they describe the *old* graph bytes
+        (pools hold them in shared memory), and the checksum key would
+        force a rebuild anyway.
         """
         self.registry.reload(dataset)
         self.cache.clear()
+        with self._indexes_lock:
+            if dataset is None:
+                self._indexes.clear()
+            else:
+                self._indexes.pop(dataset, None)
         with self._pools_lock:
             names = (
                 list(self._pools) if dataset is None
@@ -530,7 +580,10 @@ class QueryBroker:
             pool.close()
 
     def close(self) -> None:
-        """Release every cached worker pool and its shared segment."""
+        """Drop every cached wedge index and release every cached
+        worker pool and its shared segment."""
+        with self._indexes_lock:
+            self._indexes.clear()
         with self._pools_lock:
             doomed = list(self._pools.values())
             self._pools.clear()

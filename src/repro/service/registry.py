@@ -303,12 +303,15 @@ class GraphRegistry:
     def _warm(
         self, graph: UncertainBipartiteGraph, entry: RegistryEntry
     ) -> None:
-        """Materialise the derived structures queries will touch.
+        """Materialise the graph's lazy caches and its backbone.
 
-        Forces the graph's lazy caches (adjacency lists, the
-        weight-ordered edge index that Algorithm 2's A1/A2 angle scans
-        consume) and lists a small top-weight candidate backbone, so
-        the first request pays no cold-start cost.
+        Forces the adjacency lists and the weight-ordered edge index
+        (which Algorithm 2's A1/A2 angle scans consume) and lists a
+        small top-weight candidate backbone.  These feed the reference
+        paths and diagnostics, not the kernels: the kernels read the
+        wedge index, which the broker builds on the first request for
+        the graph that needs it and drops on ``reload()`` and
+        ``close()``.
         """
         graph.adjacency_left
         graph.adjacency_right

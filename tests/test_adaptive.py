@@ -31,6 +31,8 @@ from repro.adaptive import (
     resolve_adaptive,
     split_delta,
 )
+from repro.adaptive.prescreen import _pair_slots
+from repro.butterfly.bfc_vp import count_butterflies
 from repro.core import (
     find_mpmb,
     mc_vp,
@@ -40,6 +42,7 @@ from repro.core import (
     result_to_dict,
 )
 from repro.core.bounds import preparing_trials_for_recall
+from repro.datasets.synthetic import random_bipartite
 from repro.errors import ConfigurationError
 from repro.graph import save_graph
 from repro.kernels import UnionBlockKernel, memory
@@ -425,6 +428,41 @@ class TestEliminationSoundness:
         interval = EBInterval(1.0, total, float(count), float(count))
         lower, upper = interval.lower(delta), interval.upper(delta)
         assert 0.0 <= lower <= interval.mean <= upper <= 1.0
+
+
+class TestPrescreenPairDraw:
+    """The pre-screen numbers every same-group wedge pair of the scan
+    layout once, and those pairs are the graph's butterflies: a uniform
+    draw over the numbers is a uniform draw over butterflies, which is
+    what keeps the heavier-mass estimator unbiased."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_left=st.integers(2, 8),
+        n_right=st.integers(2, 8),
+        density=st.floats(0.3, 1.0),
+    )
+    def test_numbers_every_butterfly_once(
+        self, seed, n_left, n_right, density
+    ):
+        graph = random_bipartite(
+            n_left, n_right, max(1, int(density * n_left * n_right)),
+            rng=seed,
+        )
+        index = build_wedge_index(graph)
+        starts = index.scan_start.tolist()
+        expected = sorted(
+            (a, b)
+            for lo, hi in zip(starts, starts[1:])
+            for a in range(lo, hi)
+            for b in range(a + 1, hi)
+        )
+        assert len(expected) == count_butterflies(graph)
+        first, second = _pair_slots(
+            index, np.arange(len(expected), dtype=np.int64)
+        )
+        assert sorted(zip(first.tolist(), second.tolist())) == expected
 
 
 class TestBugfixRegressions:

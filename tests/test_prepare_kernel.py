@@ -8,16 +8,17 @@ trials in a row or ``max_trials`` trials.  Both must agree on the
 candidate keys, the trials used and the next RNG draw, so nothing after
 the phase can tell them apart.
 
-Also pinned here: the wedge index against the scalar enumeration
-(:func:`~repro.butterfly.bfc_vp.iter_angle_groups`) and its scan arrays
-against a plain sort, pooled runs reading the published index, the
-memory bound of one mask-block draw, and mask blocks drawn in several
-chunks against the scalar stream.
+Also pinned here: the wedge index's scan layout against the scalar
+enumeration (:func:`~repro.butterfly.bfc_vp.iter_angle_groups`) and a
+plain stable sort, its footprint and read-only arrays, pooled runs
+reading the published index, the memory bound of one mask-block draw,
+and mask blocks drawn in several chunks against the scalar stream.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from repro.core import (
 )
 from repro.datasets import load_dataset
 from repro.datasets.synthetic import random_bipartite
+from repro.errors import ConfigurationError
+from repro.graph import degree_priority
 from repro.kernels import build_wedge_index, resolve_block_budget, wedge_block
 from repro.kernels.memory import SCAN_CHUNK
 from repro.runtime import run_parallel_trials, workers
@@ -161,66 +164,87 @@ class TestPreparingOracle:
         ]
 
 
-def _scan_reference(index):
-    """Scan order, per-group heavy-first wedges and chunks by plain sorts."""
-    sizes = np.diff(index.group_start)
-    weight = index.wedge_weight.tolist()
-    heavy = {}
-    for group in np.flatnonzero(sizes >= 2).tolist():
-        wedges = list(index.group_wedges(group))
-        heavy[group] = sorted(wedges, key=lambda w: (-weight[w], w))
-    bound = {g: weight[ws[0]] + weight[ws[1]] for g, ws in heavy.items()}
-    order = sorted(heavy, key=lambda g: (-bound[g], g))
+def _scan_reference(graph):
+    """The scan layout by a plain stable sort of the scalar enumeration.
+
+    Returns ``(groups, chunks)``: per butterfly-capable group, in scan
+    order, ``(bound, x, z, wedges)`` with ``wedges`` its
+    ``(mid, e1, e2, weight)`` tuples heaviest-first, ties in
+    enumeration order; groups are sorted by descending bound, ties in
+    enumeration order.
+    """
+    weights = graph.weights
+    groups = []
+    for x, z, angles in iter_angle_groups(
+        global_adjacency(graph), degree_priority(graph)
+    ):
+        wedges = sorted(
+            (
+                (mid, e1, e2, float(weights[e1] + weights[e2]))
+                for mid, e1, e2 in angles
+            ),
+            key=lambda wedge: -wedge[3],
+        )
+        groups.append((wedges[0][3] + wedges[1][3], x, z, wedges))
+    groups.sort(key=lambda group: -group[0])
     chunks, lo, total = [], 0, 0
-    for i, group in enumerate(order):
-        if total and total + len(heavy[group]) > SCAN_CHUNK:
+    for i, (_, _, _, wedges) in enumerate(groups):
+        if total and total + len(wedges) > SCAN_CHUNK:
             chunks.append((lo, i))
             lo, total = i, 0
-        total += len(heavy[group])
+        total += len(wedges)
     if total:
-        chunks.append((lo, len(order)))
-    return order, [bound[g] for g in order], heavy, chunks
+        chunks.append((lo, len(groups)))
+    return groups, chunks
+
+
+def _all_group_sizes(graph):
+    """Wedges per ``(x, z)`` group, singletons included:
+    :func:`iter_angle_groups`' loop without its two-wedge filter."""
+    adjacency = global_adjacency(graph)
+    priority = degree_priority(graph)
+    sizes = []
+    for x, neighbours in enumerate(adjacency):
+        groups = {}
+        for y, _ in neighbours:
+            if priority[x] <= priority[y]:
+                continue
+            for z, _ in adjacency[y]:
+                if z != x and priority[x] > priority[z]:
+                    groups[z] = groups.get(z, 0) + 1
+        sizes.extend(groups.values())
+    return sizes
 
 
 def _assert_index_matches_scalar(graph):
     index = build_wedge_index(graph)
-    expected = [
-        (x, z, angles)
-        for x, z, angles in iter_angle_groups(
-            global_adjacency(graph), index.priority
+    assert (index.scan_e1.dtype, index.scan_e2.dtype) == (np.int32,) * 2
+    assert (index.scan_x.dtype, index.scan_z.dtype) == (np.int32,) * 2
+    assert index.scan_start.dtype == np.int64
+    groups, chunks = _scan_reference(graph)
+    found = []
+    for g in range(index.scan_bound.shape[0]):
+        x = int(index.scan_x[g])
+        wedges = [
+            (
+                # The kernel's own mid: the far end of the x-mid edge.
+                wedge_block._far_end(graph, x, int(index.scan_e1[w])),
+                int(index.scan_e1[w]),
+                int(index.scan_e2[w]),
+                float(index.scan_w[w]),
+            )
+            for w in range(
+                int(index.scan_start[g]), int(index.scan_start[g + 1])
+            )
+        ]
+        found.append(
+            (float(index.scan_bound[g]), x, int(index.scan_z[g]), wedges)
         )
-    ]
-    sizes = np.diff(index.group_start)
-    found = [
-        (
-            int(index.group_x[g]), int(index.group_z[g]),
-            [
-                (
-                    int(index.wedge_mid[w]), int(index.wedge_e1[w]),
-                    int(index.wedge_e2[w]),
-                )
-                for w in index.group_wedges(g)
-            ],
-        )
-        for g in np.flatnonzero(sizes >= 2).tolist()
-    ]
-    assert found == expected
-    np.testing.assert_array_equal(
-        index.wedge_weight,
-        graph.weights[index.wedge_e1] + graph.weights[index.wedge_e2],
-    )
-    order, bounds, heavy, chunks = _scan_reference(index)
-    assert index.scan_order.tolist() == order
-    assert index.scan_bound.tolist() == bounds
-    flat = [w for group in order for w in heavy[group]]
-    assert index.scan_wedge.tolist() == flat
-    assert index.scan_start.tolist() == np.concatenate(
-        [[0], np.cumsum([len(heavy[g]) for g in order], dtype=np.int64)]
-    ).tolist()
-    assert index.scan_e1.tolist() == index.wedge_e1[flat].tolist()
-    assert index.scan_e2.tolist() == index.wedge_e2[flat].tolist()
-    assert index.scan_w.tolist() == index.wedge_weight[flat].tolist()
+    assert found == groups
+    assert index.scan_start[0] == 0
     assert list(index.chunks) == chunks
+    sizes = _all_group_sizes(graph)
+    assert (index.n_wedges, index.n_groups) == (sum(sizes), len(sizes))
 
 
 class TestWedgeIndexPin:
@@ -240,6 +264,38 @@ class TestWedgeIndexPin:
     @pytest.mark.parametrize("name", BENCH_GRAPHS)
     def test_bench_graphs(self, bench_graphs, name):
         _assert_index_matches_scalar(bench_graphs[name])
+
+
+class TestWedgeIndexFootprint:
+    def test_protein_index_is_compact(self, bench_graphs):
+        """16 B per scan wedge (two int32 edges, a float64 weight) and
+        24 B per scan group (int64 offset, float64 bound, two int32
+        endpoints); the layout before it took 64 B per wedge."""
+        index = build_wedge_index(bench_graphs["protein"])
+        total = sum(
+            getattr(index, item.name).nbytes for item in fields(index)
+            if isinstance(getattr(index, item.name), np.ndarray)
+        )
+        scan_wedges = int(index.scan_start[-1])
+        scan_groups = int(index.scan_bound.shape[0])
+        assert total <= 16 * scan_wedges + 24 * scan_groups + 64 * 1024
+
+    def test_every_array_is_read_only(self, bench_graphs):
+        index = build_wedge_index(bench_graphs["abide"])
+        arrays = [
+            getattr(index, item.name) for item in fields(index)
+            if isinstance(getattr(index, item.name), np.ndarray)
+        ]
+        assert len(arrays) == 7
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    def test_ids_beyond_int32_are_refused(self, monkeypatch):
+        graph = build_graph(FIGURE_1_EDGES, name="figure-1")
+        monkeypatch.setattr(wedge_block, "_INT32_MAX", graph.n_edges - 1)
+        with pytest.raises(ConfigurationError, match="int32"):
+            build_wedge_index(graph)
 
 
 class _RecordingPool(WorkerPool):

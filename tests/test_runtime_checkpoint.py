@@ -396,6 +396,66 @@ class TestReferenceKernelOlsResume:
             )
 
 
+class TestReferenceKernelOlsKlResume:
+    """Both OLS-KL runners checkpoint candidates, but the union kernel
+    and the reference's per-trial loop draw different streams: a
+    checkpoint records its runner and resumes only on the same one."""
+
+    @staticmethod
+    def _run(entry, graph, **kwargs):
+        return entry(
+            graph, 50, n_prepare=20, estimator="karp-luby", rng=13,
+            **kwargs,
+        )
+
+    def _checkpoint(self, entry, graph, path):
+        # Crash before the second candidate; checkpoints are per
+        # candidate, so the first one is on disk.
+        with pytest.raises(InjectedCrash):
+            self._run(entry, graph, runtime=_crash_policy(path, 2, every=1))
+        document = read_checkpoint(path)
+        assert document["unit"] == "candidate"
+        return document
+
+    @pytest.mark.parametrize("writer, reader, runner", [
+        (reference_listing_sampling, ordering_listing_sampling, "per-trial"),
+        (ordering_listing_sampling, reference_listing_sampling,
+         "union-kernel"),
+    ])
+    def test_other_runner_refuses_the_checkpoint(
+        self, graph, tmp_path, writer, reader, runner
+    ):
+        path = tmp_path / "kl.json"
+        document = self._checkpoint(writer, graph, path)
+        with pytest.raises(CheckpointError, match=runner):
+            self._run(reader, graph, runtime=_resume_policy(path, every=1))
+        assert document["state"]["runner"] == runner
+
+    @pytest.mark.parametrize(
+        "entry", [reference_listing_sampling, ordering_listing_sampling]
+    )
+    def test_same_runner_resumes(self, graph, tmp_path, entry):
+        baseline = result_to_dict(self._run(entry, graph))
+        path = tmp_path / "kl.json"
+        self._checkpoint(entry, graph, path)
+        payload = result_to_dict(
+            self._run(entry, graph, runtime=_resume_policy(path, every=1))
+        )
+        assert payload["stats"].pop("resumed_candidates") == 1.0
+        assert payload == baseline
+
+    def test_untagged_checkpoint_is_refused(self, graph, tmp_path):
+        path = tmp_path / "kl.json"
+        document = self._checkpoint(ordering_listing_sampling, graph, path)
+        del document["state"]["runner"]
+        write_checkpoint(path, document)
+        with pytest.raises(CheckpointError, match="untagged"):
+            self._run(
+                ordering_listing_sampling, graph,
+                runtime=_resume_policy(path, every=1),
+            )
+
+
 class TestAtomicWrites:
     def test_injected_write_failure_keeps_previous_snapshot(
         self, graph, tmp_path
