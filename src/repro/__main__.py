@@ -103,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--checkpoint-every", type=int, default=1000, metavar="N",
-        help="trials between checkpoint snapshots; blocked runs snapshot "
-             "at the first block boundary past each multiple "
-             "(default: 1000)",
+        help="trials (OLS-KL: rounds) between checkpoint snapshots; "
+             "blocked runs snapshot at the first block boundary past "
+             "each multiple (default: 1000)",
     )
     search.add_argument(
         "--resume", default=None, metavar="PATH",

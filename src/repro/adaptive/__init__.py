@@ -9,9 +9,10 @@ fixed budgets with an *anytime* scheme:
   sequences per candidate, valid at every check simultaneously through
   a union-bound δ-split, so stopping early still certifies an overall
   ε-δ statement (reported as a *realised*, not worst-case, budget).
-- :mod:`~repro.adaptive.racing` — a racing scheduler that re-allocates
-  each block of trials to the surviving candidates and eliminates any
-  candidate whose upper bound falls below the incumbent's lower bound.
+- :mod:`~repro.adaptive.racing` — racers that wrap the fixed runs'
+  loops: certified early stopping for the winner-frequency methods, and
+  for OLS-KL's rounds the elimination of any candidate whose upper
+  bound falls below the incumbent's lower bound.
 - :mod:`~repro.adaptive.prescreen` — a sublinear pre-screen that
   samples wedge pairs through the existing wedge-CSR index to bound the
   heavier-butterfly mass and drop dominated candidates before any
@@ -33,7 +34,6 @@ from .racing import (
     ADAPTIVE_STOP,
     AdaptiveConfig,
     RacingFrequencyLoop,
-    adaptive_karp_luby,
     resolve_adaptive,
 )
 
@@ -43,7 +43,6 @@ __all__ = [
     "EBInterval",
     "PrescreenReport",
     "RacingFrequencyLoop",
-    "adaptive_karp_luby",
     "anytime_delta",
     "prescreen_candidates",
     "realized_epsilon",

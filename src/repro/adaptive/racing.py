@@ -1,7 +1,8 @@
 """Racing trial allocation with anytime elimination.
 
-Two schedulers share the empirical-Bernstein machinery of
-:mod:`~repro.adaptive.intervals`:
+Two racers share the empirical-Bernstein machinery of
+:mod:`~repro.adaptive.intervals`, and each wraps the loop a fixed run
+drives:
 
 - :class:`RacingFrequencyLoop` wraps the frequency-method loops (MC-VP,
   OS, and OLS's optimised estimator — block loops and the per-trial
@@ -12,16 +13,19 @@ Two schedulers share the empirical-Bernstein machinery of
   stopping; the stop rule is a pure function of the checkpointed winner
   counts, evaluated at deterministic trial boundaries, which makes
   checkpoint/resume exact with no extra state.
-- :func:`adaptive_karp_luby` replaces Algorithm 4's fixed per-candidate
-  Lemma VI.4 budgets: each engine unit is one *round* handing one
-  union-kernel block of trials to every surviving candidate, candidates whose
-  ``P(B)`` upper bound falls below the incumbent's lower bound are
-  eliminated and stop consuming trials, and the run ends when one
-  survivor remains (or every survivor exhausts its static budget — the
-  fixed-path worst case).  Survivor set and interval state ride in the
-  checkpoint payload.
+- :class:`KarpLubyRacer` wraps Algorithm 4's round loop
+  (:class:`~repro.core.karp_luby_estimator.KarpLubyRounds`), in which
+  each engine unit hands one union-kernel block of trials to every
+  candidate that still needs some.  The racer drops the candidates the
+  sublinear pre-screen dominates, eliminates between rounds every
+  candidate whose ``P(B)`` upper bound falls below the incumbent's
+  lower bound (it stops consuming trials), and ends the run when one
+  survivor remains (or every survivor exhausts its static Lemma VI.4
+  budget — the fixed run's worst case).  The eliminations and the
+  pre-screen's outcome ride in the checkpoint payload, so a resumed run
+  keeps the interrupted run's pre-screen instead of drawing a new one.
 
-Both paths report the ε they *realised* — the final half-width of the
+Both report the ε they *realised* — the final half-width of the
 incumbent's interval in Theorem IV.1's relative form — through the
 ``adaptive.realized_epsilon`` gauge and the extended
 :class:`~repro.runtime.degradation.Guarantee` payload, alongside
@@ -38,32 +42,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..butterfly import ButterflyKey
 from ..core.candidates import CandidateSet
 from ..core.estimation import EstimationOutcome
-from ..core.karp_luby_estimator import (
-    _candidate_budget,
-    _to_probability,
-    union_block_size,
-    union_blocks,
-)
-from ..errors import ConfigurationError
-from ..kernels import DEFAULT_BLOCK_SIZE, UnionBlockKernel, WedgeIndex
-from ..observability import Observer, ensure_observer
+from ..core.karp_luby_estimator import KarpLubyRounds
+from ..errors import CheckpointError, ConfigurationError
+from ..kernels import WedgeIndex
+from ..observability import Observer
+from ..runtime.checkpoint import read_checkpoint
 from ..runtime.degradation import Guarantee
-from ..runtime.engine import LoopInterrupt, LoopReport, execute_trial_loop
+from ..runtime.engine import LoopInterrupt, LoopReport
 from ..runtime.policy import RuntimePolicy
-from ..sampling import (
-    ConvergenceTrace,
-    KarpLubyUnionSampler,
-    RngLike,
-    ensure_rng,
-    monte_carlo_trial_bound,
-)
-from ..sampling.convergence import decode_traces, encode_traces
-from ..sampling.rng import restore_rng_state, rng_state_payload
 from .intervals import (
     EBInterval,
     anytime_delta,
@@ -75,6 +66,11 @@ from .prescreen import prescreen_candidates
 #: Engine interrupt reason for a *certified* racing stop.  Result
 #: assembly clears it — unlike ``"deadline"``, it does not degrade.
 ADAPTIVE_STOP = "adaptive-stop"
+
+#: What a raced OLS-KL checkpoint adds to the round loop's state, under
+#: ``"race"``: the bound that eliminated each candidate, and the
+#: pre-screen's eliminations and lower bounds.
+RACE_KEYS = ("eliminated_upper", "pre_eliminated", "pre_lower")
 
 
 @dataclass(frozen=True)
@@ -89,9 +85,9 @@ class AdaptiveConfig:
         check_every: Trials between stop-rule evaluations on the
             frequency methods' per-trial references
             (:mod:`repro.core.reference`).  Production MC-VP, OS and
-            OLS check at every block boundary instead, and adaptive
-            OLS-KL hands each surviving candidate one kernel block
-            (``block_size``) per racing round.
+            OLS check at every block boundary instead, and OLS-KL
+            checks between rounds, each of which hands every surviving
+            candidate one kernel block (``block_size``).
         min_trials: Trials required before the first frequency-method
             stop-rule evaluation may fire.
         prescreen: Run the sublinear wedge-pair pre-screen before
@@ -281,402 +277,241 @@ def frequency_racing_summary(
     )
 
 
-class _RacingKarpLubyLoop:
-    """Algorithm 4's candidate sampling as racing rounds.
+class KarpLubyRacer:
+    """Racing elimination around Algorithm 4's round loop.
 
-    One engine unit is one *round*: every surviving, trial-needing
-    candidate receives one :class:`~repro.kernels.UnionBlockKernel`
-    block of up to ``block`` Karp-Luby union trials, capped at its
-    static Lemma VI.4 budget.
-    Eliminations for the state after round ``k`` are applied at the
-    start of round ``k+1`` — a pure function of the checkpointed
-    interval state, so resume replays them exactly.
+    Wraps :class:`~repro.core.karp_luby_estimator.KarpLubyRounds` the
+    way :class:`RacingFrequencyLoop` wraps the winner loops.  Built, it
+    runs the sublinear pre-screen (unless disabled or with fewer than
+    two candidates; half of ``delta`` goes to it) and retires the
+    candidates it dominates; resuming (``runtime.resume_from``), it
+    takes the interrupted run's pre-screen from the checkpoint instead.
+    Before round ``k+1`` it eliminates, for the state after round
+    ``k``, every live candidate whose ``P(B)`` upper bound falls below
+    the best lower bound — a pure function of the checkpointed counts,
+    so resume replays it exactly — and stops, certified
+    (:data:`ADAPTIVE_STOP`), at one survivor or once no survivor needs
+    trials.  The static budgets still cap each candidate's trials and
+    are the baseline ``trials_saved`` is measured against.
     """
 
     def __init__(
         self,
-        candidates: CandidateSet,
-        generator,
-        budgets: List[int],
-        mass: List[float],
-        delta_race: float,
+        inner: KarpLubyRounds,
         config: AdaptiveConfig,
-        pre_eliminated: Iterable[int] = (),
-        track: Optional[Iterable[ButterflyKey]] = None,
-        deadline=None,
-        block: int = DEFAULT_BLOCK_SIZE,
+        delta: float,
+        mu: float,
+        *,
+        wedge_index: Optional[WedgeIndex] = None,
+        runtime: Optional[RuntimePolicy] = None,
         observer: Optional[Observer] = None,
     ) -> None:
-        self.candidates = candidates
-        self.generator = generator
-        self.items = candidates.butterflies
-        self.m = len(candidates)
-        self.budgets = budgets
-        self.mass = mass
-        self.delta_race = delta_race
-        self.config = config
-        self.deadline = deadline
-        self.block = block
-        self._tracked = set(track) if track is not None else set()
-        self.existence = [
-            candidates.existence_probability(i) for i in range(self.m)
-        ]
-        self.alive = [True] * self.m
-        for index in pre_eliminated:
-            self.alive[index] = False
-        self.done = [0] * self.m
-        self.intervals = [EBInterval(1.0) for _ in range(self.m)]
-        self.eliminated_upper: List[Optional[float]] = [None] * self.m
-        self.race_eliminated = 0
-        self.traces: Dict[ButterflyKey, ConvergenceTrace] = {}
-        self._kernels: Dict[int, UnionBlockKernel] = {}
-        self._events: Dict[int, list] = {}
-        self._vectorized = ensure_observer(observer).metrics.counter(
-            "kernel.trials_vectorized"
-        )
-
-    # ------------------------------------------------------------------
-    # Engine contract
-    # ------------------------------------------------------------------
+        self.inner = inner
+        self.delta = delta
+        self.mu = mu
+        use_prescreen = config.prescreen and len(inner.items) >= 2
+        delta_pre = delta / 2.0 if use_prescreen else 0.0
+        self.delta_race = delta - delta_pre
+        self.pre_eliminated: List[int] = []
+        self.pre_lower: List[float] = []
+        resumed = _resumed_race(runtime, inner.candidates)
+        if resumed is not None:
+            # A resumed run starts its generator elsewhere in the
+            # stream, so a fresh pre-screen could drop other candidates
+            # (and change the round target); keep the interrupted run's.
+            self._restore_prescreen(resumed)
+        elif use_prescreen:
+            report = prescreen_candidates(
+                inner.candidates, inner.generator,
+                n_samples=config.prescreen_samples,
+                delta=delta_pre, wedge_index=wedge_index, observer=observer,
+            )
+            self.pre_eliminated = report.eliminated
+            self.pre_lower = report.lower_bounds
+        for index in self.pre_eliminated:
+            inner.retire(index)
+        #: The certified upper bound that eliminated each candidate.
+        self.ceilings: List[Optional[float]] = [None] * len(inner.items)
 
     def run_trial(self, trial: int) -> None:
         self._check(trial - 1)
-        interrupted = False
-        for index in range(self.m):
-            if not self._needs_trials(index):
-                continue
-            if self.deadline is not None and self.deadline.expired:
-                interrupted = True
-                break
-            share = min(self.block, self.budgets[index] - self.done[index])
-            accepted = sum(
-                int(flags.sum()) for flags in union_blocks(
-                    self._kernel(index), share, self.block,
-                    self._vectorized,
-                )
-            )
-            self.intervals[index].update_block(
-                share, float(accepted), float(accepted)
-            )
-            self.done[index] += share
-            key = self.items[index].key
-            if key in self._tracked:
-                trace = self.traces.setdefault(
-                    key, ConvergenceTrace(label=str(key))
-                )
-                trace.record(self.done[index], self._estimate(index))
-        if interrupted:
-            raise LoopInterrupt("deadline")
+        self.inner.run_trial(trial)
 
     def state_payload(self, completed: int) -> Dict:
-        return {
-            "candidates": [list(b.key) for b in self.items],
-            "alive": [int(flag) for flag in self.alive],
-            "done": [int(n) for n in self.done],
-            "intervals": [iv.to_dict() for iv in self.intervals],
-            "eliminated_upper": [
-                None if value is None else float(value)
-                for value in self.eliminated_upper
-            ],
-            "race_eliminated": int(self.race_eliminated),
-            "traces": encode_traces(self.traces),
-            "rng": rng_state_payload(self.generator),
+        payload = self.inner.state_payload(completed)
+        payload["race"] = {
+            "eliminated_upper": list(self.ceilings),
+            "pre_eliminated": list(self.pre_eliminated),
+            "pre_lower": list(self.pre_lower),
         }
+        return payload
 
     def restore_state(self, payload: Dict) -> None:
-        self.candidates.require_checkpoint_keys(payload["candidates"])
-        self.alive = [bool(flag) for flag in payload["alive"]]
-        self.done = [int(n) for n in payload["done"]]
-        self.intervals = [
-            EBInterval.from_dict(raw) for raw in payload["intervals"]
-        ]
-        self.eliminated_upper = [
-            None if value is None else float(value)
-            for value in payload["eliminated_upper"]
-        ]
-        self.race_eliminated = int(payload["race_eliminated"])
-        self.traces = decode_traces(payload["traces"])
-        self._kernels = {}
-        restore_rng_state(self.generator, payload["rng"])
-
-    # ------------------------------------------------------------------
-    # Racing internals
-    # ------------------------------------------------------------------
-
-    def _events_of(self, index: int) -> list:
-        if index not in self._events:
-            self._events[index] = self.candidates.difference_events(index)
-        return self._events[index]
-
-    def _kernel(self, index: int) -> UnionBlockKernel:
-        """Candidate ``index``'s union kernel, built once with its
-        sampler."""
-        kernel = self._kernels.get(index)
-        if kernel is None:
-            probs = self.candidates.graph.probs
-            sampler = KarpLubyUnionSampler(
-                self._events_of(index),
-                lambda e: float(probs[e]),
-                self.generator,
+        state = dict(payload)
+        race = state.pop("race", None)
+        if race is None:
+            raise CheckpointError(
+                "OLS-KL checkpoint lacks the racing state ('race') an "
+                "adaptive resume needs"
             )
-            kernel = self._kernels[index] = UnionBlockKernel(sampler)
-            # The sampler's event-ordered sum is the S_i every estimate
-            # uses from here on (bit-consistent with the fixed path).
-            self.mass[index] = sampler.weight_sum
-        return kernel
+        self._restore_prescreen(race)
+        self.inner.restore_state(state)
+        self.ceilings = [
+            None if value is None else float(value)
+            for value in race["eliminated_upper"]
+        ]
 
-    def _needs_trials(self, index: int) -> bool:
-        return (
-            self.alive[index]
-            and self.existence[index] > 0.0
-            and self.mass[index] > 0.0
-            and self.done[index] < self.budgets[index]
-        )
-
-    def _estimate(self, index: int) -> float:
-        existence = self.existence[index]
-        if existence == 0.0:
-            return 0.0
-        raw = self.intervals[index].mean * self.mass[index]
-        return _to_probability(raw, existence)
-
-    def bounds_at(self, check: int) -> List["tuple[float, float]"]:
-        """Per-candidate ``P(B)`` intervals at elimination check ``k``."""
-        delta_arm = split_delta(
-            anytime_delta(self.delta_race, check), self.m
-        )
-        bounds = []
-        for index in range(self.m):
-            existence = self.existence[index]
-            if existence == 0.0 or self.mass[index] == 0.0:
-                bounds.append((self._estimate(index), self._estimate(index)))
-                continue
-            interval = self.intervals[index]
-            if interval.count == 0:
-                bounds.append((0.0, existence))
-                continue
-            mass = self.mass[index]
-            low = _to_probability(interval.upper(delta_arm) * mass, existence)
-            high = _to_probability(interval.lower(delta_arm) * mass, existence)
-            bounds.append((low, high))
-        return bounds
+    def _restore_prescreen(self, race: Dict) -> None:
+        missing = [key for key in RACE_KEYS if key not in race]
+        if missing:
+            raise CheckpointError(
+                "OLS-KL checkpoint racing state lacks "
+                + ", ".join(repr(key) for key in missing)
+            )
+        self.pre_eliminated = [int(i) for i in race["pre_eliminated"]]
+        self.pre_lower = [float(value) for value in race["pre_lower"]]
 
     def _check(self, check: int) -> None:
         """Eliminate and possibly stop, for the state after round ``check``."""
-        survivors = [i for i in range(self.m) if self.alive[i]]
+        inner = self.inner
+        survivors = [i for i, live in enumerate(inner.live) if live]
         if check >= 1 and len(survivors) > 1:
             bounds = self.bounds_at(check)
             best_lower = max(bounds[i][0] for i in survivors)
             for index in survivors:
                 if bounds[index][1] < best_lower:
-                    self.alive[index] = False
-                    self.eliminated_upper[index] = bounds[index][1]
-                    self.race_eliminated += 1
-            survivors = [i for i in range(self.m) if self.alive[i]]
-        if len(survivors) <= 1:
-            raise LoopInterrupt(ADAPTIVE_STOP)
-        if not any(self._needs_trials(i) for i in survivors):
+                    inner.retire(index)
+                    self.ceilings[index] = bounds[index][1]
+            survivors = [i for i in survivors if inner.live[i]]
+        if len(survivors) <= 1 or not any(
+            inner.needs_trials(i) for i in survivors
+        ):
             raise LoopInterrupt(ADAPTIVE_STOP)
 
-    @property
-    def total_trials(self) -> int:
-        return sum(self.done)
+    def bounds_at(self, check: int) -> List["tuple[float, float]"]:
+        """Per-candidate ``P(B)`` intervals at elimination check ``k``."""
+        inner = self.inner
+        delta_arm = split_delta(
+            anytime_delta(self.delta_race, check), len(inner.items)
+        )
+        bounds = []
+        for index, existence in enumerate(inner.existence):
+            if existence == 0.0 or inner.masses[index] == 0.0:
+                estimate = inner.estimate(index)
+                bounds.append((estimate, estimate))
+                continue
+            done = inner.done[index]
+            if done == 0:
+                bounds.append((0.0, existence))
+                continue
+            accepted = float(inner.accepted[index])
+            interval = EBInterval(1.0, done, accepted, accepted)
+            # A high union rate means a low P(B), and vice versa.
+            bounds.append((
+                inner.probability(index, interval.upper(delta_arm)),
+                inner.probability(index, interval.lower(delta_arm)),
+            ))
+        return bounds
 
     def estimates(self) -> Dict[ButterflyKey, float]:
         """Final reported estimates.
 
-        Survivors report their point estimates.  Race-eliminated
-        candidates report the *smaller* of their point estimate and the
-        certified upper bound that eliminated them, so a noisy partial
-        estimate cannot outrank the certified winner.  (Pre-screen
-        eliminations are capped by the driver, which holds the
-        pre-screen bounds.)
+        Survivors report their point estimates.  Eliminated candidates
+        report the *smaller* of their point estimate and the certified
+        bound that eliminated them — the race's upper bound, or the
+        pre-screen's lower bound for a candidate that never sampled — so
+        a noisy partial estimate cannot outrank the certified winner.
         """
+        inner = self.inner
         values: Dict[ButterflyKey, float] = {}
-        for index in range(self.m):
-            estimate = self._estimate(index)
-            ceiling = self.eliminated_upper[index]
+        for index, butterfly in enumerate(inner.items):
+            estimate = inner.estimate(index)
+            ceiling = self.ceilings[index]
             if ceiling is not None:
                 estimate = min(estimate, ceiling)
-            values[self.items[index].key] = estimate
+            values[butterfly.key] = estimate
+        for index in self.pre_eliminated:
+            key = inner.items[index].key
+            values[key] = min(values[key], self.pre_lower[index])
         return values
 
+    def outcome(
+        self, report: LoopReport, base: int, observer: Observer
+    ) -> EstimationOutcome:
+        """The adaptive run's outcome, with its realised guarantee.
 
-def adaptive_karp_luby(
-    candidates: CandidateSet,
-    rng: RngLike = None,
-    *,
-    config: AdaptiveConfig,
-    n_trials: Optional[int] = None,
-    mu: float = 0.05,
-    epsilon: float = 0.1,
-    delta: float = 0.1,
-    min_trials: int = 16,
-    max_trials: int = 200_000,
-    track: Optional[Iterable[ButterflyKey]] = None,
-    checkpoints: int = 40,
-    block_size: Optional[int] = None,
-    runtime: Optional[RuntimePolicy] = None,
-    observer: Optional[Observer] = None,
-    wedge_index: Optional[WedgeIndex] = None,
-) -> EstimationOutcome:
-    """Anytime replacement for Algorithm 4's fixed Lemma VI.4 budgets.
-
-    Runs the sublinear pre-screen (unless disabled), then races the
-    surviving candidates: one union-kernel block of ``block_size``
-    Karp-Luby trials (``None``:
-    :data:`~repro.kernels.DEFAULT_BLOCK_SIZE`) per survivor and round,
-    interval eliminations between rounds, early stop at one survivor.  The
-    static Lemma VI.4 budgets are still computed — they cap each
-    candidate's trials and are the baseline the reported
-    ``trials_saved`` is measured against.
-
-    The total failure budget δ (``config.delta`` or the method's
-    ``delta``) splits half to the pre-screen and half to the racing
-    checks (all of it to racing when the pre-screen is off), so the
-    returned guarantee certifies the overall claim at δ with the ε the
-    intervals actually realised.
-
-    Returns an :class:`~repro.core.estimation.EstimationOutcome` with
-    ``method="karp-luby"`` (interchangeable with the fixed-path
-    estimator) whose stats add ``trials_saved`` and
-    ``candidates_eliminated``, and whose guarantee is populated even on
-    complete runs — the *realised* budget.  A deadline expiry still
-    degrades, but the anytime intervals keep the partial run's bounds
-    honest: the guarantee reflects the trials and eliminations that
-    actually happened.
-
-    ``wedge_index`` is an optional prebuilt wedge-CSR index for the
-    pre-screen (OLS-KL passes the one its preparing phase ran on); the
-    pre-screen builds its own when it is absent.
-    """
-    observer = ensure_observer(observer)
-    generator = ensure_rng(rng)
-    if n_trials is not None and n_trials <= 0:
-        raise ConfigurationError(
-            f"n_trials must be positive, got {n_trials}"
+        A certified stop is not degradation: its reason is cleared and
+        the ``adaptive.*`` metrics are recorded.  A deadline still
+        degrades, but the anytime intervals keep the partial run's
+        bounds honest: the guarantee reflects the trials and
+        eliminations that actually happened.
+        """
+        inner = self.inner
+        used = sum(inner.done)
+        static_total = sum(inner.budgets)
+        saved = max(0, static_total - used)
+        eliminated = len(self.pre_eliminated) + sum(
+            ceiling is not None for ceiling in self.ceilings
         )
-    base = monte_carlo_trial_bound(mu, epsilon, delta)
-    m = len(candidates)
-    if m == 0:
+        estimates = self.estimates()
+        bounds = self.bounds_at(max(1, report.completed))
+        winner = max(
+            (i for i, live in enumerate(inner.live) if live),
+            key=lambda i: (estimates[inner.items[i].key], -i),
+            default=0,
+        )
+        realized = realized_epsilon(
+            (bounds[winner][1] - bounds[winner][0]) / 2.0,
+            estimates[inner.items[winner].key], self.mu,
+        )
+        stop_reason = report.stop_reason
+        if stop_reason == ADAPTIVE_STOP:
+            stop_reason = None
+        if stop_reason is None:
+            observer.inc("adaptive.trials_saved", float(saved))
+            observer.inc("adaptive.candidates_eliminated", float(eliminated))
+            observer.set("adaptive.realized_epsilon", float(realized))
         return EstimationOutcome(
             method="karp-luby",
-            estimates={},
-            stats={"total_trials": 0.0, "base_trials": float(base)},
+            estimates=estimates,
+            traces=inner.traces,
+            trials_per_candidate=list(inner.done),
+            stats={
+                "total_trials": float(used),
+                "base_trials": float(base),
+                "trials_saved": float(saved),
+                "candidates_eliminated": float(eliminated),
+            },
+            stop_reason=stop_reason,
+            target_trials=None if stop_reason is None else static_total,
+            guarantee=Guarantee(
+                mu=self.mu,
+                epsilon=realized,
+                delta=self.delta,
+                achieved_trials=used,
+                target_trials=static_total,
+                realized_trials=used,
+                eliminated=eliminated,
+            ),
         )
-    delta_total = config.delta if config.delta is not None else delta
-    use_prescreen = config.prescreen and m >= 2
-    delta_pre = delta_total / 2.0 if use_prescreen else 0.0
-    delta_race = delta_total - delta_pre
 
-    pre_lower: List[float] = []
-    pre_eliminated: List[int] = []
-    if use_prescreen:
-        report = prescreen_candidates(
-            candidates, generator,
-            n_samples=config.prescreen_samples,
-            delta=delta_pre, wedge_index=wedge_index, observer=observer,
-        )
-        pre_eliminated = report.eliminated
-        pre_lower = report.lower_bounds
 
-    mass = [candidates.blocking_mass(i) for i in range(m)]
-    budgets = []
-    for index in range(m):
-        existence = candidates.existence_probability(index)
-        if existence == 0.0 or mass[index] == 0.0:
-            budgets.append(0)
-            continue
-        budgets.append(_candidate_budget(
-            n_trials, existence, mass[index], mu, epsilon, delta,
-            min_trials, max_trials,
-        ))
-    static_total = sum(budgets)
-    block = union_block_size(n_trials, max_trials, block_size, observer)
-    max_rounds = 1
-    for index in range(m):
-        if index in pre_eliminated or budgets[index] == 0:
-            continue
-        max_rounds = max(max_rounds, -(-budgets[index] // block))
-
-    deadline = runtime.make_deadline() if runtime is not None else None
-    loop = _RacingKarpLubyLoop(
-        candidates, generator, budgets, mass, delta_race, config,
-        pre_eliminated=pre_eliminated, track=track, deadline=deadline,
-        block=block, observer=observer,
-    )
-    with observer.span(
-        "sampling", method="ols-kl", candidates=m, adaptive=True
-    ):
-        report_loop = execute_trial_loop(
-            method="ols-kl",
-            graph_name=candidates.graph.name,
-            n_target=max_rounds,
-            loop=loop,
-            policy=runtime,
-            deadline=deadline,
-            unit="round",
-            observer=observer,
-        )
-    for done in loop.done:
-        observer.observe("ols-kl.trials_per_candidate", done)
-
-    used = loop.total_trials
-    saved = static_total - used
-    eliminated = loop.race_eliminated + len(pre_eliminated)
-    estimates = loop.estimates()
-    if pre_eliminated:
-        # Cap pre-screen-eliminated candidates at their certified lower
-        # bound — they received no trials, and reporting their bare
-        # existence probability could outrank the certified winner.
-        for index in pre_eliminated:
-            key = candidates[index].key
-            estimates[key] = min(estimates[key], pre_lower[index])
-
-    final_check = max(1, report_loop.completed)
-    bounds = loop.bounds_at(final_check)
-    winner = max(
-        (i for i in range(m) if loop.alive[i]),
-        key=lambda i: (estimates[candidates[i].key], -i),
-        default=0,
-    )
-    halfwidth = (bounds[winner][1] - bounds[winner][0]) / 2.0
-    realized = realized_epsilon(
-        halfwidth, estimates[candidates[winner].key], mu
-    )
-
-    stop_reason = report_loop.stop_reason
-    if stop_reason == ADAPTIVE_STOP:
-        stop_reason = None
-    degraded = stop_reason is not None
-    if not degraded:
-        observer.inc("adaptive.trials_saved", float(max(0, saved)))
-        observer.inc("adaptive.candidates_eliminated", float(eliminated))
-        observer.set("adaptive.realized_epsilon", float(realized))
-    guarantee = Guarantee(
-        mu=mu,
-        epsilon=realized,
-        delta=delta_total,
-        achieved_trials=used,
-        target_trials=static_total,
-        realized_trials=used,
-        eliminated=eliminated,
-    )
-    return EstimationOutcome(
-        method="karp-luby",
-        estimates=estimates,
-        traces=loop.traces,
-        trials_per_candidate=list(loop.done),
-        stats={
-            "total_trials": float(used),
-            "base_trials": float(base),
-            "trials_saved": float(max(0, saved)),
-            "candidates_eliminated": float(eliminated),
-        },
-        stop_reason=stop_reason,
-        target_trials=static_total if degraded else None,
-        guarantee=guarantee,
-    )
+def _resumed_race(
+    runtime: Optional[RuntimePolicy], candidates: CandidateSet
+) -> Optional[Dict]:
+    """The racing state of the OLS-KL checkpoint ``runtime`` resumes
+    from, if it has one for ``candidates`` (the engine validates the
+    rest of the document on restore)."""
+    if runtime is None or runtime.resume_from is None:
+        return None
+    document = read_checkpoint(runtime.resume_from)
+    if document is None or document.get("method") != "ols-kl":
+        return None
+    state = document.get("state", {})
+    race = state.get("race")
+    if race is not None:
+        candidates.require_checkpoint_keys(state.get("candidates", []))
+    return race
 
 
 def adaptive_delta(

@@ -10,30 +10,35 @@ Trial counts are either fixed or sized dynamically per candidate through
 the Lemma VI.4 ratio (Equation 8) against a common Monte-Carlo baseline —
 which is exactly how the paper configures OLS-KL in Section VIII-B.
 
-Each candidate's union trials run in blocks on the vectorised
-:class:`~repro.kernels.UnionBlockKernel`; the paper's one-trial-at-a-time
-union loop is the reference
+The union trials run in *rounds* (:class:`KarpLubyRounds`): each round
+hands every candidate that still needs trials one
+:class:`~repro.kernels.UnionBlockKernel` block, so a candidate's budget
+splits into the same blocks it would get run on its own.  A fixed run
+takes every candidate to its static budget; adaptive mode wraps the same
+loop with the racer of :mod:`repro.adaptive.racing` (pre-screen,
+empirical-Bernstein eliminations, certified stop).  The paper's
+candidate-at-a-time, one-trial-at-a-time loop is the reference
 (:func:`~repro.core.reference.reference_listing_sampling`), which shares
-everything here but the per-candidate runner.
+the samplers, budgets and outcome assembly here.
 
-The candidate loop routes through the resilient runtime engine with
-``unit="candidate"``: checkpoints snapshot fully-completed candidates
-only, and a wall-clock deadline can stop *inside* a candidate's trial
-run, between blocks — the partial estimate is kept and the outcome
-degrades with a guarantee re-widened via the inverted Lemma VI.4 bound.
+The rounds route through the resilient runtime engine with
+``unit="round"``: checkpoints snapshot every candidate's counts at round
+boundaries, and a wall-clock deadline can stop inside a round, between
+blocks — the run then degrades with a guarantee re-widened via the
+inverted Lemma VI.4 bound over the trials each candidate received.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..butterfly import ButterflyKey
 from ..errors import CheckpointError, ConfigurationError
-from ..kernels import DEFAULT_BLOCK_SIZE, UnionBlockKernel, resolve_block_size
-from ..observability import Counter, Observer, ensure_observer
+from ..kernels import UnionBlockKernel, WedgeIndex, resolve_block_size
+from ..observability import Observer, ensure_observer
 from ..sampling import (
     ConvergenceTrace,
     KarpLubyUnionSampler,
@@ -45,186 +50,192 @@ from ..sampling import (
 from ..sampling.convergence import decode_traces, encode_traces
 from ..sampling.rng import restore_rng_state, rng_state_payload
 from ..runtime.degradation import Guarantee
-from ..runtime.engine import LoopInterrupt, execute_trial_loop
+from ..runtime.engine import LoopInterrupt, LoopReport, execute_trial_loop
 from ..runtime.policy import Deadline, RuntimePolicy
 from .bounds import karp_luby_achievable_epsilon, karp_luby_trial_bound
 from .candidates import CandidateSet
 from .estimation import EstimationOutcome
 
 
-class _KarpLubyLoop:
-    """Algorithm 4's candidate loop behind the engine's contract.
+#: The keys of a round checkpoint's state payload.
+STATE_KEYS = ("candidates", "live", "done", "accepted", "traces", "rng")
 
-    One engine "trial" is one candidate.  Snapshot state covers
-    fully-completed candidates only — their estimates, per-candidate
-    trial counts, traces — plus the candidate keys (resume validation)
-    and the RNG stream position; a candidate interrupted mid-run is
-    re-estimated from scratch on resume, which keeps the checkpoint
-    payload exact.  A candidate's trials run in :meth:`_run_candidate`,
-    the one method the reference's per-trial loop overrides.  The two
-    runners consume the RNG stream differently, so a checkpoint records
-    its runner (:attr:`RUNNER`) and resumes only on the same one.
+
+class KarpLubyRounds:
+    """Algorithm 4's union trials behind the engine's contract, one
+    engine unit per round.
+
+    Round ``k`` gives every live candidate that still needs trials one
+    union-kernel block of ``min(block, budget − done)`` trials.  A
+    candidate's kernel is built around its sampler for its first block,
+    and both are freed once its budget is spent or it is retired
+    (:meth:`retire`, how the racer eliminates), so the loop holds at
+    most the live set.  Snapshot state: per-candidate trial and
+    acceptance counts, the live flags, traces, the candidate keys
+    (resume validation) and the RNG stream position.
     """
-
-    #: Checkpoint tag of the per-candidate runner.
-    RUNNER = "union-kernel"
 
     def __init__(
         self,
         candidates: CandidateSet,
         generator,
-        n_trials: Optional[int],
-        mu: float,
-        epsilon: float,
-        delta: float,
-        min_trials: int,
-        max_trials: int,
+        samplers: List[KarpLubyUnionSampler],
+        budgets: List[int],
+        *,
+        block: int,
         track: Optional[Iterable[ButterflyKey]] = None,
         checkpoints: int = 40,
         deadline: Optional[Deadline] = None,
-        block: int = DEFAULT_BLOCK_SIZE,
         observer: Optional[Observer] = None,
     ) -> None:
         self.candidates = candidates
         self.generator = generator
         self.items = candidates.butterflies
-        self.n_trials = n_trials
-        self.mu = mu
-        self.epsilon = epsilon
-        self.delta = delta
-        self.min_trials = min_trials
-        self.max_trials = max_trials
-        self.deadline = deadline
+        self.budgets = budgets
+        self.masses = [sampler.weight_sum for sampler in samplers]
         self.block = block
-        self._tracked = set(track) if track is not None else set()
-        self._checkpoints = checkpoints
-        self.estimates: Dict[ButterflyKey, float] = {}
+        self.deadline = deadline
+        m = len(self.items)
+        self.existence = [
+            candidates.existence_probability(i) for i in range(m)
+        ]
+        self.live = [True] * m
+        self.done = [0] * m
+        self.accepted = [0] * m
         self.traces: Dict[ButterflyKey, ConvergenceTrace] = {}
-        self.trials_per_candidate: List[int] = []
+        self._schedules: Dict[int, set] = {}
+        tracked = set(track) if track is not None else set()
+        for index, butterfly in enumerate(self.items):
+            if butterfly.key not in tracked:
+                continue
+            if budgets[index] > 0:
+                self._schedules[index] = set(
+                    checkpoint_schedule(budgets[index], checkpoints)
+                )
+            elif self.existence[index] > 0.0:
+                # Nothing heavier can block it: P(B) = Pr[E(B)].
+                trace = ConvergenceTrace(label=str(butterfly.key))
+                trace.record(1, self.existence[index])
+                self.traces[butterfly.key] = trace
+        self._samplers: List[Optional[KarpLubyUnionSampler]] = list(
+            samplers
+        )
+        self._kernels: Dict[int, UnionBlockKernel] = {}
         self._vectorized = ensure_observer(observer).metrics.counter(
             "kernel.trials_vectorized"
         )
 
-    @property
-    def total_trials(self) -> int:
-        return sum(self.trials_per_candidate)
+    def rounds(self) -> int:
+        """Rounds the live candidates' budgets take (at least one)."""
+        return max([1] + [
+            -(-budget // self.block)
+            for budget, live in zip(self.budgets, self.live) if live
+        ])
+
+    def needs_trials(self, index: int) -> bool:
+        return self.live[index] and self.done[index] < self.budgets[index]
+
+    def retire(self, index: int) -> None:
+        """Stop sampling candidate ``index`` and free its kernel."""
+        self.live[index] = False
+        self._free(index)
+
+    def _free(self, index: int) -> None:
+        self._kernels.pop(index, None)
+        self._samplers[index] = None
 
     def run_trial(self, trial: int) -> None:
-        """Estimate candidate ``trial - 1`` (engine trials are 1-based)."""
-        index = trial - 1
-        butterfly = self.items[index]
-        probs = self.candidates.graph.probs
-        existence = self.candidates.existence_probability(index)
-        if existence == 0.0:
-            self.estimates[butterfly.key] = 0.0
-            self.trials_per_candidate.append(0)
-            return
-        events = self.candidates.difference_events(index)
-        if not events:
-            # Nothing heavier can block this candidate: P(B) = Pr[E(B)].
-            self.estimates[butterfly.key] = existence
-            self.trials_per_candidate.append(0)
-            if butterfly.key in self._tracked:
-                trace = ConvergenceTrace(label=str(butterfly.key))
-                trace.record(1, existence)
-                self.traces[butterfly.key] = trace
-            return
+        """Run round ``trial``; a deadline is checked before each block,
+        and the blocks run before it expired stay counted."""
+        for index in range(len(self.items)):
+            if not self.needs_trials(index):
+                continue
+            if self.deadline is not None and self.deadline.expired:
+                raise LoopInterrupt("deadline")
+            self._run_block(index)
 
-        sampler = KarpLubyUnionSampler(
-            events, lambda e: float(probs[e]), self.generator
-        )
-        budget = _candidate_budget(
-            self.n_trials, existence, sampler.weight_sum, self.mu,
-            self.epsilon, self.delta, self.min_trials, self.max_trials,
-        )
-        trace: Optional[ConvergenceTrace] = None
-        schedule: set = set()
-        if butterfly.key in self._tracked:
-            trace = ConvergenceTrace(label=str(butterfly.key))
-            schedule = set(checkpoint_schedule(budget, self._checkpoints))
+    def _run_block(self, index: int) -> None:
+        kernel = self._kernels.get(index)
+        if kernel is None:
+            kernel = self._kernels[index] = UnionBlockKernel(
+                self._samplers[index]
+            )
+        done, before = self.done[index], self.accepted[index]
+        share = min(self.block, self.budgets[index] - done)
+        accepted = kernel.run_block(share)
+        self._vectorized.inc(share)
+        self.done[index] += share
+        self.accepted[index] += int(accepted.sum())
+        if self.done[index] == self.budgets[index]:
+            self._free(index)
+        schedule = self._schedules.get(index)
+        if schedule:
+            # Trace points inside the block come from its acceptance
+            # vector.
+            key = self.items[index].key
+            cumulative = np.cumsum(accepted)
+            for t in range(done + 1, done + share + 1):
+                if t in schedule:
+                    rate = (before + int(cumulative[t - done - 1])) / t
+                    self.traces.setdefault(
+                        key, ConvergenceTrace(label=str(key))
+                    ).record(t, self.probability(index, rate))
 
-        done = self._run_candidate(
-            sampler, budget, existence, trace, schedule
-        )
-        self.estimates[butterfly.key] = _to_probability(
-            sampler.estimate().raw_probability, existence
-        )
-        self.trials_per_candidate.append(done)
-        if trace is not None:
-            self.traces[butterfly.key] = trace
-        if done < budget:
-            # The partial estimate above is kept for the degraded result,
-            # but the engine's completed count excludes this candidate.
-            raise LoopInterrupt("deadline")
+    def probability(self, index: int, rate: float) -> float:
+        """Algorithm 4 line 10 for candidate ``index`` at union
+        acceptance rate ``rate``, clamped into ``[0, Pr[E(B)]]``."""
+        return to_probability(rate * self.masses[index], self.existence[index])
 
-    def _run_candidate(
-        self,
-        sampler: KarpLubyUnionSampler,
-        budget: int,
-        existence: float,
-        trace: Optional[ConvergenceTrace],
-        schedule: set,
-    ) -> int:
-        """Run this candidate's ``budget`` union trials in kernel blocks
-        and return how many ran before a deadline stopped them; trace
-        points inside a block come from its acceptance vector."""
-        done = 0
-        for accepted in union_blocks(
-            UnionBlockKernel(sampler), budget, self.block,
-            self._vectorized, self.deadline,
-        ):
-            if trace is not None:
-                before = sampler.accepted - int(accepted.sum())
-                cumulative = np.cumsum(accepted)
-                for t in range(done + 1, done + accepted.size + 1):
-                    if t in schedule:
-                        raw = (
-                            (before + int(cumulative[t - done - 1])) / t
-                            * sampler.weight_sum
-                        )
-                        trace.record(t, _to_probability(raw, existence))
-            done += accepted.size
-        return done
+    def estimate(self, index: int) -> float:
+        done = self.done[index]
+        return self.probability(
+            index, self.accepted[index] / done if done else 0.0
+        )
+
+    def estimates(self) -> Dict[ButterflyKey, float]:
+        """Every candidate's estimate, except those a deadline stopped
+        before their first trial."""
+        return {
+            butterfly.key: self.estimate(index)
+            for index, butterfly in enumerate(self.items)
+            if self.done[index] or not self.budgets[index]
+        }
 
     def state_payload(self, completed: int) -> Dict:
-        completed_items = self.items[:completed]
-        index_of = {b.key: i for i, b in enumerate(self.items)}
         return {
-            "runner": self.RUNNER,
             "candidates": [list(b.key) for b in self.items],
-            "estimates": [
-                [list(b.key), float(self.estimates[b.key])]
-                for b in completed_items
-            ],
-            "trials_per_candidate": [
-                int(n) for n in self.trials_per_candidate[:completed]
-            ],
-            "traces": encode_traces({
-                key: trace for key, trace in self.traces.items()
-                if index_of[key] < completed
-            }),
+            "live": [int(flag) for flag in self.live],
+            "done": [int(n) for n in self.done],
+            "accepted": [int(n) for n in self.accepted],
+            "traces": encode_traces(self.traces),
             "rng": rng_state_payload(self.generator),
         }
 
     def restore_state(self, payload: Dict) -> None:
-        runner = payload.get("runner")
-        if runner != self.RUNNER:
-            written = "an untagged" if runner is None else f"the {runner!r}"
+        if "race" in payload:
             raise CheckpointError(
-                f"checkpoint was written by {written} Karp-Luby runner; "
-                f"this run uses the {self.RUNNER!r} runner, which draws "
-                "another stream — resume through the entry point that "
-                "wrote it"
+                "checkpoint was written by an adaptive OLS-KL run; "
+                "resume it with adaptive on"
+            )
+        missing = [key for key in STATE_KEYS if key not in payload]
+        if missing:
+            raise CheckpointError(
+                "OLS-KL round checkpoint lacks "
+                + ", ".join(repr(key) for key in missing)
             )
         self.candidates.require_checkpoint_keys(payload["candidates"])
-        self.estimates = {
-            tuple(int(part) for part in raw): float(value)
-            for raw, value in payload["estimates"]
-        }
-        self.trials_per_candidate = [
-            int(n) for n in payload["trials_per_candidate"]
-        ]
+        self.live = [bool(flag) for flag in payload["live"]]
+        self.done = [int(n) for n in payload["done"]]
+        self.accepted = [int(n) for n in payload["accepted"]]
         self.traces = decode_traces(payload["traces"])
+        for index in range(len(self.items)):
+            if not self.needs_trials(index):
+                self._free(index)
+            elif self._samplers[index] is None:
+                raise CheckpointError(
+                    f"OLS-KL checkpoint samples candidate {index}, which "
+                    "this run has retired"
+                )
         restore_rng_state(self.generator, payload["rng"])
 
 
@@ -242,6 +253,8 @@ def estimate_probabilities_karp_luby(
     block_size: Optional[int] = None,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
+    adaptive=None,
+    wedge_index: Optional[WedgeIndex] = None,
 ) -> EstimationOutcome:
     """Estimate ``P(B)`` for every candidate with per-candidate KL runs.
 
@@ -262,61 +275,38 @@ def estimate_probabilities_karp_luby(
         track: Optional butterfly keys to trace (Figure 11).
         checkpoints: Number of evenly spaced trace checkpoints.
         block_size: Union trials per
-            :class:`~repro.kernels.UnionBlockKernel` call (``None``:
+            :class:`~repro.kernels.UnionBlockKernel` call, and so per
+            candidate and round (``None``:
             :data:`~repro.kernels.DEFAULT_BLOCK_SIZE`).  Deterministic
             for a fixed block size.
         runtime: Optional :class:`~repro.runtime.policy.RuntimePolicy`
-            enabling candidate-granular checkpoint/resume and deadline
+            enabling round-granular checkpoint/resume and deadline
             degradation (the deadline is also checked *inside* each
-            candidate's trial run, between blocks).
+            round, between blocks).
         observer: Optional :class:`~repro.observability.Observer`
             recording the ``sampling`` span, engine counters, and the
             per-candidate trial-count histogram (the Lemma VI.4 budget
             spread).
+        adaptive: Optional :class:`~repro.adaptive.AdaptiveConfig` (or
+            anything :func:`~repro.adaptive.resolve_adaptive` accepts):
+            races the rounds with
+            :class:`~repro.adaptive.racing.KarpLubyRacer` — the
+            sublinear pre-screen, then interval eliminations between
+            rounds against the static budgets, which still cap each
+            candidate.  ``None`` (default) runs every candidate to its
+            budget.
+        wedge_index: Optional prebuilt wedge index of the graph for the
+            adaptive pre-screen (it builds its own when absent).
 
     Returns:
         An :class:`~repro.core.estimation.EstimationOutcome` with
         ``method="karp-luby"`` and stats counters ``total_trials`` and
         ``base_trials`` (the Monte-Carlo baseline the ratios scale).  A
-        degraded outcome keeps every estimate computed so far (including
-        the partially-sampled candidate) and re-widens ε through the
-        inverted Lemma VI.4 bound over the trials each candidate
-        actually received; unprocessed candidates have no estimate.
-    """
-    observer = ensure_observer(observer)
-    return run_karp_luby_loop(
-        _KarpLubyLoop, candidates, rng,
-        n_trials=n_trials, mu=mu, epsilon=epsilon, delta=delta,
-        min_trials=min_trials, max_trials=max_trials,
-        track=track, checkpoints=checkpoints,
-        runtime=runtime, observer=observer,
-        block=union_block_size(n_trials, max_trials, block_size, observer),
-    )
-
-
-def run_karp_luby_loop(
-    loop_type: type,
-    candidates: CandidateSet,
-    rng: RngLike = None,
-    *,
-    n_trials: Optional[int] = None,
-    mu: float = 0.05,
-    epsilon: float = 0.1,
-    delta: float = 0.1,
-    min_trials: int = 16,
-    max_trials: int = 200_000,
-    track: Optional[Iterable[ButterflyKey]] = None,
-    checkpoints: int = 40,
-    runtime: Optional[RuntimePolicy] = None,
-    observer: Optional[Observer] = None,
-    block: int = DEFAULT_BLOCK_SIZE,
-) -> EstimationOutcome:
-    """Run Algorithm 4's candidate loop under the engine.
-
-    ``loop_type`` is :class:`_KarpLubyLoop` (kernel blocks of
-    ``block`` trials) in production and its per-trial subclass in the
-    reference; the other arguments are
-    :func:`estimate_probabilities_karp_luby`'s.
+        degraded fixed run keeps the estimate of every candidate that
+        received trials and re-widens ε through the inverted Lemma VI.4
+        bound over the trials each candidate actually received.  An
+        adaptive run adds ``trials_saved`` and ``candidates_eliminated``
+        and always carries its realised guarantee.
     """
     if n_trials is not None and n_trials <= 0:
         raise ConfigurationError(f"n_trials must be positive, got {n_trials}")
@@ -329,170 +319,157 @@ def run_karp_luby_loop(
             estimates={},
             stats={"total_trials": 0.0, "base_trials": float(base)},
         )
-    deadline = runtime.make_deadline() if runtime is not None else None
-    loop = loop_type(
-        candidates, generator, n_trials, mu, epsilon, delta,
-        min_trials, max_trials,
-        track=track, checkpoints=checkpoints, deadline=deadline,
-        block=block, observer=observer,
-    )
-    with observer.span(
-        "sampling", method="ols-kl", candidates=len(candidates)
-    ):
-        report = execute_trial_loop(
-            method="ols-kl",
-            graph_name=candidates.graph.name,
-            n_target=len(candidates),
-            loop=loop,
-            policy=runtime,
-            deadline=deadline,
-            unit="candidate",
-            observer=observer,
-        )
-    for done in loop.trials_per_candidate:
-        observer.observe("ols-kl.trials_per_candidate", done)
-    guarantee = None
-    target_trials = None
-    if report.degraded:
-        guarantee, target_trials = _degraded_guarantee(
-            candidates, loop, n_trials, mu, epsilon, delta,
-            min_trials, max_trials,
-        )
-    return EstimationOutcome(
-        method="karp-luby",
-        estimates=dict(loop.estimates),
-        traces=loop.traces,
-        trials_per_candidate=list(loop.trials_per_candidate),
-        stats={
-            "total_trials": float(loop.total_trials),
-            "base_trials": float(base),
-        },
-        stop_reason=report.stop_reason,
-        target_trials=target_trials,
-        guarantee=guarantee,
-    )
+    config = None
+    if adaptive is not None:
+        # Lazy import: repro.adaptive consumes the core estimators, so
+        # importing it eagerly here would cycle at package load.
+        from ..adaptive import racing
 
-
-def union_block_size(
-    n_trials: Optional[int],
-    max_trials: int,
-    block_size: Optional[int],
-    observer: Observer,
-) -> int:
-    """The union kernel's block size, clamped to the largest
-    per-candidate budget (which never changes how a budget splits into
-    blocks) and recorded as ``kernel.block_size``."""
+        config = racing.resolve_adaptive(adaptive)
+    # Clamped to the largest per-candidate budget, which never changes
+    # how a budget splits into blocks.
     block = resolve_block_size(
         max_trials if n_trials is None else n_trials, block_size
     )
     observer.set("kernel.block_size", float(block))
-    return block
+    samplers, budgets = union_samplers(
+        candidates, generator, n_trials, mu, epsilon, delta,
+        min_trials, max_trials,
+    )
+    deadline = runtime.make_deadline() if runtime is not None else None
+    loop = KarpLubyRounds(
+        candidates, generator, samplers, budgets, block=block,
+        track=track, checkpoints=checkpoints, deadline=deadline,
+        observer=observer,
+    )
+    racer = None
+    if config is not None:
+        racer = racing.KarpLubyRacer(
+            loop, config,
+            delta=delta if config.delta is None else config.delta,
+            mu=mu, wedge_index=wedge_index, runtime=runtime,
+            observer=observer,
+        )
+    meta = {} if racer is None else {"adaptive": True}
+    with observer.span(
+        "sampling", method="ols-kl", candidates=len(candidates), **meta
+    ):
+        report = execute_trial_loop(
+            method="ols-kl",
+            graph_name=candidates.graph.name,
+            n_target=loop.rounds(),
+            loop=loop if racer is None else racer,
+            policy=runtime,
+            deadline=deadline,
+            unit="round",
+            observer=observer,
+        )
+    for done in loop.done:
+        observer.observe("ols-kl.trials_per_candidate", done)
+    if racer is not None:
+        return racer.outcome(report, base, observer)
+    return karp_luby_outcome(loop, report, base, mu, delta)
 
 
-def union_blocks(
-    kernel: UnionBlockKernel,
-    count: int,
-    block: int,
-    vectorized: Counter,
-    deadline: Optional[Deadline] = None,
-) -> Iterator[np.ndarray]:
-    """Run ``count`` union trials on ``kernel`` in blocks of at most
-    ``block``, yielding each block's per-trial acceptance vector.
-
-    Counts every trial in ``vectorized`` (``kernel.trials_vectorized``)
-    and stops early, between blocks, once ``deadline`` has expired.
-    """
-    done = 0
-    while done < count:
-        length = min(block, count - done)
-        accepted = kernel.run_block(length)
-        vectorized.inc(length)
-        yield accepted
-        done += length
-        if deadline is not None and done < count and deadline.expired:
-            return
-
-
-def _degraded_guarantee(
+def union_samplers(
     candidates: CandidateSet,
-    loop: _KarpLubyLoop,
+    generator: np.random.Generator,
     n_trials: Optional[int],
     mu: float,
     epsilon: float,
     delta: float,
-    min_trials: int,
-    max_trials: int,
-) -> tuple:
-    """Re-widen a degraded KL run's guarantee from achieved trials.
+    min_trials: int = 16,
+    max_trials: int = 200_000,
+) -> Tuple[List[KarpLubyUnionSampler], List[int]]:
+    """Every candidate's union sampler and static trial budget.
 
-    ε is the *widest* error certified among the candidates that received
-    trials (inverted Lemma VI.4); it is infinite when a trial-needing
-    candidate received none.  The target budget sums every candidate's
-    planned trial count, so callers can see how far the run got.
+    Candidate ``i``'s sampler runs Algorithm 4's union trials over its
+    blocking events ``E(B_j \\ B_i)``, drawing from ``generator``; its
+    ``weight_sum`` is the blocking mass ``S_i``.  The budget is the
+    fixed ``n_trials``, or the Lemma VI.4 bound at target
+    ``min(μ, Pr[E(B)])`` clamped to ``[min_trials, max_trials]``; a
+    candidate that cannot exist, or that nothing heavier blocks, needs
+    no trials (budget 0).
     """
-    target_total = 0
-    eps_values: List[float] = []
-    shortfall = False
+    probs = candidates.graph.probs
+
+    def prob_of(edge: int) -> float:
+        return float(probs[edge])
+
+    samplers: List[KarpLubyUnionSampler] = []
+    budgets: List[int] = []
     for index in range(len(candidates)):
+        sampler = KarpLubyUnionSampler(
+            candidates.difference_events(index), prob_of, generator
+        )
+        samplers.append(sampler)
         existence = candidates.existence_probability(index)
-        if existence == 0.0:
-            continue
-        mass = candidates.blocking_mass(index)
-        if mass == 0.0:
-            continue
-        budget = _candidate_budget(
-            n_trials, existence, mass, mu, epsilon, delta,
-            min_trials, max_trials,
-        )
-        target_total += budget
-        done = (
-            loop.trials_per_candidate[index]
-            if index < len(loop.trials_per_candidate)
-            else 0
-        )
-        if done > 0:
-            eps_values.append(
-                karp_luby_achievable_epsilon(
-                    existence, mass, min(mu, existence), done, delta
-                )
-            )
+        mass = sampler.weight_sum
+        if existence == 0.0 or mass == 0.0:
+            budgets.append(0)
+        elif n_trials is not None:
+            budgets.append(n_trials)
         else:
-            shortfall = True
-    if shortfall or not eps_values:
-        achieved_epsilon = math.inf
-    else:
-        achieved_epsilon = max(eps_values)
-    guarantee = Guarantee(
-        mu=mu,
-        epsilon=achieved_epsilon,
-        delta=delta,
-        achieved_trials=loop.total_trials,
-        target_trials=target_total,
+            bound = karp_luby_trial_bound(
+                existence, mass, min(mu, existence), epsilon, delta,
+                minimum=min_trials,
+            )
+            budgets.append(max(min_trials, min(max_trials, bound)))
+    return samplers, budgets
+
+
+def karp_luby_outcome(
+    loop, report: LoopReport, base: int, mu: float, delta: float
+) -> EstimationOutcome:
+    """A fixed-budget run's outcome, from a finished loop exposing
+    ``candidates``, ``budgets``, ``masses``, per-candidate ``done``,
+    ``traces`` and ``estimates()`` (the round loop or the reference).
+
+    A degraded run re-widens ε to the *widest* error certified among
+    the candidates that received trials (inverted Lemma VI.4); it is
+    infinite when a trial-needing candidate received none.  The target
+    budget sums every candidate's static budget, so callers can see how
+    far the run got.
+    """
+    guarantee = None
+    if report.degraded:
+        widths: List[float] = []
+        shortfall = False
+        for index, budget in enumerate(loop.budgets):
+            if budget == 0:
+                continue
+            done = loop.done[index]
+            if done == 0:
+                shortfall = True
+                continue
+            existence = loop.candidates.existence_probability(index)
+            widths.append(karp_luby_achievable_epsilon(
+                existence, loop.masses[index], min(mu, existence), done,
+                delta,
+            ))
+        guarantee = Guarantee(
+            mu=mu,
+            epsilon=math.inf if shortfall or not widths else max(widths),
+            delta=delta,
+            achieved_trials=sum(loop.done),
+            target_trials=sum(loop.budgets),
+        )
+    return EstimationOutcome(
+        method="karp-luby",
+        estimates=loop.estimates(),
+        traces=loop.traces,
+        trials_per_candidate=list(loop.done),
+        stats={
+            "total_trials": float(sum(loop.done)),
+            "base_trials": float(base),
+        },
+        stop_reason=report.stop_reason,
+        target_trials=None if guarantee is None else guarantee.target_trials,
+        guarantee=guarantee,
     )
-    return guarantee, target_total
 
 
-def _candidate_budget(
-    n_trials: Optional[int],
-    existence: float,
-    blocking_mass: float,
-    mu: float,
-    epsilon: float,
-    delta: float,
-    min_trials: int,
-    max_trials: int,
-) -> int:
-    """Per-candidate trial count: fixed, or dynamic per Lemma VI.4."""
-    if n_trials is not None:
-        return n_trials
-    target = min(mu, existence)
-    bound = karp_luby_trial_bound(
-        existence, blocking_mass, target, epsilon, delta, minimum=min_trials
-    )
-    return max(min_trials, min(max_trials, bound))
-
-
-def _to_probability(raw_union: float, existence: float) -> float:
+def to_probability(raw_union: float, existence: float) -> float:
     """Algorithm 4 line 10 with clamping into ``[0, Pr[E(B)]]``."""
     value = (1.0 - raw_union) * existence
     return float(min(existence, max(0.0, value)))

@@ -252,11 +252,10 @@ def ordering_listing_sampling(
             anything :func:`~repro.adaptive.resolve_adaptive` accepts)
             enabling anytime trial allocation in the sampling phase:
             the optimised estimator gains the racing stop rule, and
-            Karp-Luby routes through
-            :func:`~repro.adaptive.racing.adaptive_karp_luby` — the
-            sublinear pre-screen plus per-candidate racing elimination
-            against the static Lemma VI.4 budgets.  ``None`` (default)
-            keeps the fixed budgets bit-identical.
+            Karp-Luby's rounds gain the sublinear pre-screen plus
+            per-candidate racing elimination against the static
+            Lemma VI.4 budgets.  ``None`` (default) keeps the fixed
+            budgets bit-identical.
         wedge_index: Optional prebuilt
             :class:`~repro.kernels.wedge_block.WedgeIndex` of ``graph``
             (e.g. the service's shared one, or one attached from shared
@@ -270,16 +269,8 @@ def ordering_listing_sampling(
         ``candidates_listed`` and the estimator's counters.
     """
     observer = ensure_observer(observer)
-    adaptive_config = None
-    if adaptive is not None and estimator == "karp-luby":
-        # Lazy import: repro.adaptive consumes the core estimators,
-        # importing it eagerly here would cycle.
-        from ..adaptive.racing import resolve_adaptive
-
-        adaptive_config = resolve_adaptive(adaptive)
 
     def sample(candidates, generator, index):
-        kl_trials = n_trials if n_trials > 0 else None
         if estimator == "optimized":
             outcome = estimate_probabilities_optimized(
                 candidates, n_trials, generator,
@@ -287,24 +278,14 @@ def ordering_listing_sampling(
                 block_size=block_size, runtime=runtime,
                 observer=observer, adaptive=adaptive,
             )
-        elif adaptive_config is not None:
-            from ..adaptive.racing import adaptive_karp_luby
-
-            outcome = adaptive_karp_luby(
-                candidates, generator,
-                config=adaptive_config, n_trials=kl_trials,
-                mu=mu, epsilon=epsilon, delta=delta,
-                track=track, checkpoints=checkpoints,
-                block_size=block_size, runtime=runtime,
-                observer=observer, wedge_index=index,
-            )
         else:
             outcome = estimate_probabilities_karp_luby(
-                candidates, generator, n_trials=kl_trials,
+                candidates, generator,
+                n_trials=n_trials if n_trials > 0 else None,
                 mu=mu, epsilon=epsilon, delta=delta,
                 track=track, checkpoints=checkpoints,
                 block_size=block_size, runtime=runtime,
-                observer=observer,
+                observer=observer, adaptive=adaptive, wedge_index=index,
             )
         return outcome
 

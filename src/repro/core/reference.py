@@ -15,10 +15,12 @@ algorithms as the timing and test reference:
   the experiments harness times.
 - :func:`reference_listing_sampling` — OLS and OLS-KL with the paper's
   sampling loops: Algorithm 5's lazy walk over the weight-sorted
-  candidates (one trial per engine unit) and Algorithm 4's per-trial
-  union loop.  It shares the preparing phase, the checkpoint rebuild
-  of ``C_MB`` and the result assembly with production
-  (:func:`~repro.core.ols.run_listing_sampling`); the kernels agree
+  candidates (one trial per engine unit) and Algorithm 4's
+  candidate-at-a-time union loop (one candidate per engine unit, one
+  union trial at a time).  It shares the preparing phase, the
+  checkpoint rebuild of ``C_MB`` and the result assembly with
+  production (:func:`~repro.core.ols.run_listing_sampling`), and with
+  production OLS-KL its static budgets and outcome; the kernels agree
   with it in distribution, not bit for bit (``docs/kernels.md``).
 """
 
@@ -32,31 +34,34 @@ import numpy as np
 
 from ..butterfly import Butterfly, ButterflyKey, max_weight_butterflies
 from ..butterfly.bfc_vp import assemble_butterfly
-from ..errors import ConfigurationError
+from ..errors import CheckpointError, ConfigurationError
 from ..graph import (
     UncertainBipartiteGraph,
     degree_priority,
     expected_degree_priority,
 )
 from ..observability import Observer, ensure_observer
+from ..runtime.engine import LoopInterrupt, execute_trial_loop
 from ..runtime.frequency import WinnerCountLoop
-from ..runtime.policy import RuntimePolicy
+from ..runtime.policy import Deadline, RuntimePolicy
 from ..sampling import (
     ConvergenceTrace,
     KarpLubyUnionSampler,
     RngLike,
     checkpoint_schedule,
     ensure_rng,
+    monte_carlo_trial_bound,
 )
 from ..sampling.convergence import decode_traces, encode_traces
 from ..sampling.rng import restore_rng_state, rng_state_payload
 from ..worlds import WorldSampler
 from .candidates import CandidateSet
 from .driver import search_winners
+from .estimation import EstimationOutcome
 from .karp_luby_estimator import (
-    _KarpLubyLoop,
-    _to_probability,
-    run_karp_luby_loop,
+    karp_luby_outcome,
+    to_probability,
+    union_samplers,
 )
 from .ols import DEFAULT_PREPARE_TRIALS, run_listing_sampling
 from .optimized_estimator import run_optimized_loop
@@ -208,12 +213,14 @@ def reference_listing_sampling(
     weight-sorted candidates once per trial, sampling edges lazily and
     stopping at the first candidate lighter than the heaviest existing
     one; its engine unit is one trial, so ``adaptive`` checks the
-    racing rule every ``check_every`` trials.  Algorithm 4 runs each
-    candidate's union trials one at a time, with fixed or Lemma VI.4
-    budgets, checking a deadline after every trial.  OLS checkpoints
-    count trials here and blocks in production, so neither resumes the
-    other's; OLS-KL checkpoints count candidates on both sides and
-    record their runner, so neither resumes the other's either.
+    racing rule every ``check_every`` trials.  Algorithm 4 runs one
+    candidate per engine unit, its union trials one at a time under the
+    same fixed or Lemma VI.4 budgets as production, checking a deadline
+    after every trial.  Neither side resumes the other's checkpoints:
+    OLS checkpoints count trials here and blocks in production, and
+    OLS-KL ones count candidates here and rounds in production (a
+    reference checkpoint also records its runner, so one written by an
+    older candidate-unit production run is refused too).
 
     Raises:
         ConfigurationError: On an unknown estimator, or ``adaptive``
@@ -241,12 +248,9 @@ def reference_listing_sampling(
                 loop, n_trials, runtime=runtime, observer=observer,
                 adaptive=adaptive,
             )
-        return run_karp_luby_loop(
-            _PerTrialKarpLubyLoop, candidates, generator,
-            n_trials=n_trials if n_trials > 0 else None,
-            mu=mu, epsilon=epsilon, delta=delta,
-            track=track, checkpoints=checkpoints,
-            runtime=runtime, observer=observer,
+        return _per_trial_karp_luby(
+            candidates, generator, n_trials if n_trials > 0 else None,
+            mu, epsilon, delta, track, checkpoints, runtime, observer,
         )
 
     return run_listing_sampling(
@@ -400,36 +404,173 @@ class LazyEdgeTrial:
         return len(self._state)
 
 
-class _PerTrialKarpLubyLoop(_KarpLubyLoop):
-    """Algorithm 4's candidate loop with the paper's per-trial union
-    runner: one :meth:`KarpLubyUnionSampler.trial` at a time."""
+def _per_trial_karp_luby(
+    candidates: CandidateSet,
+    generator,
+    n_trials: Optional[int],
+    mu: float,
+    epsilon: float,
+    delta: float,
+    track: Optional[Iterable[ButterflyKey]],
+    checkpoints: int,
+    runtime: Optional[RuntimePolicy],
+    observer: Observer,
+) -> EstimationOutcome:
+    """Algorithm 4 candidate by candidate under the engine, with
+    production's samplers, static budgets and outcome assembly."""
+    samplers, budgets = union_samplers(
+        candidates, generator, n_trials, mu, epsilon, delta
+    )
+    deadline = runtime.make_deadline() if runtime is not None else None
+    loop = _PerTrialKarpLubyLoop(
+        candidates, generator, samplers, budgets,
+        track=track, checkpoints=checkpoints, deadline=deadline,
+    )
+    with observer.span(
+        "sampling", method="ols-kl", candidates=len(candidates)
+    ):
+        report = execute_trial_loop(
+            method="ols-kl",
+            graph_name=candidates.graph.name,
+            n_target=len(candidates),
+            loop=loop,
+            policy=runtime,
+            deadline=deadline,
+            unit="candidate",
+            observer=observer,
+        )
+    for done in loop.done:
+        observer.observe("ols-kl.trials_per_candidate", done)
+    return karp_luby_outcome(
+        loop, report, monte_carlo_trial_bound(mu, epsilon, delta), mu, delta
+    )
 
+
+class _PerTrialKarpLubyLoop:
+    """Algorithm 4's candidate loop behind the engine's contract.
+
+    One engine unit is one candidate, whose union trials run one
+    :meth:`KarpLubyUnionSampler.trial` at a time.  Snapshot state
+    covers fully-completed candidates only — their estimates, trial
+    counts, traces — plus the candidate keys (resume validation) and
+    the RNG stream position; a candidate interrupted mid-run is
+    re-estimated from its first trial on resume.  A checkpoint records
+    its runner (:attr:`RUNNER`) and resumes only on the same one.
+    """
+
+    #: Checkpoint tag of this runner.
     RUNNER = "per-trial"
 
-    def _run_candidate(
+    def __init__(
         self,
-        sampler: KarpLubyUnionSampler,
-        budget: int,
-        existence: float,
-        trace: Optional[ConvergenceTrace],
-        schedule: set,
-    ) -> int:
-        for step in range(1, budget + 1):
+        candidates: CandidateSet,
+        generator,
+        samplers: List[KarpLubyUnionSampler],
+        budgets: List[int],
+        track: Optional[Iterable[ButterflyKey]] = None,
+        checkpoints: int = 40,
+        deadline: Optional[Deadline] = None,
+    ) -> None:
+        self.candidates = candidates
+        self.generator = generator
+        self.items = candidates.butterflies
+        self.samplers = samplers
+        self.budgets = budgets
+        self.masses = [sampler.weight_sum for sampler in samplers]
+        self.deadline = deadline
+        self._tracked = set(track) if track is not None else set()
+        self._checkpoints = checkpoints
+        self._estimates: Dict[ButterflyKey, float] = {}
+        self.traces: Dict[ButterflyKey, ConvergenceTrace] = {}
+        self.done = [0] * len(self.items)
+
+    def estimates(self) -> Dict[ButterflyKey, float]:
+        return dict(self._estimates)
+
+    def run_trial(self, trial: int) -> None:
+        """Estimate candidate ``trial - 1`` (engine trials are 1-based)."""
+        index = trial - 1
+        key = self.items[index].key
+        existence = self.candidates.existence_probability(index)
+        budget = self.budgets[index]
+        trace: Optional[ConvergenceTrace] = None
+        if key in self._tracked:
+            trace = ConvergenceTrace(label=str(key))
+        if budget == 0:
+            # Impossible (P(B) = 0), or nothing heavier can block it
+            # (P(B) = Pr[E(B)]).
+            self._estimates[key] = existence
+            if trace is not None and existence > 0.0:
+                trace.record(1, existence)
+                self.traces[key] = trace
+            return
+
+        sampler = self.samplers[index]
+        schedule = (
+            set(checkpoint_schedule(budget, self._checkpoints))
+            if trace is not None else set()
+        )
+        step = 0
+        while step < budget:
+            step += 1
             sampler.trial()
             if trace is not None and step in schedule:
-                trace.record(
-                    step,
-                    _to_probability(
-                        sampler.estimate().raw_probability, existence
-                    ),
-                )
+                trace.record(step, to_probability(
+                    sampler.estimate().raw_probability, existence
+                ))
             if (
                 self.deadline is not None
                 and step < budget
                 and self.deadline.expired
             ):
-                return step
-        return budget
+                break
+        self.done[index] = step
+        self._estimates[key] = to_probability(
+            sampler.estimate().raw_probability, existence
+        )
+        if trace is not None:
+            self.traces[key] = trace
+        if step < budget:
+            # The partial estimate above is kept for the degraded result,
+            # but the engine's completed count excludes this candidate.
+            raise LoopInterrupt("deadline")
+
+    def state_payload(self, completed: int) -> Dict:
+        finished = self.items[:completed]
+        return {
+            "runner": self.RUNNER,
+            "candidates": [list(b.key) for b in self.items],
+            "estimates": [
+                [list(b.key), float(self._estimates[b.key])]
+                for b in finished
+            ],
+            "trials_per_candidate": [int(n) for n in self.done[:completed]],
+            "traces": encode_traces({
+                b.key: self.traces[b.key]
+                for b in finished if b.key in self.traces
+            }),
+            "rng": rng_state_payload(self.generator),
+        }
+
+    def restore_state(self, payload: Dict) -> None:
+        runner = payload.get("runner")
+        if runner != self.RUNNER:
+            written = "an untagged" if runner is None else f"the {runner!r}"
+            raise CheckpointError(
+                f"checkpoint was written by {written} Karp-Luby runner; "
+                f"this run uses the {self.RUNNER!r} runner, which draws "
+                "another stream — resume through the entry point that "
+                "wrote it"
+            )
+        self.candidates.require_checkpoint_keys(payload["candidates"])
+        self._estimates = {
+            tuple(int(part) for part in raw): float(value)
+            for raw, value in payload["estimates"]
+        }
+        finished = [int(n) for n in payload["trials_per_candidate"]]
+        self.done = finished + [0] * (len(self.items) - len(finished))
+        self.traces = decode_traces(payload["traces"])
+        restore_rng_state(self.generator, payload["rng"])
 
 
 def os_trial(

@@ -2,9 +2,10 @@
 
 :func:`execute_trial_loop` is the one outer loop every sampling estimator
 routes through.  The estimator supplies a *checkpointable loop* — an
-object that runs one trial (or, for OLS-KL, one candidate), snapshots its
-counters + RNG stream into a JSON payload, and restores itself from such
-a payload — and the engine supplies everything resilience needs around
+object that runs one trial (or a block of them, or, for OLS-KL, one
+round of blocks), snapshots its counters + RNG stream into a JSON
+payload, and restores itself from such a payload — and the engine
+supplies everything resilience needs around
 it: resume from a snapshot, periodic atomic checkpoints, wall-clock
 deadlines with clean early stop, graceful Ctrl-C handling, deterministic
 fault injection, and observability (the ``engine.*`` metrics and the
@@ -14,7 +15,7 @@ Paper context: the trial budgets this loop executes are the ones the
 theory sizes — ``N ≥ (1/μ)·4 ln(2/δ)/ε²`` direct Monte-Carlo trials for
 the frequency methods (Theorem IV.1; Lemma V.2 restates it for OS), and
 the per-candidate Karp-Luby budgets of Lemma VI.4 / Eq. (8) when the
-loop unit is a candidate.  A run that stops early therefore certifies a
+loop unit is a round.  A run that stops early therefore certifies a
 *weaker* guarantee, which :mod:`repro.runtime.degradation` re-widens.
 
 The contract that makes checkpoint/resume bit-for-bit deterministic:
@@ -57,7 +58,7 @@ class LoopInterrupt(Exception):
     """Raised by a loop body to stop the engine early with a reason.
 
     Used by adapters that detect deadline expiry *inside* one trial unit
-    (e.g. OLS-KL mid-candidate) — the engine records the reason and
+    (e.g. OLS-KL mid-round) — the engine records the reason and
     finishes exactly like its own between-trial deadline check.
     """
 
@@ -141,10 +142,10 @@ def execute_trial_loop(
         policy: Resilience knobs; ``None`` means a plain in-process loop
             (still with graceful Ctrl-C handling).
         deadline: Pre-built deadline to honour — pass when the loop body
-            also needs it (OLS-KL checks mid-candidate); by default one
+            also needs it (OLS-KL checks mid-round); by default one
             is built from ``policy.timeout_seconds``.
         unit: Human/checkpoint name of one loop iteration (``"trial"``,
-            ``"candidate"`` or ``"block"``).
+            ``"block"``, ``"round"`` or ``"candidate"``).
         unit_lengths: For block-granular loops: how many Monte-Carlo
             trials each of the ``n_target`` engine units contains.  The
             engine then counts real trials in the ``engine.trials.*``

@@ -63,7 +63,7 @@ class RuntimePolicy:
     Attributes:
         checkpoint_path: Where to write atomic JSON snapshots; ``None``
             disables checkpointing.
-        checkpoint_every: Trials (or candidates, for OLS-KL) between
+        checkpoint_every: Trials (or rounds, for OLS-KL) between
             periodic snapshots; a block-granular loop snapshots at the
             first block boundary at or past each multiple.  A final
             snapshot is always written when the loop ends, degrades, or

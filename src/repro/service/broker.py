@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from concurrent.futures import Future
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..core import find_mpmb
 from ..core.results import MPMBResult
@@ -62,6 +64,73 @@ from .schemas import QueryRequest, QueryResponse
 #: Methods whose runs read the wedge index: every sampling method, never
 #: the exact solvers.
 INDEXED_METHODS = ("mc-vp", "os", "ols", "ols-kl")
+
+
+class _Flight:
+    """One dataset's wedge index or worker pool, for one graph version.
+
+    The request that misses the map builds it and publishes the result,
+    or the build's error, on ``future``; requests for the same version
+    that arrive meanwhile wait there instead of building their own.  A
+    pool also counts the requests holding it (``users``), so a pool
+    retired by a reload, a checksum change or
+    :meth:`QueryBroker.close` is closed when the last of them lets go,
+    never under a running request.
+    """
+
+    def __init__(self, checksum: Optional[str]) -> None:
+        self.checksum = checksum
+        self.future: "Future[Any]" = Future()
+        self.users = 0
+        self.retired = False
+
+
+def _single_flight(
+    table: Dict[str, _Flight],
+    lock: threading.Lock,
+    key: str,
+    checksum: Optional[str],
+    build: Callable[[], Any],
+    *,
+    lease: bool = False,
+    retire: Optional[Callable[[_Flight], None]] = None,
+) -> _Flight:
+    """The flight of ``key`` at ``checksum``, with ``build()`` done.
+
+    Under ``lock`` the first caller to miss claims a fresh flight; it
+    hands the flight it replaced (another checksum) to ``retire``, then
+    runs ``build()`` outside the lock and publishes on the flight's
+    future, which racing callers wait on.  A failed build frees the
+    entry, so the next request retries; the error reaches the builder
+    and every waiter through the future.  With ``lease`` the caller
+    counts as one of the flight's users from the claim on.
+    """
+    with lock:
+        flight = table.get(key)
+        stale = None
+        owner = flight is None or flight.checksum != checksum
+        if owner:
+            stale, flight = flight, _Flight(checksum)
+            table[key] = flight
+        if lease:
+            flight.users += 1
+    if owner:
+        try:
+            if stale is not None and retire is not None:
+                retire(stale)
+            flight.future.set_result(build())
+        except BaseException as error:
+            with lock:
+                if table.get(key) is flight:
+                    del table[key]
+            flight.future.set_exception(error)
+    return flight
+
+
+def _close_pool(flight: _Flight) -> None:
+    """Close a retired flight's pool (a failed build left none)."""
+    if flight.future.exception() is None:
+        flight.future.result().close()
 
 
 def _ranking_rows(
@@ -125,18 +194,20 @@ class QueryBroker:
         self._clock = clock
         # Per-dataset persistent worker pools, keyed on the registry
         # checksum so a reload (new graph bytes) republishes rather
-        # than serving stale shared memory.  Guarded by _pools_lock:
-        # the map is touched from every pooled request thread plus
-        # reload()/close(); pool construction and teardown stay
-        # outside the lock (publishing a graph to shared memory and
-        # spawning workers is slow).
-        self._pools: Dict[str, Tuple[Optional[str], WorkerPool]] = {}
+        # than serving stale shared memory.  Each entry is a _Flight,
+        # so a build is single-flight and a retired pool outlives the
+        # requests running on it.  Guarded by _pools_lock: the map and
+        # the flights' user counts are touched from every pooled
+        # request thread plus reload()/close(); pool construction and
+        # teardown stay outside the lock (publishing a graph to shared
+        # memory and spawning workers is slow).
+        self._pools: Dict[str, _Flight] = {}
         self._pools_lock = threading.Lock()
-        # Per-dataset wedge indexes, keyed like the pools: one read-only
-        # index per graph version, shared by unpooled requests, the
-        # dataset's pool and adaptive OLS-KL's pre-screen.  Guarded by
-        # _indexes_lock; builds run outside it.
-        self._indexes: Dict[str, Tuple[Optional[str], WedgeIndex]] = {}
+        # Per-dataset wedge indexes, keyed and built like the pools: one
+        # read-only index per graph version, shared by unpooled
+        # requests, the dataset's pool and adaptive OLS-KL's
+        # pre-screen.  Guarded by _indexes_lock; builds run outside it.
+        self._indexes: Dict[str, _Flight] = {}
         self._indexes_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -333,78 +404,74 @@ class QueryBroker:
         Indexes are cached per dataset and keyed on the registry
         checksum, as pools are: every request against the same graph
         bytes reads one index, and a checksum change (reload) builds a
-        fresh one.  The build runs outside ``_indexes_lock`` (it takes
-        tens of milliseconds), in the ``wedge-index shared=True`` span;
-        the publishing section re-checks the map, so of two threads
-        building concurrently the second adopts the first's index.
+        fresh one.  The build is single-flight (:func:`_single_flight`)
+        and runs outside ``_indexes_lock`` (it takes tens of
+        milliseconds), in the ``wedge-index shared=True`` span.
         """
-        with self._indexes_lock:
-            cached = self._indexes.get(dataset)
-            if cached is not None and cached[0] == checksum:
-                return cached[1]
-        index = build_shared_index(graph, self.observer)
-        with self._indexes_lock:
-            raced = self._indexes.get(dataset)
-            if raced is not None and raced[0] == checksum:
-                return raced[1]
-            self._indexes[dataset] = (checksum, index)
-        return index
+        return _single_flight(
+            self._indexes, self._indexes_lock, dataset, checksum,
+            lambda: build_shared_index(graph, self.observer),
+        ).future.result()
 
+    @contextmanager
     def _pool_for(
         self, request: QueryRequest, entry: RegistryEntry
-    ) -> WorkerPool:
-        """The dataset's persistent worker pool, (re)built as needed.
+    ) -> Iterator[WorkerPool]:
+        """The dataset's persistent worker pool, (re)built as needed and
+        held for the ``with`` block.
 
         Pools are cached per dataset and keyed on the registry
         checksum: consecutive pooled requests against the same graph
         bytes reuse the shared-memory segment and the attached worker
         processes (``worker.shm.reused``).  Every pool publishes the
         dataset's wedge index (:meth:`_index_for`), which every
-        poolable method reads.  A checksum change (reload) tears the
-        pool down and republishes.
+        poolable method reads.  A checksum change (reload) retires the
+        old pool, then republishes.
 
-        Thread safety: concurrent pooled requests race on the pool
-        map, so it is only touched under ``_pools_lock`` — but never
-        across the slow parts (closing a stale pool, building the
-        wedge index, publishing shared memory, spawning workers).
-        Two threads may therefore build pools for the same dataset
-        concurrently; the second publisher re-checks the map and, if
-        a usable pool got there first, closes its own build and uses
-        the winner — no pool is leaked and no published pool is ever
-        closed while cached.
+        Thread safety: the pool map is only touched under
+        ``_pools_lock``, never across the slow parts (building the
+        wedge index, publishing shared memory, spawning workers,
+        closing a pool).  The build is single-flight
+        (:func:`_single_flight`), so one pool is built and none is
+        leaked, and the request holds the pool until its block ends:
+        a pool retired meanwhile (reload, checksum change, close) is
+        closed by the last request to let go of it.
         """
-        stale: Optional[WorkerPool] = None
-        with self._pools_lock:
-            cached = self._pools.get(request.dataset)
-            if cached is not None:
-                if cached[0] == entry.checksum:
-                    return cached[1]
-                del self._pools[request.dataset]
-                stale = cached[1]
-        if stale is not None:
-            stale.close()
-        pool = WorkerPool(
-            entry.graph,
-            wedge_index=self._index_for(
-                request.dataset, entry.checksum, entry.graph
-            ),
-            checksum=entry.checksum,
-            observer=self.observer if self.observer.enabled else None,
+
+        def build() -> WorkerPool:
+            return WorkerPool(
+                entry.graph,
+                wedge_index=self._index_for(
+                    request.dataset, entry.checksum, entry.graph
+                ),
+                checksum=entry.checksum,
+                observer=self.observer if self.observer.enabled else None,
+            )
+
+        flight = _single_flight(
+            self._pools, self._pools_lock, request.dataset,
+            entry.checksum, build, lease=True,
+            retire=lambda stale: self._retire_pools([stale]),
         )
-        surplus: Optional[WorkerPool] = None
+        try:
+            yield flight.future.result()
+        finally:
+            with self._pools_lock:
+                flight.users -= 1
+                last = flight.retired and flight.users == 0
+            if last:
+                _close_pool(flight)
+
+    def _retire_pools(self, flights: List[_Flight]) -> None:
+        """Close retired pools now, or when their last user lets go."""
         with self._pools_lock:
-            raced = self._pools.get(request.dataset)
-            if raced is not None and raced[0] == entry.checksum:
-                # Another thread published a usable pool while we were
-                # building: keep the winner, discard our build.
-                surplus, pool = pool, raced[1]
-            else:
-                if raced is not None:
-                    surplus = raced[1]
-                self._pools[request.dataset] = (entry.checksum, pool)
-        if surplus is not None:
-            surplus.close()
-        return pool
+            idle = []
+            for flight in flights:
+                flight.retired = True
+                if flight.users == 0:
+                    idle.append(flight)
+        for flight in idle:
+            _close_pool(flight)
 
     def _run(
         self,
@@ -426,9 +493,7 @@ class QueryBroker:
                 else True
             )
         if request.workers > 1:
-            pool_kwargs: Dict[str, Any] = {
-                "pool": self._pool_for(request, entry),
-            }
+            pool_kwargs: Dict[str, Any] = {}
             if remaining_seconds is not None:
                 # Deadline propagation for pooled runs: workers still
                 # running at the remaining budget are terminated as
@@ -440,18 +505,21 @@ class QueryBroker:
                 # loop, whose deadline check degrades explicitly.
                 pool_kwargs["straggler_timeout"] = remaining_seconds
                 pool_kwargs["max_attempts"] = 1
-            return run_parallel_trials(
-                graph, trials, request.workers, method=request.method,
-                rng=request.seed, n_prepare=request.prepare,
-                block_size=request.block_size,
-                faults=request_faults,
-                sleep=self._sleep,
-                observer=(
-                    self.observer if self.observer.enabled else None
-                ),
-                **adaptive,
-                **pool_kwargs,
-            )
+            with self._pool_for(request, entry) as pool:
+                return run_parallel_trials(
+                    graph, trials, request.workers,
+                    method=request.method,
+                    rng=request.seed, n_prepare=request.prepare,
+                    block_size=request.block_size,
+                    faults=request_faults,
+                    sleep=self._sleep,
+                    observer=(
+                        self.observer if self.observer.enabled else None
+                    ),
+                    pool=pool,
+                    **adaptive,
+                    **pool_kwargs,
+                )
         kwargs: Dict[str, Any] = {}
         if remaining_seconds is not None or request_faults is not None:
             kwargs["runtime"] = RuntimePolicy(
@@ -561,7 +629,8 @@ class QueryBroker:
         Cached wedge indexes and worker pools for the reloaded
         dataset(s) are dropped — they describe the *old* graph bytes
         (pools hold them in shared memory), and the checksum key would
-        force a rebuild anyway.
+        force a rebuild anyway.  A pool still running requests closes
+        when the last of them lets go.
         """
         self.registry.reload(dataset)
         self.cache.clear()
@@ -576,19 +645,18 @@ class QueryBroker:
                 else [dataset] if dataset in self._pools else []
             )
             doomed = [self._pools.pop(name) for name in names]
-        for _, pool in doomed:
-            pool.close()
+        self._retire_pools(doomed)
 
     def close(self) -> None:
         """Drop every cached wedge index and release every cached
-        worker pool and its shared segment."""
+        worker pool and its shared segment (a pool still running
+        requests once the last of them lets go)."""
         with self._indexes_lock:
             self._indexes.clear()
         with self._pools_lock:
             doomed = list(self._pools.values())
             self._pools.clear()
-        for _, pool in doomed:
-            pool.close()
+        self._retire_pools(doomed)
 
     def health(self) -> Dict[str, Any]:
         """Liveness payload: the process is up and answering."""

@@ -156,21 +156,23 @@ class TestResumeDeterminism:
     def test_ols_karp_luby(self, graph, tmp_path):
         baseline = result_to_dict(
             ordering_listing_sampling(
-                graph, 50, n_prepare=20, estimator="karp-luby", rng=13
+                graph, 50, n_prepare=20, estimator="karp-luby", rng=13,
+                block_size=10,
             )
         )
         path = tmp_path / "kl.json"
-        # Crash before the last candidate; checkpoints are per candidate.
+        # Crash before the second of five rounds; checkpoints are per
+        # round.
         with pytest.raises(InjectedCrash):
             ordering_listing_sampling(
                 graph, 50, n_prepare=20, estimator="karp-luby", rng=13,
-                runtime=_crash_policy(path, 2, every=1),
+                block_size=10, runtime=_crash_policy(path, 2, every=1),
             )
         document = read_checkpoint(path)
-        assert document["unit"] == "candidate"
+        assert document["unit"] == "round"
         resumed = ordering_listing_sampling(
             graph, 50, n_prepare=20, estimator="karp-luby", rng=13,
-            runtime=_resume_policy(path, every=1),
+            block_size=10, runtime=_resume_policy(path, every=1),
         )
         payload = result_to_dict(resumed)
         del payload["stats"]["resumed_candidates"]
@@ -397,9 +399,16 @@ class TestReferenceKernelOlsResume:
 
 
 class TestReferenceKernelOlsKlResume:
-    """Both OLS-KL runners checkpoint candidates, but the union kernel
-    and the reference's per-trial loop draw different streams: a
-    checkpoint records its runner and resumes only on the same one."""
+    """Production OLS-KL checkpoints rounds and the reference's
+    per-trial loop candidates, over different streams: neither resumes
+    the other's checkpoint.  A reference checkpoint records its runner,
+    so one written by an older candidate-unit production run (runner
+    ``"union-kernel"``) is refused by both."""
+
+    UNITS = {
+        reference_listing_sampling: "candidate",
+        ordering_listing_sampling: "round",
+    }
 
     @staticmethod
     def _run(entry, graph, **kwargs):
@@ -409,51 +418,75 @@ class TestReferenceKernelOlsKlResume:
         )
 
     def _checkpoint(self, entry, graph, path):
-        # Crash before the second candidate; checkpoints are per
-        # candidate, so the first one is on disk.
+        # Crash before the second unit, so the first one is on disk
+        # (production runs five 10-trial rounds).
+        kwargs = {}
+        if entry is ordering_listing_sampling:
+            kwargs["block_size"] = 10
         with pytest.raises(InjectedCrash):
-            self._run(entry, graph, runtime=_crash_policy(path, 2, every=1))
+            self._run(
+                entry, graph, runtime=_crash_policy(path, 2, every=1),
+                **kwargs,
+            )
         document = read_checkpoint(path)
-        assert document["unit"] == "candidate"
+        assert document["unit"] == self.UNITS[entry]
         return document
 
-    @pytest.mark.parametrize("writer, reader, runner", [
-        (reference_listing_sampling, ordering_listing_sampling, "per-trial"),
-        (ordering_listing_sampling, reference_listing_sampling,
-         "union-kernel"),
+    @pytest.mark.parametrize("writer, reader", [
+        (reference_listing_sampling, ordering_listing_sampling),
+        (ordering_listing_sampling, reference_listing_sampling),
     ])
     def test_other_runner_refuses_the_checkpoint(
-        self, graph, tmp_path, writer, reader, runner
+        self, graph, tmp_path, writer, reader
     ):
         path = tmp_path / "kl.json"
         document = self._checkpoint(writer, graph, path)
-        with pytest.raises(CheckpointError, match=runner):
+        with pytest.raises(CheckpointError, match="unit"):
             self._run(reader, graph, runtime=_resume_policy(path, every=1))
-        assert document["state"]["runner"] == runner
+        assert document["state"].get("runner") == (
+            "per-trial" if writer is reference_listing_sampling else None
+        )
 
     @pytest.mark.parametrize(
         "entry", [reference_listing_sampling, ordering_listing_sampling]
     )
     def test_same_runner_resumes(self, graph, tmp_path, entry):
-        baseline = result_to_dict(self._run(entry, graph))
+        kwargs = {}
+        if entry is ordering_listing_sampling:
+            kwargs["block_size"] = 10
+        baseline = result_to_dict(self._run(entry, graph, **kwargs))
         path = tmp_path / "kl.json"
         self._checkpoint(entry, graph, path)
-        payload = result_to_dict(
-            self._run(entry, graph, runtime=_resume_policy(path, every=1))
-        )
+        payload = result_to_dict(self._run(
+            entry, graph, runtime=_resume_policy(path, every=1), **kwargs
+        ))
         assert payload["stats"].pop("resumed_candidates") == 1.0
         assert payload == baseline
 
     def test_untagged_checkpoint_is_refused(self, graph, tmp_path):
         path = tmp_path / "kl.json"
-        document = self._checkpoint(ordering_listing_sampling, graph, path)
+        document = self._checkpoint(reference_listing_sampling, graph, path)
         del document["state"]["runner"]
         write_checkpoint(path, document)
         with pytest.raises(CheckpointError, match="untagged"):
             self._run(
-                ordering_listing_sampling, graph,
+                reference_listing_sampling, graph,
                 runtime=_resume_policy(path, every=1),
             )
+
+    @pytest.mark.parametrize("reader, refusal", [
+        (reference_listing_sampling, "union-kernel"),
+        (ordering_listing_sampling, "unit"),
+    ])
+    def test_old_production_checkpoint_is_refused(
+        self, graph, tmp_path, reader, refusal
+    ):
+        path = tmp_path / "kl.json"
+        document = self._checkpoint(reference_listing_sampling, graph, path)
+        document["state"]["runner"] = "union-kernel"
+        write_checkpoint(path, document)
+        with pytest.raises(CheckpointError, match=refusal):
+            self._run(reader, graph, runtime=_resume_policy(path, every=1))
 
 
 class TestAtomicWrites:

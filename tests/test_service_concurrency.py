@@ -16,7 +16,10 @@ what it asserts (exact grant counts, not "usually about N").
 """
 
 import threading
+import time
 from types import SimpleNamespace
+
+import pytest
 
 from repro.errors import CircuitOpenError
 from repro.service import GraphRegistry, QueryBroker
@@ -199,16 +202,31 @@ class TestRegistryLazyLoadContention:
         assert versions == [1] * THREADS
 
 
+class _BuildFailed(RuntimeError):
+    pass
+
+
+def _wait_until(condition, timeout=10.0):
+    """Poll ``condition`` until it holds (or the timeout passes)."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return condition()
+
+
 class _FakePool:
     """Stands in for WorkerPool; rendezvous makes the race certain.
 
-    The barrier in ``__init__`` holds each builder until *both* racing
-    threads are constructing a pool, which is exactly the interleaving
-    the old unlocked ``_pool_for`` leaked under.
+    The event in ``__init__`` holds the builder until a second racing
+    thread has entered ``_pool_for``, which is exactly the interleaving
+    the old unlocked ``_pool_for`` leaked under and the
+    build-and-discard one built twice under.
     """
 
     created = []
     rendezvous = None
+    #: Builds still to fail, each with :class:`_BuildFailed`.
+    failures = 0
 
     def __init__(
         self, graph, wedge_index=None, checksum=None, observer=None
@@ -220,6 +238,9 @@ class _FakePool:
         )
         if _FakePool.rendezvous is not None:
             _FakePool.rendezvous.wait(timeout=10)
+        if _FakePool.failures:
+            _FakePool.failures -= 1
+            raise _BuildFailed("injected pool build failure")
         _FakePool.created.append(self)
 
     def close(self):
@@ -232,12 +253,25 @@ class TestBrokerPoolRace:
     ):
         """Regression for the broker pool-map race: two pooled
         requests hitting a cold cache concurrently must converge on
-        one published pool, with the losing build closed — before the
-        ``_pools_lock`` fix both builds were published blindly and
-        the overwritten pool's shared segment leaked."""
+        one published pool — before the ``_pools_lock`` fix both
+        builds were published blindly and the overwritten pool's
+        shared segment leaked, and until builds were single-flight
+        both requests built a pool and one was thrown away."""
         monkeypatch.setattr(broker_module, "WorkerPool", _FakePool)
         _FakePool.created = []
-        _FakePool.rendezvous = threading.Barrier(2)
+        # The build waits until the second request has entered the
+        # pool lookup, so it meets a cold map while the build runs.
+        entered = []
+        _FakePool.rendezvous = threading.Event()
+        pool_for = QueryBroker._pool_for
+
+        def entering(broker, *args):
+            entered.append(args)
+            if len(entered) >= 2:
+                _FakePool.rendezvous.set()
+            return pool_for(broker, *args)
+
+        monkeypatch.setattr(QueryBroker, "_pool_for", entering)
         graph = build_graph(FIGURE_1_EDGES, name="race")
         registry = GraphRegistry(
             ["race"], sleep=lambda seconds: None, clock=FakeClock()
@@ -251,16 +285,18 @@ class TestBrokerPoolRace:
         returned = [None, None]
 
         def worker(i):
-            returned[i] = broker._pool_for(request, entry)
+            with broker._pool_for(request, entry) as pool:
+                returned[i] = pool
 
         _run_threads(2, worker)
-        assert len(_FakePool.created) == 2  # both really built one
-        assert returned[0] is returned[1]  # ...but agreed on a winner
-        open_pools = [
-            pool for pool in _FakePool.created if not pool.closed
-        ]
-        assert open_pools == [returned[0]]  # the loser was closed
-        assert broker._pools["race"] == ("cafe", returned[0])
+        assert _FakePool.rendezvous.is_set()
+        assert len(_FakePool.created) == 1  # one request built it
+        assert returned[0] is returned[1]  # ...the other waited for it
+        assert not returned[0].closed
+        flight = broker._pools["race"]
+        assert flight.checksum == "cafe"
+        assert flight.future.result() is returned[0]
+        assert flight.users == 0
 
     def test_checksum_change_still_republishes(self, monkeypatch):
         monkeypatch.setattr(broker_module, "WorkerPool", _FakePool)
@@ -272,14 +308,116 @@ class TestBrokerPoolRace:
         )
         broker = QueryBroker(registry, sleep=lambda seconds: None)
         request = QueryRequest(dataset="roll", workers=2, trials=10)
-        first = broker._pool_for(request, RegistryEntry(
+        with broker._pool_for(request, RegistryEntry(
             dataset="roll", status="ready", graph=graph,
             version=1, checksum="v1",
-        ))
-        second = broker._pool_for(request, RegistryEntry(
+        )) as first:
+            pass
+        with broker._pool_for(request, RegistryEntry(
             dataset="roll", status="ready", graph=graph,
             version=2, checksum="v2",
-        ))
-        assert first is not second
-        assert first.closed and not second.closed
-        assert broker._pools["roll"] == ("v2", second)
+        )) as second:
+            assert first is not second
+            assert first.closed and not second.closed
+        flight = broker._pools["roll"]
+        assert flight.checksum == "v2" and flight.future.result() is second
+
+    @staticmethod
+    def _broker(name):
+        graph = build_graph(FIGURE_1_EDGES, name=name)
+        registry = GraphRegistry(
+            [name], sleep=lambda seconds: None, clock=FakeClock()
+        )
+        broker = QueryBroker(registry, sleep=lambda seconds: None)
+        entry = RegistryEntry(
+            dataset=name, status="ready", graph=graph,
+            version=1, checksum="cafe",
+        )
+        return broker, entry, QueryRequest(
+            dataset=name, workers=2, trials=10
+        )
+
+    def _build_with_waiter(self, broker, entry, request, body):
+        """Run ``body(i, pool)`` in two requests for one pool: request 0
+        builds it, request 1 joins while the build waits, and the build
+        finishes once both hold the flight."""
+        _FakePool.rendezvous = threading.Event()
+        outcomes = [None, None]
+
+        def worker(i):
+            try:
+                with broker._pool_for(request, entry) as pool:
+                    outcomes[i] = body(i, pool)
+            except _BuildFailed as error:
+                outcomes[i] = error
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(2)
+        ]
+        threads[0].start()
+        assert _wait_until(lambda: request.dataset in broker._pools)
+        flight = broker._pools[request.dataset]
+        threads[1].start()
+        assert _wait_until(lambda: flight.users == 2)
+        return threads, flight, outcomes
+
+    def test_failed_build_raises_in_every_waiter_then_rebuilds(
+        self, monkeypatch
+    ):
+        """A failed build reaches the request that ran it and the one
+        waiting on it, and frees the entry: the next request builds
+        again instead of finding the failure cached."""
+        monkeypatch.setattr(broker_module, "WorkerPool", _FakePool)
+        _FakePool.created = []
+        _FakePool.failures = 1
+        broker, entry, request = self._broker("fail")
+        threads, flight, outcomes = self._build_with_waiter(
+            broker, entry, request, lambda i, pool: pool
+        )
+        _FakePool.rendezvous.set()
+        for thread in threads:
+            thread.join()
+        assert isinstance(outcomes[0], _BuildFailed)
+        assert outcomes[1] is outcomes[0]
+        assert "fail" not in broker._pools and flight.users == 0
+        assert _FakePool.created == []
+        with broker._pool_for(request, entry) as pool:
+            assert not pool.closed
+        assert _FakePool.created == [pool]
+        assert broker._pools["fail"].future.result() is pool
+
+    @pytest.mark.parametrize("retire", ["reload", "close"])
+    def test_pool_retired_during_its_build_serves_its_requests(
+        self, monkeypatch, retire
+    ):
+        """A reload or close that retires a pool still being built
+        leaves it to the requests holding it: both run on it open, and
+        the last to let go closes it."""
+        monkeypatch.setattr(broker_module, "WorkerPool", _FakePool)
+        _FakePool.created = []
+        _FakePool.failures = 0
+        broker, entry, request = self._broker("retire")
+        monkeypatch.setattr(
+            broker.registry, "reload", lambda dataset=None: None
+        )
+        done = threading.Barrier(2)
+
+        def body(i, pool):
+            closed = pool.closed
+            done.wait(timeout=10)  # both requests are running on it
+            return closed
+
+        threads, flight, outcomes = self._build_with_waiter(
+            broker, entry, request, body
+        )
+        if retire == "reload":
+            broker.reload("retire")
+        else:
+            broker.close()
+        assert "retire" not in broker._pools and flight.retired
+        _FakePool.rendezvous.set()
+        for thread in threads:
+            thread.join()
+        assert outcomes == [False, False]
+        [pool] = _FakePool.created
+        assert pool.closed and flight.users == 0

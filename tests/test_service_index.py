@@ -7,8 +7,8 @@ publishes, adaptive OLS-KL through its pre-screen.  Pinned here: one
 build per dataset over a mixed request stream (counted, as servebench
 counts them, at every module that binds the builder), answers equal to
 runs that build their own index (the broker's determinism contract),
-rebuild on a reload with new bytes, the drop on ``close()``, and one
-index left by racing first requests.
+rebuild on a reload with new bytes, the drop on ``close()``, a retry
+after a failed build, and one build for racing first requests.
 """
 
 from __future__ import annotations
@@ -160,8 +160,7 @@ class TestReloadAndClose:
 
     def _assert_rebuilt(self, broker, builds, request, response):
         entry = broker.registry.get("abide")
-        checksum, _ = broker._indexes["abide"]
-        assert checksum == entry.checksum
+        assert broker._indexes["abide"].checksum == entry.checksum
         assert len(builds) == 2 and builds[1] is entry.graph
         _assert_answers(response, _expected(entry.graph, request), request)
 
@@ -172,11 +171,11 @@ class TestReloadAndClose:
         try:
             request = _request("abide", 5, method="os", trials=64)
             broker.handle(request)
-            first_checksum, _ = broker._indexes["abide"]
+            first_checksum = broker._indexes["abide"].checksum
             broker.reload("abide")
             assert "abide" not in broker._indexes
             response = broker.handle(request)
-            assert broker._indexes["abide"][0] != first_checksum
+            assert broker._indexes["abide"].checksum != first_checksum
             self._assert_rebuilt(broker, builds, request, response)
         finally:
             broker.close()
@@ -205,17 +204,63 @@ class TestReloadAndClose:
         assert broker._indexes == {}
 
 
+class TestFailedBuild:
+    def test_failed_build_frees_the_entry(self, builds, monkeypatch):
+        """A build that raises leaves nothing cached: the error reaches
+        the request, and the next request builds the index again."""
+        broker = _broker(datasets=("abide",))
+        entry = broker.registry.get("abide")
+        counting = wedge_block.build_wedge_index
+
+        def failing(graph):
+            counting(graph)
+            raise MemoryError("injected wedge index build failure")
+
+        monkeypatch.setattr(wedge_block, "build_wedge_index", failing)
+        with pytest.raises(MemoryError):
+            broker._index_for("abide", entry.checksum, entry.graph)
+        assert "abide" not in broker._indexes
+        monkeypatch.setattr(wedge_block, "build_wedge_index", counting)
+        index = broker._index_for("abide", entry.checksum, entry.graph)
+        assert broker._indexes["abide"].future.result() is index
+        assert builds == [entry.graph, entry.graph]
+
+
 class TestConcurrentFirstRequests:
     THREADS = 6
 
-    def test_racing_first_requests_share_one_index(self, builds):
+    def test_racing_first_requests_share_one_index(
+        self, builds, monkeypatch
+    ):
         """More request threads than cores, with a short switch
-        interval, race a cold index map: every answer is the
-        determinism contract's, and one index stays cached."""
+        interval, race a cold index map: one of them builds the index
+        while the others wait for it, every answer is the determinism
+        contract's, and one index stays cached."""
         broker = _broker(datasets=("movielens",), inflight=self.THREADS)
         request = _request(
             "movielens", 3, method="ols", trials=64, prepare=20
         )
+        # The build waits until a second request has entered the
+        # broker's index lookup, so that request meets a cold map
+        # while the build runs.
+        entered = []
+        second = threading.Event()
+        index_for = broker._index_for
+
+        def entering(*args):
+            entered.append(args)
+            if len(entered) >= 2:
+                second.set()
+            return index_for(*args)
+
+        counting = wedge_block.build_wedge_index
+
+        def waiting(graph):
+            second.wait(timeout=10)
+            return counting(graph)
+
+        monkeypatch.setattr(broker, "_index_for", entering)
+        monkeypatch.setattr(wedge_block, "build_wedge_index", waiting)
         barrier = threading.Barrier(self.THREADS)
         responses = [None] * self.THREADS
 
@@ -238,8 +283,8 @@ class TestConcurrentFirstRequests:
             sys.setswitchinterval(interval)
         try:
             assert not any(thread.is_alive() for thread in threads)
-            # Racers may each build, but one index stays cached.
-            assert 1 <= len(builds) <= self.THREADS
+            assert second.is_set()
+            assert len(builds) == 1
             assert list(broker._indexes) == ["movielens"]
             graph = broker.registry.get("movielens").graph
             expected = _expected(graph, request)
