@@ -1,4 +1,4 @@
-"""Anytime adaptive trial allocation (racing + sublinear pre-screen).
+"""Anytime adaptive trial allocation (racing + exact pre-screen).
 
 The static Theorem IV.1 / Lemma VI.4 budgets are worst-case: they size
 every candidate for the full ε-δ target even when the incumbent
@@ -13,10 +13,10 @@ fixed budgets with an *anytime* scheme:
   loops: certified early stopping for the winner-frequency methods, and
   for OLS-KL's rounds the elimination of any candidate whose upper
   bound falls below the incumbent's lower bound.
-- :mod:`~repro.adaptive.prescreen` — a sublinear pre-screen that
-  samples wedge pairs through the existing wedge-CSR index to bound the
-  heavier-butterfly mass and drop dominated candidates before any
-  OLS/OLS-KL sampling starts.
+- :mod:`~repro.adaptive.prescreen` — OLS-KL's pre-screen: it drops
+  the candidates dominated by an exact bound on ``C_MB``, before any
+  union trial.  It draws nothing, so it costs almost nothing, spends
+  no δ, and a resumed run recomputes it.
 
 Everything is opt-in behind ``adaptive=`` / ``--adaptive`` /
 ``mode="adaptive"``; with the switch off every method is bit-identical

@@ -22,17 +22,17 @@ Two standard ingredients provide that:
    ``m`` candidates (:func:`split_delta`) gives the per-arm, per-check
    failure probability the scheduler feeds into :meth:`EBInterval.radius`.
 
-The final claim is then reported as a *realised* ε: the incumbent's
-half-width divided by ``max(estimate, μ)`` (:func:`realized_epsilon`),
-which is the relative-error form Theorem IV.1 certifies — but measured
-from the trials actually spent instead of the worst-case budget.
+The final claim is then reported as a *realised* ε: how far the
+incumbent's interval reaches from its estimate, divided by
+``max(estimate, μ)`` (:func:`realized_epsilon`), which is the
+relative-error form Theorem IV.1 certifies — but measured from the
+trials actually spent instead of the worst-case budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
 
 from ..errors import ConfigurationError
 
@@ -59,26 +59,26 @@ def split_delta(delta: float, arms: int) -> float:
     return delta / arms
 
 
-def realized_epsilon(halfwidth: float, estimate: float, mu: float) -> float:
+def realized_epsilon(radius: float, estimate: float, mu: float) -> float:
     """The relative error the final interval actually certifies.
 
     Theorem IV.1 budgets target ``|P̂ − P| ≤ ε·max(P̂, μ)``; inverting
-    that for the achieved half-width gives the realised ε an adaptive
-    run reports instead of the worst-case target.
+    that for the achieved ``radius`` (how far the interval reaches from
+    the estimate) gives the realised ε an adaptive run reports instead
+    of the worst-case target.
     """
     scale = max(estimate, mu)
     if scale <= 0.0:
         return math.inf
-    return halfwidth / scale
+    return radius / scale
 
 
 @dataclass
 class EBInterval:
-    """Streaming moments of one candidate's bounded trial values.
+    """Moments of one candidate's bounded trial values.
 
-    Stores only ``(count, Σx, Σx²)`` so the blocked kernels can feed a
-    whole block in one :meth:`update_block` call and checkpoints can
-    carry the exact state (:meth:`to_dict` / :meth:`from_dict`).
+    Holds only ``(count, Σx, Σx²)``, which the racers build from the
+    counts their loops already keep (and checkpoint).
 
     Attributes:
         range_width: ``R`` — the known value range ``[0, R]``.
@@ -91,20 +91,6 @@ class EBInterval:
     count: int = 0
     total: float = 0.0
     total_sq: float = 0.0
-
-    def update(self, value: float) -> None:
-        """Fold one observation into the moments."""
-        self.count += 1
-        self.total += value
-        self.total_sq += value * value
-
-    def update_block(self, count: int, total: float, total_sq: float) -> None:
-        """Fold a whole block's pre-aggregated moments in one call."""
-        if count < 0:
-            raise ConfigurationError(f"block count must be >= 0, got {count}")
-        self.count += count
-        self.total += total
-        self.total_sq += total_sq
 
     @property
     def mean(self) -> float:
@@ -143,22 +129,3 @@ class EBInterval:
         if self.count == 0:
             return self.range_width
         return min(self.range_width, self.mean + self.radius(delta))
-
-    def to_dict(self) -> Dict[str, float]:
-        """Checkpoint payload — exact moments, nothing derived."""
-        return {
-            "range_width": float(self.range_width),
-            "count": int(self.count),
-            "total": float(self.total),
-            "total_sq": float(self.total_sq),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, float]) -> "EBInterval":
-        """Rebuild the exact interval state from a checkpoint payload."""
-        return cls(
-            range_width=float(payload["range_width"]),
-            count=int(payload["count"]),
-            total=float(payload["total"]),
-            total_sq=float(payload["total_sq"]),
-        )

@@ -17,16 +17,18 @@ drives:
   (:class:`~repro.core.karp_luby_estimator.KarpLubyRounds`), in which
   each engine unit hands one union-kernel block of trials to every
   candidate that still needs some.  The racer drops the candidates the
-  sublinear pre-screen dominates, eliminates between rounds every
+  exact pre-screen dominates, eliminates between rounds every
   candidate whose ``P(B)`` upper bound falls below the incumbent's
   lower bound (it stops consuming trials), and ends the run when one
-  survivor remains (or every survivor exhausts its static Lemma VI.4
-  budget — the fixed run's worst case).  The eliminations and the
-  pre-screen's outcome ride in the checkpoint payload, so a resumed run
-  keeps the interrupted run's pre-screen instead of drawing a new one.
+  survivor with union trials remains (or every survivor exhausts its
+  static Lemma VI.4 budget — the fixed run's worst case).  The
+  eliminations ride in the checkpoint payload; the pre-screen is a
+  function of the candidate set alone, so a resumed run recomputes it.
 
-Both report the ε they *realised* — the final half-width of the
-incumbent's interval in Theorem IV.1's relative form — through the
+Both report the ε they *realised*, in Theorem IV.1's relative form:
+the final half-width of the incumbent's interval (frequency racing), or
+the distance from the estimate to that interval's farther end
+(OLS-KL) — through the
 ``adaptive.realized_epsilon`` gauge and the extended
 :class:`~repro.runtime.degradation.Guarantee` payload, alongside
 ``adaptive.trials_saved`` and ``adaptive.candidates_eliminated``.
@@ -45,13 +47,10 @@ from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..butterfly import ButterflyKey
-from ..core.candidates import CandidateSet
 from ..core.estimation import EstimationOutcome
 from ..core.karp_luby_estimator import KarpLubyRounds
 from ..errors import CheckpointError, ConfigurationError
-from ..kernels import WedgeIndex
 from ..observability import Observer
-from ..runtime.checkpoint import read_checkpoint
 from ..runtime.degradation import Guarantee
 from ..runtime.engine import LoopInterrupt, LoopReport
 from ..runtime.policy import RuntimePolicy
@@ -67,19 +66,14 @@ from .prescreen import prescreen_candidates
 #: assembly clears it — unlike ``"deadline"``, it does not degrade.
 ADAPTIVE_STOP = "adaptive-stop"
 
-#: What a raced OLS-KL checkpoint adds to the round loop's state, under
-#: ``"race"``: the bound that eliminated each candidate, and the
-#: pre-screen's eliminations and lower bounds.
-RACE_KEYS = ("eliminated_upper", "pre_eliminated", "pre_lower")
-
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Tuning knobs of the anytime adaptive mode.
 
     Attributes:
-        delta: Total failure budget of the anytime claim (pre-screen +
-            every elimination check, union-bounded).  ``None`` inherits
+        delta: Total failure budget of the anytime claim (every
+            elimination check, union-bounded).  ``None`` inherits
             the method's own δ so the adaptive run certifies the same
             confidence level as the fixed-budget run it replaces.
         check_every: Trials between stop-rule evaluations on the
@@ -90,16 +84,15 @@ class AdaptiveConfig:
             candidate one kernel block (``block_size``).
         min_trials: Trials required before the first frequency-method
             stop-rule evaluation may fire.
-        prescreen: Run the sublinear wedge-pair pre-screen before
-            OLS/OLS-KL sampling (half of ``delta`` is spent on it).
-        prescreen_samples: Wedge-pair samples the pre-screen draws.
+        prescreen: Run the exact pre-screen
+            (:mod:`~repro.adaptive.prescreen`) before OLS-KL's union
+            trials.  It draws nothing and spends no δ.
     """
 
     delta: Optional[float] = None
     check_every: int = 256
     min_trials: int = 64
     prescreen: bool = True
-    prescreen_samples: int = 2048
 
     def __post_init__(self) -> None:
         if self.delta is not None and not 0.0 < self.delta < 1.0:
@@ -112,11 +105,6 @@ class AdaptiveConfig:
                 raise ConfigurationError(
                     f"adaptive {name} must be positive, got {value}"
                 )
-        if self.prescreen_samples < 0:
-            raise ConfigurationError(
-                "adaptive prescreen_samples must be >= 0, got "
-                f"{self.prescreen_samples}"
-            )
 
 
 def resolve_adaptive(
@@ -282,17 +270,17 @@ class KarpLubyRacer:
 
     Wraps :class:`~repro.core.karp_luby_estimator.KarpLubyRounds` the
     way :class:`RacingFrequencyLoop` wraps the winner loops.  Built, it
-    runs the sublinear pre-screen (unless disabled or with fewer than
-    two candidates; half of ``delta`` goes to it) and retires the
-    candidates it dominates; resuming (``runtime.resume_from``), it
-    takes the interrupted run's pre-screen from the checkpoint instead.
+    runs the exact pre-screen (unless disabled) and retires the
+    candidates it dominates; the pre-screen depends on the candidate
+    set alone, so a resumed run recomputes the interrupted run's.
     Before round ``k+1`` it eliminates, for the state after round
     ``k``, every live candidate whose ``P(B)`` upper bound falls below
     the best lower bound — a pure function of the checkpointed counts,
     so resume replays it exactly — and stops, certified
-    (:data:`ADAPTIVE_STOP`), at one survivor or once no survivor needs
-    trials.  The static budgets still cap each candidate's trials and
-    are the baseline ``trials_saved`` is measured against.
+    (:data:`ADAPTIVE_STOP`), once one survivor with union trials
+    remains or no survivor needs trials.  The static budgets still cap
+    each candidate's trials and are the baseline ``trials_saved`` is
+    measured against.
     """
 
     def __init__(
@@ -301,31 +289,14 @@ class KarpLubyRacer:
         config: AdaptiveConfig,
         delta: float,
         mu: float,
-        *,
-        wedge_index: Optional[WedgeIndex] = None,
-        runtime: Optional[RuntimePolicy] = None,
-        observer: Optional[Observer] = None,
     ) -> None:
         self.inner = inner
         self.delta = delta
         self.mu = mu
-        use_prescreen = config.prescreen and len(inner.items) >= 2
-        delta_pre = delta / 2.0 if use_prescreen else 0.0
-        self.delta_race = delta - delta_pre
         self.pre_eliminated: List[int] = []
         self.pre_lower: List[float] = []
-        resumed = _resumed_race(runtime, inner.candidates)
-        if resumed is not None:
-            # A resumed run starts its generator elsewhere in the
-            # stream, so a fresh pre-screen could drop other candidates
-            # (and change the round target); keep the interrupted run's.
-            self._restore_prescreen(resumed)
-        elif use_prescreen:
-            report = prescreen_candidates(
-                inner.candidates, inner.generator,
-                n_samples=config.prescreen_samples,
-                delta=delta_pre, wedge_index=wedge_index, observer=observer,
-            )
+        if config.prescreen:
+            report = prescreen_candidates(inner.candidates)
             self.pre_eliminated = report.eliminated
             self.pre_lower = report.lower_bounds
         for index in self.pre_eliminated:
@@ -339,37 +310,35 @@ class KarpLubyRacer:
 
     def state_payload(self, completed: int) -> Dict:
         payload = self.inner.state_payload(completed)
-        payload["race"] = {
-            "eliminated_upper": list(self.ceilings),
-            "pre_eliminated": list(self.pre_eliminated),
-            "pre_lower": list(self.pre_lower),
-        }
+        payload["race"] = {"eliminated_upper": list(self.ceilings)}
         return payload
 
     def restore_state(self, payload: Dict) -> None:
         state = dict(payload)
+        # What the race adds to the round loop's state: the bound that
+        # eliminated each candidate.
         race = state.pop("race", None)
-        if race is None:
+        if race is None or sorted(race) != ["eliminated_upper"]:
             raise CheckpointError(
-                "OLS-KL checkpoint lacks the racing state ('race') an "
-                "adaptive resume needs"
+                "OLS-KL checkpoint lacks the racing state an adaptive "
+                "resume needs ('race' holding only 'eliminated_upper'): "
+                "a fixed run or an older adaptive run wrote it"
             )
-        self._restore_prescreen(race)
         self.inner.restore_state(state)
         self.ceilings = [
             None if value is None else float(value)
             for value in race["eliminated_upper"]
         ]
-
-    def _restore_prescreen(self, race: Dict) -> None:
-        missing = [key for key in RACE_KEYS if key not in race]
-        if missing:
+        # Only the pre-screen retires a candidate without a ceiling.
+        dropped = [
+            index for index, live in enumerate(self.inner.live)
+            if not live and self.ceilings[index] is None
+        ]
+        if dropped != self.pre_eliminated:
             raise CheckpointError(
-                "OLS-KL checkpoint racing state lacks "
-                + ", ".join(repr(key) for key in missing)
+                "OLS-KL checkpoint was written with another pre-screen "
+                "setting"
             )
-        self.pre_eliminated = [int(i) for i in race["pre_eliminated"]]
-        self.pre_lower = [float(value) for value in race["pre_lower"]]
 
     def _check(self, check: int) -> None:
         """Eliminate and possibly stop, for the state after round ``check``."""
@@ -383,8 +352,10 @@ class KarpLubyRacer:
                     inner.retire(index)
                     self.ceilings[index] = bounds[index][1]
             survivors = [i for i in survivors if inner.live[i]]
-        if len(survivors) <= 1 or not any(
-            inner.needs_trials(i) for i in survivors
+        # Before its first union trial a sole survivor's estimate is
+        # Pr[E(B)], far above P(B) when heavier candidates block it.
+        if not any(inner.needs_trials(i) for i in survivors) or (
+            len(survivors) == 1 and inner.done[survivors[0]] > 0
         ):
             raise LoopInterrupt(ADAPTIVE_STOP)
 
@@ -392,7 +363,7 @@ class KarpLubyRacer:
         """Per-candidate ``P(B)`` intervals at elimination check ``k``."""
         inner = self.inner
         delta_arm = split_delta(
-            anytime_delta(self.delta_race, check), len(inner.items)
+            anytime_delta(self.delta, check), len(inner.items)
         )
         bounds = []
         for index, existence in enumerate(inner.existence):
@@ -460,9 +431,12 @@ class KarpLubyRacer:
             key=lambda i: (estimates[inner.items[i].key], -i),
             default=0,
         )
+        # The interval need not be centred on the estimate: its farther
+        # end is what the claim about the estimate must cover.
+        estimate = estimates[inner.items[winner].key]
+        lower, upper = bounds[winner]
         realized = realized_epsilon(
-            (bounds[winner][1] - bounds[winner][0]) / 2.0,
-            estimates[inner.items[winner].key], self.mu,
+            max(upper - estimate, estimate - lower), estimate, self.mu
         )
         stop_reason = report.stop_reason
         if stop_reason == ADAPTIVE_STOP:
@@ -494,24 +468,6 @@ class KarpLubyRacer:
                 eliminated=eliminated,
             ),
         )
-
-
-def _resumed_race(
-    runtime: Optional[RuntimePolicy], candidates: CandidateSet
-) -> Optional[Dict]:
-    """The racing state of the OLS-KL checkpoint ``runtime`` resumes
-    from, if it has one for ``candidates`` (the engine validates the
-    rest of the document on restore)."""
-    if runtime is None or runtime.resume_from is None:
-        return None
-    document = read_checkpoint(runtime.resume_from)
-    if document is None or document.get("method") != "ols-kl":
-        return None
-    state = document.get("state", {})
-    race = state.get("race")
-    if race is not None:
-        candidates.require_checkpoint_keys(state.get("candidates", []))
-    return race
 
 
 def adaptive_delta(

@@ -15,7 +15,7 @@ hands every candidate that still needs trials one
 :class:`~repro.kernels.UnionBlockKernel` block, so a candidate's budget
 splits into the same blocks it would get run on its own.  A fixed run
 takes every candidate to its static budget; adaptive mode wraps the same
-loop with the racer of :mod:`repro.adaptive.racing` (pre-screen,
+loop with the racer of :mod:`repro.adaptive.racing` (exact pre-screen,
 empirical-Bernstein eliminations, certified stop).  The paper's
 candidate-at-a-time, one-trial-at-a-time loop is the reference
 (:func:`~repro.core.reference.reference_listing_sampling`), which shares
@@ -37,7 +37,7 @@ import numpy as np
 
 from ..butterfly import ButterflyKey
 from ..errors import CheckpointError, ConfigurationError
-from ..kernels import UnionBlockKernel, WedgeIndex, resolve_block_size
+from ..kernels import UnionBlockKernel, resolve_block_size
 from ..observability import Observer, ensure_observer
 from ..sampling import (
     ConvergenceTrace,
@@ -254,7 +254,6 @@ def estimate_probabilities_karp_luby(
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
     adaptive=None,
-    wedge_index: Optional[WedgeIndex] = None,
 ) -> EstimationOutcome:
     """Estimate ``P(B)`` for every candidate with per-candidate KL runs.
 
@@ -290,13 +289,11 @@ def estimate_probabilities_karp_luby(
         adaptive: Optional :class:`~repro.adaptive.AdaptiveConfig` (or
             anything :func:`~repro.adaptive.resolve_adaptive` accepts):
             races the rounds with
-            :class:`~repro.adaptive.racing.KarpLubyRacer` — the
-            sublinear pre-screen, then interval eliminations between
-            rounds against the static budgets, which still cap each
+            :class:`~repro.adaptive.racing.KarpLubyRacer` — the exact
+            pre-screen, then interval eliminations between rounds
+            against the static budgets, which still cap each
             candidate.  ``None`` (default) runs every candidate to its
             budget.
-        wedge_index: Optional prebuilt wedge index of the graph for the
-            adaptive pre-screen (it builds its own when absent).
 
     Returns:
         An :class:`~repro.core.estimation.EstimationOutcome` with
@@ -346,9 +343,7 @@ def estimate_probabilities_karp_luby(
     if config is not None:
         racer = racing.KarpLubyRacer(
             loop, config,
-            delta=delta if config.delta is None else config.delta,
-            mu=mu, wedge_index=wedge_index, runtime=runtime,
-            observer=observer,
+            delta=delta if config.delta is None else config.delta, mu=mu,
         )
     meta = {} if racer is None else {"adaptive": True}
     with observer.span(

@@ -71,10 +71,7 @@ def prepare_candidates(
     Returns:
         The deduplicated, weight-sorted candidate set ``C_MB``.
     """
-    candidates, _ = _prepare(
-        graph, n_prepare, rng, seed_backbone_top, observer, None
-    )
-    return candidates
+    return _prepare(graph, n_prepare, rng, seed_backbone_top, observer, None)
 
 
 def _prepare(
@@ -84,19 +81,18 @@ def _prepare(
     seed_backbone_top: int,
     observer: Optional[Observer],
     wedge_index: Optional[WedgeIndex],
-) -> Tuple[CandidateSet, WedgeIndex]:
-    """:func:`prepare_candidates`, also returning the wedge index the
-    trials ran on (so OLS-KL's pre-screen need not build another)."""
+) -> CandidateSet:
+    """:func:`prepare_candidates` on a prebuilt wedge index, if given."""
     if n_prepare <= 0:
         raise ConfigurationError(f"n_prepare must be positive, got {n_prepare}")
     # No dry streak can outlast the trials run so far, so a patience of
     # n_prepare never cuts the fixed loop short.
-    candidates, _, index = _collect_candidates(
+    candidates, _ = _collect_candidates(
         graph, rng, seed_backbone_top, observer, wedge_index,
         patience=n_prepare, max_trials=n_prepare,
         span_meta={"trials": n_prepare},
     )
-    return candidates, index
+    return candidates
 
 
 def adaptive_prepare_candidates(
@@ -129,7 +125,7 @@ def adaptive_prepare_candidates(
         raise ConfigurationError(f"patience must be positive, got {patience}")
     if max_trials <= 0:
         raise ConfigurationError(f"max_trials must be positive, got {max_trials}")
-    candidates, trials, _ = _collect_candidates(
+    candidates, trials = _collect_candidates(
         graph, rng, seed_backbone_top, observer, None,
         patience=patience, max_trials=max_trials,
         span_meta={"patience": patience, "max_trials": max_trials},
@@ -147,10 +143,9 @@ def _collect_candidates(
     patience: int,
     max_trials: int,
     span_meta: Dict[str, int],
-) -> Tuple[CandidateSet, int, WedgeIndex]:
+) -> Tuple[CandidateSet, int]:
     """Both preparing phases: OS trials until ``patience`` dry trials in
-    a row or ``max_trials`` trials, returning ``(C_MB, trials_used,
-    wedge_index)``.
+    a row or ``max_trials`` trials, returning ``(C_MB, trials_used)``.
 
     Trials run as mask blocks on the wedge kernel.  A block holds at
     most ``patience - dry`` trials, so a dry streak can reach
@@ -196,7 +191,7 @@ def _collect_candidates(
             trials += length
     observer.inc("prepare.trials", trials)
     observer.set("candidates.listed", float(len(collected)))
-    return CandidateSet(graph, collected.values()), trials, wedge_index
+    return CandidateSet(graph, collected.values()), trials
 
 
 def ordering_listing_sampling(
@@ -252,7 +247,7 @@ def ordering_listing_sampling(
             anything :func:`~repro.adaptive.resolve_adaptive` accepts)
             enabling anytime trial allocation in the sampling phase:
             the optimised estimator gains the racing stop rule, and
-            Karp-Luby's rounds gain the sublinear pre-screen plus
+            Karp-Luby's rounds gain the exact pre-screen plus
             per-candidate racing elimination against the static
             Lemma VI.4 budgets.  ``None`` (default) keeps the fixed
             budgets bit-identical.
@@ -260,8 +255,7 @@ def ordering_listing_sampling(
             :class:`~repro.kernels.wedge_block.WedgeIndex` of ``graph``
             (e.g. the service's shared one, or one attached from shared
             memory by the worker pool) for the preparing phase;
-            otherwise the phase builds one.  Adaptive OLS-KL hands the
-            same index to its pre-screen.
+            otherwise the phase builds one.
 
     Returns:
         An :class:`~repro.core.results.MPMBResult` with ``method="ols"``
@@ -270,7 +264,7 @@ def ordering_listing_sampling(
     """
     observer = ensure_observer(observer)
 
-    def sample(candidates, generator, index):
+    def sample(candidates, generator):
         if estimator == "optimized":
             outcome = estimate_probabilities_optimized(
                 candidates, n_trials, generator,
@@ -285,7 +279,7 @@ def ordering_listing_sampling(
                 mu=mu, epsilon=epsilon, delta=delta,
                 track=track, checkpoints=checkpoints,
                 block_size=block_size, runtime=runtime,
-                observer=observer, adaptive=adaptive, wedge_index=index,
+                observer=observer, adaptive=adaptive,
             )
         return outcome
 
@@ -309,13 +303,11 @@ def run_listing_sampling(
     *,
     wedge_index: Optional[WedgeIndex] = None,
 ) -> MPMBResult:
-    """Algorithm 3 around ``sample(candidates, generator, wedge_index)``,
-    the sampling phase, which is all production and the reference
-    differ in: prepare ``C_MB`` (or rebuild it from the resume
-    checkpoint), sample, assemble the result and metrics.  ``sample``
-    receives the index the preparing phase ran on (``None`` when a
-    resumed run skipped the phase without one); only adaptive OLS-KL's
-    pre-screen reads it.
+    """Algorithm 3 around ``sample(candidates, generator)``, the
+    sampling phase, which is all production and the reference differ
+    in: prepare ``C_MB`` (on ``wedge_index`` when given, or rebuild it
+    from the resume checkpoint), sample, assemble the result and
+    metrics.
     """
     if estimator not in ("optimized", "karp-luby"):
         raise ConfigurationError(
@@ -331,7 +323,7 @@ def run_listing_sampling(
         resumed_candidates = candidates is not None
     with stopwatch() as timer:
         if candidates is None:
-            candidates, wedge_index = _prepare(
+            candidates = _prepare(
                 graph, n_prepare, generator, 0, observer, wedge_index
             )
         if len(candidates) == 0:
@@ -351,7 +343,7 @@ def run_listing_sampling(
                 f"n_trials must be positive for the optimised "
                 f"estimator, got {n_trials}"
             )
-        outcome = sample(candidates, generator, wedge_index)
+        outcome = sample(candidates, generator)
 
     stats = {
         "n_prepare": float(n_prepare),

@@ -238,7 +238,7 @@ def reference_listing_sampling(
                 "ordering_listing_sampling"
             )
 
-    def sample(candidates, generator, _index):
+    def sample(candidates, generator):
         if estimator == "optimized":
             loop = _OptimizedLoop(
                 candidates, generator, n_trials,

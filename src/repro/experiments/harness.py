@@ -63,7 +63,7 @@ class ExperimentConfig:
             ``docs/performance.md``).
         adaptive: Run the sampling methods in anytime adaptive mode —
             racing elimination with empirical-Bernstein intervals and,
-            for OLS-KL, the sublinear pre-screen — reporting realised
+            for OLS-KL, the exact pre-screen — reporting realised
             instead of worst-case budgets (``docs/performance.md``).
     """
 

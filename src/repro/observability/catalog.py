@@ -96,10 +96,8 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("adaptive.candidates_eliminated", "counter",
                "candidates removed by pre-screen or racing elimination"),
     MetricSpec("adaptive.realized_epsilon", "gauge",
-               "relative half-width the winner's interval certified at "
-               "the stop"),
-    MetricSpec("adaptive.prescreen.samples", "counter",
-               "wedge-pair samples the sublinear pre-screen drew"),
+               "relative error the winner's interval certified at the "
+               "stop"),
     MetricSpec("pool.workers.total", "counter",
                "worker pool size"),
     MetricSpec("pool.workers.dropped", "counter",

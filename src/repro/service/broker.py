@@ -205,8 +205,8 @@ class QueryBroker:
         self._pools_lock = threading.Lock()
         # Per-dataset wedge indexes, keyed and built like the pools: one
         # read-only index per graph version, shared by unpooled
-        # requests, the dataset's pool and adaptive OLS-KL's
-        # pre-screen.  Guarded by _indexes_lock; builds run outside it.
+        # requests and the dataset's pool.  Guarded by _indexes_lock;
+        # builds run outside it.
         self._indexes: Dict[str, _Flight] = {}
         self._indexes_lock = threading.Lock()
 

@@ -11,7 +11,8 @@ The contract under test (``docs/performance.md`` / ``docs/runtime.md``):
 * the racer's survivor/interval state rides the engine checkpoint, so
   kill-and-resume reproduces a continuous adaptive run exactly;
 * eliminations are sound: whenever the intervals cover the truth, the
-  true incumbent is never eliminated (hypothesis property).
+  true incumbent is never eliminated (hypothesis property), and the
+  pre-screen's bounds hold against the exact candidate-relative oracle.
 """
 
 from __future__ import annotations
@@ -28,21 +29,23 @@ from repro.adaptive import (
     EBInterval,
     RacingFrequencyLoop,
     anytime_delta,
+    prescreen_candidates,
+    racing,
     resolve_adaptive,
     split_delta,
 )
-from repro.adaptive.prescreen import _pair_slots
-from repro.butterfly.bfc_vp import count_butterflies
 from repro.core import (
+    CandidateSet,
+    backbone_butterflies,
     find_mpmb,
     mc_vp,
     ordering_listing_sampling,
     ordering_sampling,
+    prepare_candidates,
     reference_search,
     result_to_dict,
 )
 from repro.core.bounds import preparing_trials_for_recall
-from repro.datasets.synthetic import random_bipartite
 from repro.errors import ConfigurationError
 from repro.graph import save_graph
 from repro.kernels import UnionBlockKernel, memory
@@ -53,9 +56,10 @@ from repro.runtime import InjectedCrash
 from repro.runtime.degradation import Guarantee
 from repro.runtime.engine import LoopInterrupt
 from repro.sampling.bounds import MAX_TRIAL_BOUND, monte_carlo_trial_bound
+from repro.sampling.karp_luby import exact_union_probability
 from repro.service import GraphRegistry, QueryBroker, QueryRequest
 
-from .conftest import FIGURE_1_EDGES, build_graph
+from .conftest import FIGURE_1_EDGES, build_graph, random_small_graph
 
 #: Two disjoint butterflies, one clearly dominant (P ~ 0.656 vs ~ 0.24
 #: conditional on winning ~ 0.083), so the racing rule separates within
@@ -252,15 +256,33 @@ class TestCertifiedRacingStops:
         # Stats counters surface through the generic <method>.<stat> path.
         assert snapshot["counters"]["os.trials_saved"] > 0
 
-    def test_prescreen_metrics_recorded(self, dominant):
+    def test_prescreen_metrics_recorded(self, dominant, monkeypatch):
+        """The pre-screen's eliminations reach the metrics, and it
+        draws nothing from the run's generator."""
+        generator = np.random.default_rng(13)
+        screens = []
+        prescreen = racing.prescreen_candidates
+
+        def recording(candidates):
+            before = generator.bit_generator.state
+            report = prescreen(candidates)
+            screens.append((report, before == generator.bit_generator.state))
+            return report
+
+        monkeypatch.setattr(racing, "prescreen_candidates", recording)
         observer = Observer()
         ordering_listing_sampling(
-            dominant, 0, n_prepare=40, estimator="karp-luby", rng=13,
-            adaptive=True, observer=observer,
+            dominant, 0, n_prepare=40, estimator="karp-luby",
+            rng=generator, adaptive=True, observer=observer,
         )
-        snapshot = observer.metrics.to_dict()
-        assert snapshot["counters"]["adaptive.prescreen.samples"] > 0
-        assert snapshot["counters"]["adaptive.trials_saved"] > 0
+        [(report, unchanged)] = screens
+        assert unchanged
+        assert report.eliminated
+        counters = observer.metrics.to_dict()["counters"]
+        assert counters["adaptive.candidates_eliminated"] >= len(
+            report.eliminated
+        )
+        assert counters["adaptive.trials_saved"] > 0
 
 
 class TestAdaptiveCheckpointResume:
@@ -430,39 +452,46 @@ class TestEliminationSoundness:
         assert 0.0 <= lower <= interval.mean <= upper <= 1.0
 
 
-class TestPrescreenPairDraw:
-    """The pre-screen numbers every same-group wedge pair of the scan
-    layout once, and those pairs are the graph's butterflies: a uniform
-    draw over the numbers is a uniform draw over butterflies, which is
-    what keeps the heavier-mass estimator unbiased."""
+class TestPrescreenAgainstExact:
+    """The pre-screen is a deterministic function of ``C_MB``, so the
+    exact candidate-relative ``P(B_j) = E_j·(1 − Pr[∪ E(B_i \\ B_j)])``
+    (heavier ``B_i``) pins it: every lower bound lies below ``P(B_j)``,
+    which lies below ``E_j``, and no eliminated candidate reaches the
+    best ``P``."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        n_left=st.integers(2, 8),
-        n_right=st.integers(2, 8),
-        density=st.floats(0.3, 1.0),
-    )
-    def test_numbers_every_butterfly_once(
-        self, seed, n_left, n_right, density
-    ):
-        graph = random_bipartite(
-            n_left, n_right, max(1, int(density * n_left * n_right)),
-            rng=seed,
-        )
-        index = build_wedge_index(graph)
-        starts = index.scan_start.tolist()
-        expected = sorted(
-            (a, b)
-            for lo, hi in zip(starts, starts[1:])
-            for a in range(lo, hi)
-            for b in range(a + 1, hi)
-        )
-        assert len(expected) == count_butterflies(graph)
-        first, second = _pair_slots(
-            index, np.arange(len(expected), dtype=np.int64)
-        )
-        assert sorted(zip(first.tolist(), second.tolist())) == expected
+    def test_bounds_and_eliminations_hold(self):
+        sets = eliminated = 0
+        for seed in range(300):
+            graph = random_small_graph(np.random.default_rng(seed))
+
+            def prob_of(edge):
+                return float(graph.probs[edge])
+
+            for candidates in (
+                CandidateSet(graph, backbone_butterflies(graph)),
+                prepare_candidates(graph, 20, rng=seed),
+            ):
+                m = len(candidates)
+                if m < 2:
+                    continue
+                existence = [
+                    candidates.existence_probability(j) for j in range(m)
+                ]
+                exact = [
+                    existence[j] * (1.0 - exact_union_probability(
+                        candidates.difference_events(j), prob_of
+                    ))
+                    for j in range(m)
+                ]
+                report = prescreen_candidates(candidates)
+                for j in range(m):
+                    assert report.lower_bounds[j] <= exact[j] + 1e-12
+                    assert exact[j] <= existence[j] + 1e-12
+                for j in report.eliminated:
+                    assert exact[j] < max(exact), (seed, j)
+                sets += 1
+                eliminated += len(report.eliminated)
+        assert sets >= 100 and eliminated >= 200
 
 
 class TestBugfixRegressions:

@@ -162,6 +162,25 @@ class TestCommandLineExtraction:
             for problem in problems
         )
 
+    def test_metric_row_missing_from_catalog_detected(self, monkeypatch):
+        """A row left behind for a deleted metric fails the check, as
+        does a joined row naming one."""
+        page = REPO_ROOT / "docs" / "observability.md"
+        text = page.read_text(encoding="utf-8")
+        row = "| `service.cache.hit_rate` | gauge |"
+        assert row in text
+        stale = text.replace(row, (
+            "| `adaptive.prescreen.samples` | counter | gone |\n"
+            "| `pool.gone` / `service.gone` | counter | gone |\n" + row
+        ))
+        monkeypatch.setattr(
+            type(page), "read_text", lambda self, **kw: stale
+        )
+        problems = checker.check_metric_table()
+        assert len(problems) == 3
+        assert all("does not declare" in problem for problem in problems)
+        assert any("adaptive.prescreen.samples" in p for p in problems)
+
     def test_rule_catalog_missing_row_detected(self, monkeypatch):
         page = REPO_ROOT / "docs" / "static-analysis.md"
         text = page.read_text(encoding="utf-8")

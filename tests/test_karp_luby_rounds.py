@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro import FaultPlan, RuntimePolicy
-from repro.adaptive import EBInterval, PrescreenReport, racing
+from repro.adaptive import prescreen_candidates
+from repro.butterfly.model import butterfly_from_labels
 from repro.core import (
     CandidateSet,
     backbone_butterflies,
@@ -37,8 +38,9 @@ from repro.observability import Observer
 from repro.runtime import InjectedCrash
 from repro.runtime.checkpoint import read_checkpoint, write_checkpoint
 from repro.sampling import KarpLubyUnionSampler
+from repro.sampling.karp_luby import exact_union_probability
 
-from .conftest import build_graph
+from .conftest import build_graph, random_small_graph
 
 #: A complete 3x3 graph with three weight classes and varied edge
 #: probabilities: six of its nine butterflies have heavier blockers.
@@ -219,51 +221,88 @@ class TestRacedRounds:
         ))
         assert result_to_dict(resumed) == result_to_dict(baseline)
 
-    def test_resume_keeps_the_interrupted_prescreen(
-        self, graph, tmp_path, monkeypatch
-    ):
-        """A resumed run skips the preparing phase, so its generator
-        starts elsewhere in the stream, where a new pre-screen may drop
-        a candidate the interrupted run kept.  The resume takes the
-        interrupted run's pre-screen from the checkpoint instead."""
-        picks = []
+    def test_resume_recomputes_the_prescreen(self, tmp_path):
+        """The pre-screen depends on ``C_MB`` alone, so a resumed run,
+        which rebuilds ``C_MB`` from the checkpoint and skips the
+        preparing phase, drops the same candidates.  A checkpoint is
+        refused when the resume switches the pre-screen the other way,
+        or when it still carries the sampled pre-screen's outcome."""
+        graph = random_small_graph(np.random.default_rng(50))
 
-        def prescreen(candidates, generator, **kwargs):
-            # Drops one candidate, picked by the generator's next draw.
-            m = len(candidates)
-            picks.append(int(generator.integers(1, m)))
-            return PrescreenReport(
-                survivors=[i for i in range(m) if i != picks[-1]],
-                eliminated=[picks[-1]], n_samples=1, best_lower=0.0,
-                lower_bounds=[0.0] * m,
-            )
-
-        monkeypatch.setattr(racing, "prescreen_candidates", prescreen)
-
-        def run(**kwargs):
+        def run(adaptive=True, **kwargs):
             return ordering_listing_sampling(
-                graph, 0, n_prepare=30, estimator="karp-luby", rng=2,
-                adaptive=True, block_size=8, **kwargs,
+                graph, 0, n_prepare=30, estimator="karp-luby", rng=3,
+                adaptive=adaptive, block_size=8, **kwargs,
             )
 
-        baseline = result_to_dict(run())
+        baseline = run()
+        candidates = CandidateSet(graph, baseline.butterflies.values())
+        dropped = prescreen_candidates(candidates).eliminated
+        assert dropped
+        assert len(candidates) - len(dropped) >= 2
         path = tmp_path / "kl.json"
         with pytest.raises(InjectedCrash):
             run(runtime=RuntimePolicy(
                 checkpoint_path=path, checkpoint_every=1,
-                faults=FaultPlan(crash_before_trial=3),
+                faults=FaultPlan(crash_before_trial=2),
             ))
-        race = read_checkpoint(path)["state"]["race"]
-        assert race["pre_eliminated"] == picks[-1:]
-        # The pre-screen a fresh generator would draw drops another one.
-        m = len(race["pre_lower"])
-        assert int(np.random.default_rng(2).integers(1, m)) != picks[-1]
+        document = read_checkpoint(path)
+        live = document["state"]["live"]
+        assert [i for i, flag in enumerate(live) if not flag] == dropped
         resumed = result_to_dict(run(runtime=RuntimePolicy(
             checkpoint_path=path, checkpoint_every=1, resume_from=path,
         )))
-        assert len(picks) == 2  # the resume drew no pre-screen
         assert resumed["stats"].pop("resumed_candidates") == 1.0
-        assert resumed == baseline
+        assert resumed == result_to_dict(baseline)
+
+        write_checkpoint(path, document)
+        with pytest.raises(CheckpointError, match="pre-screen setting"):
+            run({"prescreen": False}, runtime=RuntimePolicy(
+                resume_from=path,
+            ))
+        document["state"]["race"].update(
+            pre_eliminated=dropped, pre_lower=[0.0] * len(live)
+        )
+        write_checkpoint(path, document)
+        with pytest.raises(CheckpointError, match="older adaptive run"):
+            run(runtime=RuntimePolicy(resume_from=path))
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_sole_survivor_stop_covers_its_estimate(self, seed):
+        """One light butterfly ``B`` that four heavier candidates block:
+        the pre-screen drops the four and leaves ``B`` alone.  Stopping
+        before any union trial reported ``Pr[E(B)] = 0.8009`` with
+        realised ε 0.5, where the candidate-relative ``P(B)`` is
+        0.3745; the survivor now runs a round first, and the realised
+        ε covers the estimate's error."""
+        light = [("u1", "v1"), ("u1", "v2"), ("u2", "v1"), ("u2", "v2")]
+        edges = [(u, v, 1.0, 0.946) for u, v in light] + [
+            (f"u{j}", v, 10.0, 0.416)
+            for j in range(3, 7) for v in ("v1", "v2")
+        ]
+        graph = build_graph(edges, name="blocked-survivor")
+        butterflies = [
+            butterfly_from_labels(graph, "u1", f"u{j}", "v1", "v2")
+            for j in range(2, 7)
+        ]
+        candidates = CandidateSet(graph, butterflies)
+        assert prescreen_candidates(candidates).eliminated == [0, 1, 2, 3]
+        light_key = candidates[4].key
+        exact = candidates.existence_probability(4) * (
+            1.0 - exact_union_probability(
+                candidates.difference_events(4),
+                lambda edge: float(graph.probs[edge]),
+            )
+        )
+        assert exact == pytest.approx(0.3745, abs=1e-4)
+        result = ordering_listing_sampling(
+            graph, 0, estimator="karp-luby", rng=seed,
+            candidates=candidates, adaptive=True,
+        )
+        estimate = result.estimates[light_key]
+        epsilon = result.guarantee.epsilon
+        assert abs(estimate - exact) <= epsilon * max(estimate, 0.05)
+        assert result.n_trials > 0
 
 
 class TestDeadlines:
@@ -385,7 +424,8 @@ class TestRoundCheckpoints:
             "alive": state["live"],
             "done": state["done"],
             "intervals": [
-                EBInterval(1.0, done, float(hits), float(hits)).to_dict()
+                {"range_width": 1.0, "count": done, "total": float(hits),
+                 "total_sq": float(hits)}
                 for done, hits in zip(state["done"], state["accepted"])
             ],
             "eliminated_upper": [None] * len(state["done"]),

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checker.
 
-Eight guarantees, each enforced by CI through ``tests/test_docs.py``:
+Nine guarantees, each enforced by CI through ``tests/test_docs.py``:
 
 1. **Coverage** — ``README.md`` references every page under ``docs/``
    (a page nobody links is a page nobody reads).
@@ -34,6 +34,10 @@ Eight guarantees, each enforced by CI through ``tests/test_docs.py``:
    *Measured numbers* in ``docs/performance.md`` is exactly the one
    :func:`performance_table` renders from ``BENCH_sampling.json``, so
    a regenerated benchmark file cannot leave stale speedups behind.
+9. **Metric table sync** — the metric names in ``docs/observability.md``'s
+   tables (a row may join two with ``/``) are exactly the names of
+   ``repro.observability.catalog.METRICS``, so a deleted metric cannot
+   leave its row behind and a new one cannot go undocumented.
 
 Run directly::
 
@@ -318,6 +322,48 @@ def check_adaptive_docs() -> List[str]:
     return problems
 
 
+def documented_metrics(text: str) -> Set[str]:
+    """Names in the first column of a page's ``| Metric |`` tables."""
+    names: Set[str] = set()
+    in_table = False
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        first = line.split("|")[1].strip()
+        if first == "Metric":
+            in_table = True
+        elif in_table:
+            names.update(re.findall(r"`([^`]+)`", first))
+    return names
+
+
+def check_metric_table() -> List[str]:
+    """``docs/observability.md``'s metric tables name the catalog's
+    metrics, no fewer and no more."""
+    page = REPO_ROOT / "docs" / "observability.md"
+    if not page.exists():
+        return ["docs/observability.md is missing (the metric catalog)"]
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from repro.observability.catalog import METRICS
+    finally:
+        sys.path.pop(0)
+    documented = documented_metrics(page.read_text(encoding="utf-8"))
+    cataloged = {spec.name for spec in METRICS}
+    problems = [
+        f"docs/observability.md has no metric-table row for the "
+        f"cataloged metric {name!r}"
+        for name in sorted(cataloged - documented)
+    ]
+    problems.extend(
+        f"docs/observability.md documents the metric {name!r}, which "
+        f"repro.observability.catalog does not declare"
+        for name in sorted(documented - cataloged)
+    )
+    return problems
+
+
 #: Method rows of the performance table, in documented order.
 PERFORMANCE_METHODS = ("mc-vp", "os", "ols", "ols-kl")
 
@@ -464,6 +510,7 @@ def run_checks() -> List[str]:
     problems.extend(check_protocol_docs())
     problems.extend(check_rule_catalog())
     problems.extend(check_adaptive_docs())
+    problems.extend(check_metric_table())
     problems.extend(check_performance_table())
     return problems
 
