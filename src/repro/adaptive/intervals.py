@@ -1,26 +1,31 @@
-"""Empirical-Bernstein anytime confidence intervals.
+"""Empirical-Bernstein anytime confidence limits — the race core.
 
 The racing scheduler needs per-candidate intervals that stay valid at
 *every* elimination check, not just at one pre-registered sample size.
-Two standard ingredients provide that:
+Two standard ingredients provide that, and :func:`bernstein_limits`
+applies both to every arm at once:
 
 1. **Empirical Bernstein** (Maurer & Pontil 2009).  For ``t`` i.i.d.
-   observations in ``[0, R]`` with sample mean ``m̂`` and sample
+   observations in ``[0, 1]`` with sample mean ``m̂`` and sample
    variance ``V̂``, with probability at least ``1 − δ``::
 
-       |m̂ − μ| ≤ sqrt(2 V̂ ln(3/δ) / t) + 3 R ln(3/δ) / t
+       |m̂ − μ| ≤ sqrt(2 V̂ ln(3/δ) / t) + 3 ln(3/δ) / t
 
    The variance-adaptive first term is what makes racing pay off: a
    candidate whose blocking indicator is nearly constant gets a tight
    interval after a handful of trials, regardless of the worst-case
    Theorem IV.1 budget.
 
-2. **A union-bound δ-split over checks** (:func:`anytime_delta`).  Check
-   ``k`` spends ``δ·6/(π²k²)``; the series sums to ``δ``, so *all*
-   checks hold simultaneously with probability ``1 − δ`` no matter when
-   the scheduler stops.  Splitting each check's budget further over the
-   ``m`` candidates (:func:`split_delta`) gives the per-arm, per-check
-   failure probability the scheduler feeds into :meth:`EBInterval.radius`.
+2. **A union-bound δ-split over checks and arms.**  Check ``k`` spends
+   ``δ·6/(π²k²)``; the series sums to ``δ``, so *all* checks hold
+   simultaneously with probability ``1 − δ`` no matter when the
+   scheduler stops.  Each check's share is split evenly over the ``m``
+   arms it bounds.
+
+Both racers of :mod:`~repro.adaptive.racing` call the one core: the
+frequency racer on winner counts, the OLS-KL racer on union acceptance
+counts.  Their observations are 0/1, so ``Σx² = Σx`` and the success
+counts and trial counts are all the core reads.
 
 The final claim is then reported as a *realised* ε: how far the
 incumbent's interval reaches from its estimate, divided by
@@ -32,7 +37,10 @@ trials actually spent instead of the worst-case budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from ..errors import ConfigurationError
 
@@ -40,23 +48,43 @@ from ..errors import ConfigurationError
 _BASEL = math.pi * math.pi / 6.0
 
 
-def anytime_delta(delta: float, check: int) -> float:
-    """Failure budget assigned to elimination check ``check`` (1-based).
+def bernstein_limits(
+    successes: ArrayLike,
+    trials: ArrayLike,
+    delta: float,
+    check: int,
+    arms: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every arm's anytime empirical-Bernstein limits at check ``check``.
 
-    The budgets over all checks sum to ``delta``, so intervals computed
-    at every check hold simultaneously with probability ``1 − delta``
-    — the property that makes stopping at a data-dependent time sound.
+    Args:
+        successes: Per-arm success counts of 0/1 observations.
+        trials: Observations per arm, at least one: one count shared by
+            every arm, or one per arm.
+        delta: The run's total failure budget.
+        check: 1-based index of this elimination check.
+        arms: Arms the check's budget splits over (at least the arms
+            given: a caller may bound only some of them).
+
+    Returns:
+        ``(lower, upper)`` float64 arrays, clamped to ``[0, 1]``.
     """
-    if check <= 0:
-        raise ConfigurationError(f"check index must be >= 1, got {check}")
-    return delta / (_BASEL * check * check)
-
-
-def split_delta(delta: float, arms: int) -> float:
-    """Per-arm share of one check's failure budget (plain union bound)."""
-    if arms <= 0:
-        raise ConfigurationError(f"arm count must be >= 1, got {arms}")
-    return delta / arms
+    if check < 1 or arms < 1:
+        raise ConfigurationError(
+            f"check index and arm count must be >= 1, got {check}, {arms}"
+        )
+    delta_arm = delta / (_BASEL * check * check) / arms
+    log_term = math.log(3.0 / delta_arm)
+    successes = np.asarray(successes, dtype=np.float64)
+    trials = np.asarray(trials)
+    mean = successes / trials
+    # Σx² = Σx for 0/1 observations; one observation has no variance.
+    raw = (successes - trials * mean * mean) / np.maximum(trials - 1, 1)
+    variance = np.where(trials < 2, 0.0, np.maximum(raw, 0.0))
+    radius = (
+        np.sqrt(2.0 * variance * log_term / trials) + 3.0 * log_term / trials
+    )
+    return np.maximum(mean - radius, 0.0), np.minimum(mean + radius, 1.0)
 
 
 def realized_epsilon(radius: float, estimate: float, mu: float) -> float:
@@ -71,61 +99,3 @@ def realized_epsilon(radius: float, estimate: float, mu: float) -> float:
     if scale <= 0.0:
         return math.inf
     return radius / scale
-
-
-@dataclass
-class EBInterval:
-    """Moments of one candidate's bounded trial values.
-
-    Holds only ``(count, Σx, Σx²)``, which the racers build from the
-    counts their loops already keep (and checkpoint).
-
-    Attributes:
-        range_width: ``R`` — the known value range ``[0, R]``.
-        count: Number of observations.
-        total: Sum of observations.
-        total_sq: Sum of squared observations.
-    """
-
-    range_width: float = 1.0
-    count: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (0.0 before any observation)."""
-        if self.count == 0:
-            return 0.0
-        return self.total / self.count
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 below two observations)."""
-        if self.count < 2:
-            return 0.0
-        mean = self.mean
-        raw = (self.total_sq - self.count * mean * mean) / (self.count - 1)
-        return max(0.0, raw)
-
-    def radius(self, delta: float) -> float:
-        """Maurer-Pontil empirical-Bernstein radius at confidence ``δ``."""
-        if self.count == 0:
-            return math.inf
-        log_term = math.log(3.0 / delta)
-        return (
-            math.sqrt(2.0 * self.variance * log_term / self.count)
-            + 3.0 * self.range_width * log_term / self.count
-        )
-
-    def lower(self, delta: float) -> float:
-        """Lower confidence limit, clamped to the value range."""
-        if self.count == 0:
-            return 0.0
-        return max(0.0, self.mean - self.radius(delta))
-
-    def upper(self, delta: float) -> float:
-        """Upper confidence limit, clamped to the value range."""
-        if self.count == 0:
-            return self.range_width
-        return min(self.range_width, self.mean + self.radius(delta))

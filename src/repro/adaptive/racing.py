@@ -1,18 +1,17 @@
 """Racing trial allocation with anytime elimination.
 
-Two racers share the empirical-Bernstein machinery of
-:mod:`~repro.adaptive.intervals`, and each wraps the loop a fixed run
-drives:
+Two racers call the one empirical-Bernstein core of
+:mod:`~repro.adaptive.intervals` (:func:`bernstein_limits`), and each
+wraps the loop a fixed run drives:
 
-- :class:`RacingFrequencyLoop` wraps the frequency-method loops (MC-VP,
-  OS, and OLS's optimised estimator — block loops and the per-trial
-  references alike) and
-  stops the whole run as soon as the incumbent butterfly's lower
-  confidence limit clears every rival's upper limit.  Frequency trials
-  are shared by all arms, so "racing" degenerates to certified early
-  stopping; the stop rule is a pure function of the checkpointed winner
-  counts, evaluated at deterministic trial boundaries, which makes
-  checkpoint/resume exact with no extra state.
+- :class:`RacingFrequencyLoop` wraps the block loops of the frequency
+  methods (MC-VP, OS, and OLS's optimised estimator) and stops the
+  whole run as soon as the incumbent butterfly's lower confidence limit
+  clears every rival's upper limit.  Frequency trials are shared by all
+  arms, so "racing" degenerates to certified early stopping; the stop
+  rule is a pure function of the checkpointed winner counts, evaluated
+  at every block boundary, which makes checkpoint/resume exact with no
+  extra state.  The per-trial references take no ``adaptive=``.
 - :class:`KarpLubyRacer` wraps Algorithm 4's round loop
   (:class:`~repro.core.karp_luby_estimator.KarpLubyRounds`), in which
   each engine unit hands one union-kernel block of trials to every
@@ -42,9 +41,11 @@ cleared before results are assembled, unlike ``"deadline"`` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from ..butterfly import ButterflyKey
 from ..core.estimation import EstimationOutcome
@@ -54,12 +55,7 @@ from ..observability import Observer
 from ..runtime.degradation import Guarantee
 from ..runtime.engine import LoopInterrupt, LoopReport
 from ..runtime.policy import RuntimePolicy
-from .intervals import (
-    EBInterval,
-    anytime_delta,
-    realized_epsilon,
-    split_delta,
-)
+from .intervals import bernstein_limits, realized_epsilon
 from .prescreen import prescreen_candidates
 
 #: Engine interrupt reason for a *certified* racing stop.  Result
@@ -71,17 +67,15 @@ ADAPTIVE_STOP = "adaptive-stop"
 class AdaptiveConfig:
     """Tuning knobs of the anytime adaptive mode.
 
+    Where the checks run is not a knob: MC-VP, OS and OLS check at
+    every kernel block boundary, OLS-KL between rounds, each of which
+    hands every surviving candidate one kernel block (``block_size``).
+
     Attributes:
         delta: Total failure budget of the anytime claim (every
             elimination check, union-bounded).  ``None`` inherits
             the method's own δ so the adaptive run certifies the same
             confidence level as the fixed-budget run it replaces.
-        check_every: Trials between stop-rule evaluations on the
-            frequency methods' per-trial references
-            (:mod:`repro.core.reference`).  Production MC-VP, OS and
-            OLS check at every block boundary instead, and OLS-KL
-            checks between rounds, each of which hands every surviving
-            candidate one kernel block (``block_size``).
         min_trials: Trials required before the first frequency-method
             stop-rule evaluation may fire.
         prescreen: Run the exact pre-screen
@@ -90,7 +84,6 @@ class AdaptiveConfig:
     """
 
     delta: Optional[float] = None
-    check_every: int = 256
     min_trials: int = 64
     prescreen: bool = True
 
@@ -99,12 +92,11 @@ class AdaptiveConfig:
             raise ConfigurationError(
                 f"adaptive delta must be in (0, 1), got {self.delta}"
             )
-        for name in ("check_every", "min_trials"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ConfigurationError(
-                    f"adaptive {name} must be positive, got {value}"
-                )
+        if self.min_trials <= 0:
+            raise ConfigurationError(
+                f"adaptive min_trials must be positive, got "
+                f"{self.min_trials}"
+            )
 
 
 def resolve_adaptive(
@@ -123,6 +115,13 @@ def resolve_adaptive(
     if isinstance(value, AdaptiveConfig):
         return value
     if isinstance(value, dict):
+        known = [field.name for field in fields(AdaptiveConfig)]
+        unknown = [repr(key) for key in value if key not in known]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown adaptive field(s) {', '.join(unknown)}; the "
+                f"fields are {', '.join(known)}"
+            )
         return AdaptiveConfig(**value)
     raise ConfigurationError(
         f"adaptive must be a bool, dict, or AdaptiveConfig, got {value!r}"
@@ -132,18 +131,19 @@ def resolve_adaptive(
 class RacingFrequencyLoop:
     """Certified early stopping for the winner-frequency loops.
 
-    Wraps an engine loop (per-trial or blocked) and raises
-    :data:`ADAPTIVE_STOP` once the incumbent's empirical-Bernstein
-    lower limit exceeds every rival's upper limit — including, when
-    ``phantom`` is set, a phantom zero-count arm standing in for every
-    butterfly not yet observed (MC-VP/OS race over an open set of
-    arms; OLS's optimised estimator races over the fixed candidate
-    list and needs no phantom).
+    Wraps a block loop whose unit ``k`` runs ``unit_lengths[k-1]``
+    trials, and raises :data:`ADAPTIVE_STOP` once the incumbent's
+    empirical-Bernstein lower limit exceeds every rival's upper limit —
+    including, when ``phantom`` is set, a phantom zero-count arm
+    standing in for every butterfly not yet observed (MC-VP/OS race
+    over an open set of arms; OLS's optimised estimator races over the
+    fixed candidate list and needs no phantom).
 
-    The stop rule for the state after unit ``t`` is evaluated at the
-    *start* of unit ``t+1`` from the inner loop's own counts, so a
-    resumed run stops at exactly the trial a continuous run would have
-    — the checkpoint payload is the inner loop's, untouched.
+    The stop rule for the state after unit ``k`` is evaluated, as check
+    ``k``, at the *start* of unit ``k+1`` from the inner loop's own
+    counts, so a resumed run stops at exactly the block a continuous
+    run would have — the checkpoint payload is the inner loop's,
+    untouched.
     """
 
     def __init__(
@@ -153,8 +153,8 @@ class RacingFrequencyLoop:
         config: AdaptiveConfig,
         delta: float,
         mu: float,
+        unit_lengths: Sequence[int],
         phantom: bool = True,
-        unit_lengths: Optional[Sequence[int]] = None,
     ) -> None:
         self.inner = inner
         self._counts_fn = counts_fn
@@ -162,22 +162,18 @@ class RacingFrequencyLoop:
         self.delta = delta
         self.mu = mu
         self.phantom = phantom
-        self._cumulative = (
-            list(accumulate(unit_lengths))
-            if unit_lengths is not None
-            else None
-        )
+        #: Trials done once unit ``k`` has run, at index ``k``.
+        self._done = [0, *accumulate(unit_lengths)]
         self.stopped_at: Optional[int] = None
         self.eliminated = 0
         self.halfwidth = math.inf
         self.realized = math.inf
 
     def run_trial(self, trial: int) -> None:
-        done, check = self._boundary(trial - 1)
-        if (
-            check is not None
-            and done >= self.config.min_trials
-            and self._separated(done, check)
+        # min_trials >= 1, so check 0 (no trials yet) never runs.
+        done = int(self._done[trial - 1])
+        if done >= self.config.min_trials and self._separated(
+            done, trial - 1
         ):
             self.stopped_at = done
             raise LoopInterrupt(ADAPTIVE_STOP)
@@ -189,43 +185,24 @@ class RacingFrequencyLoop:
     def restore_state(self, payload: Dict) -> None:
         self.inner.restore_state(payload)
 
-    def _boundary(self, units: int) -> "tuple[int, Optional[int]]":
-        """(trials done, check index) for ``units`` completed units."""
-        if units <= 0:
-            return 0, None
-        if self._cumulative is not None:
-            return int(self._cumulative[units - 1]), units
-        if units % self.config.check_every != 0:
-            return units, None
-        return units, units // self.config.check_every
-
     def _separated(self, done: int, check: int) -> bool:
-        counts = [int(count) for count in self._counts_fn()]
-        arms = len(counts)
+        counts = np.fromiter(self._counts_fn(), dtype=np.float64)
+        arms = counts.size
         if arms == 0 or (arms == 1 and not self.phantom):
             return False
-        delta_check = anytime_delta(self.delta, check)
-        delta_arm = split_delta(delta_check, arms + int(self.phantom))
-        intervals = [
-            EBInterval(1.0, done, float(c), float(c)) for c in counts
-        ]
-        lowers = [iv.lower(delta_arm) for iv in intervals]
-        uppers = [iv.upper(delta_arm) for iv in intervals]
-        best = max(range(arms), key=lambda i: (lowers[i], -i))
-        rival = max(
-            (uppers[i] for i in range(arms) if i != best),
-            default=0.0,
-        )
         if self.phantom:
-            rival = max(
-                rival, EBInterval(1.0, done, 0.0, 0.0).upper(delta_arm)
-            )
-        if lowers[best] <= rival:
+            counts = np.append(counts, 0.0)
+        lower, upper = bernstein_limits(
+            counts, done, self.delta, check, counts.size
+        )
+        # The first of equal lower limits; the phantom is never it.
+        best = int(np.argmax(lower[:arms]))
+        if lower[best] <= np.delete(upper, best).max(initial=0.0):
             return False
         self.eliminated = arms - 1
-        self.halfwidth = (uppers[best] - lowers[best]) / 2.0
+        self.halfwidth = float(upper[best] - lower[best]) / 2.0
         self.realized = realized_epsilon(
-            self.halfwidth, intervals[best].mean, self.mu
+            self.halfwidth, float(counts[best]) / done, self.mu
         )
         return True
 
@@ -345,12 +322,12 @@ class KarpLubyRacer:
         inner = self.inner
         survivors = [i for i, live in enumerate(inner.live) if live]
         if check >= 1 and len(survivors) > 1:
-            bounds = self.bounds_at(check)
-            best_lower = max(bounds[i][0] for i in survivors)
+            lower, upper = self.bounds_at(check)
+            best_lower = lower[survivors].max()
             for index in survivors:
-                if bounds[index][1] < best_lower:
+                if upper[index] < best_lower:
                     inner.retire(index)
-                    self.ceilings[index] = bounds[index][1]
+                    self.ceilings[index] = float(upper[index])
             survivors = [i for i in survivors if inner.live[i]]
         # Before its first union trial a sole survivor's estimate is
         # Pr[E(B)], far above P(B) when heavier candidates block it.
@@ -359,30 +336,33 @@ class KarpLubyRacer:
         ):
             raise LoopInterrupt(ADAPTIVE_STOP)
 
-    def bounds_at(self, check: int) -> List["tuple[float, float]"]:
-        """Per-candidate ``P(B)`` intervals at elimination check ``k``."""
+    def bounds_at(self, check: int) -> "tuple[np.ndarray, np.ndarray]":
+        """Per-candidate ``P(B)`` lower and upper limits at elimination
+        check ``k``; the check's δ share splits over every candidate."""
         inner = self.inner
-        delta_arm = split_delta(
-            anytime_delta(self.delta, check), len(inner.items)
+        existence = np.array(inner.existence)
+        masses = np.array(inner.masses, dtype=np.float64)
+        done = np.array(inner.done)
+        # P(B) is exactly Pr[E(B)] when nothing heavier can block B (no
+        # blocking mass) or B cannot exist; unsampled, it lies anywhere
+        # in [0, Pr[E(B)]].
+        exact = (existence == 0.0) | (masses == 0.0)
+        sampled = ~exact & (done > 0)
+        lower, upper = np.where(exact, existence, 0.0), existence.copy()
+        rate_lower, rate_upper = bernstein_limits(
+            np.array(inner.accepted)[sampled], done[sampled], self.delta,
+            check, len(existence),
         )
-        bounds = []
-        for index, existence in enumerate(inner.existence):
-            if existence == 0.0 or inner.masses[index] == 0.0:
-                estimate = inner.estimate(index)
-                bounds.append((estimate, estimate))
-                continue
-            done = inner.done[index]
-            if done == 0:
-                bounds.append((0.0, existence))
-                continue
-            accepted = float(inner.accepted[index])
-            interval = EBInterval(1.0, done, accepted, accepted)
-            # A high union rate means a low P(B), and vice versa.
-            bounds.append((
-                inner.probability(index, interval.upper(delta_arm)),
-                inner.probability(index, interval.lower(delta_arm)),
-            ))
-        return bounds
+        # Algorithm 4 line 10, clamped into [0, Pr[E(B)]]: a high union
+        # rate means a low P(B), and vice versa.
+        existence, masses = existence[sampled], masses[sampled]
+        lower[sampled] = np.minimum(existence, np.maximum(
+            0.0, (1.0 - rate_upper * masses) * existence
+        ))
+        upper[sampled] = np.minimum(existence, np.maximum(
+            0.0, (1.0 - rate_lower * masses) * existence
+        ))
+        return lower, upper
 
     def estimates(self) -> Dict[ButterflyKey, float]:
         """Final reported estimates.
@@ -425,7 +405,7 @@ class KarpLubyRacer:
             ceiling is not None for ceiling in self.ceilings
         )
         estimates = self.estimates()
-        bounds = self.bounds_at(max(1, report.completed))
+        lowers, uppers = self.bounds_at(max(1, report.completed))
         winner = max(
             (i for i, live in enumerate(inner.live) if live),
             key=lambda i: (estimates[inner.items[i].key], -i),
@@ -434,7 +414,7 @@ class KarpLubyRacer:
         # The interval need not be centred on the estimate: its farther
         # end is what the claim about the estimate must cover.
         estimate = estimates[inner.items[winner].key]
-        lower, upper = bounds[winner]
+        lower, upper = float(lowers[winner]), float(uppers[winner])
         realized = realized_epsilon(
             max(upper - estimate, estimate - lower), estimate, self.mu
         )

@@ -58,11 +58,12 @@ def drive_frequency_loop(
 
     A loop exposing per-block trial counts as ``lengths`` runs one
     engine unit per block, checkpointing on block boundaries; any other
-    runs one unit per trial.  With ``adaptive`` on (anything
-    :func:`~repro.adaptive.resolve_adaptive` accepts), the racing rule
-    reads the per-arm winner ``counts``; ``phantom`` adds a zero-count
-    arm for every butterfly not yet seen (MC-VP/OS race over an open
-    set, OLS over its fixed candidate list).
+    (the per-trial references) runs one unit per trial.  With
+    ``adaptive`` on (anything :func:`~repro.adaptive.resolve_adaptive`
+    accepts; block loops only), the racing rule reads the per-arm
+    winner ``counts`` at every block boundary; ``phantom`` adds a
+    zero-count arm for every butterfly not yet seen (MC-VP/OS race over
+    an open set, OLS over its fixed candidate list).
     """
     lengths = getattr(loop, "lengths", None)
     config = racer = None

@@ -9,10 +9,10 @@ algorithms as the timing and test reference:
   vertex-priority scheme [50] (the cost profile Section V removes);
   Algorithm 2 runs the Section V weight-ordered search.  Both count
   winners through the same trial driver as production — the estimator
-  Theorem IV.1 sizes — so checkpoints, deadlines and racing apply
-  unchanged.  The kernel must reproduce their estimates, winner sets
-  and traces (``docs/kernels.md``); their own work counters are what
-  the experiments harness times.
+  Theorem IV.1 sizes — so checkpoints and deadlines apply unchanged.
+  The kernel must reproduce their estimates, winner sets and traces
+  (``docs/kernels.md``); their own work counters are what the
+  experiments harness times.
 - :func:`reference_listing_sampling` — OLS and OLS-KL with the paper's
   sampling loops: Algorithm 5's lazy walk over the weight-sorted
   candidates (one trial per engine unit) and Algorithm 4's
@@ -22,6 +22,9 @@ algorithms as the timing and test reference:
   production (:func:`~repro.core.ols.run_listing_sampling`), and with
   production OLS-KL its static budgets and outcome; the kernels agree
   with it in distribution, not bit for bit (``docs/kernels.md``).
+
+Both run the paper's fixed budgets only: adaptive mode races the
+kernels' blocks, so neither takes ``adaptive=``.
 """
 
 from __future__ import annotations
@@ -81,12 +84,11 @@ def reference_search(
     priority_kind: str = "degree",
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
-    adaptive=None,
 ) -> MPMBResult:
     """Run reference MC-VP (``method="mc-vp"``) or OS (``"os"``).
 
     ``n_trials``, ``rng``, ``track``, ``checkpoints``, ``antithetic``,
-    ``runtime``, ``observer`` and ``adaptive`` are as in
+    ``runtime`` and ``observer`` are as in
     :func:`~repro.core.mc_vp.mc_vp`, except that the engine unit is one
     trial.  The ablation switches:
 
@@ -184,7 +186,7 @@ def reference_search(
     )
     return search_winners(
         method, loop, n_trials, lambda loop: loop,
-        runtime=runtime, observer=observer, adaptive=adaptive,
+        runtime=runtime, observer=observer,
     )
 
 
@@ -202,18 +204,16 @@ def reference_listing_sampling(
     delta: float = 0.1,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
-    adaptive=None,
 ) -> MPMBResult:
     """Run reference OLS (``estimator="optimized"``) or OLS-KL
     (``"karp-luby"``) with the paper's per-trial sampling loops.
 
     The arguments are those of
     :func:`~repro.core.ols.ordering_listing_sampling` without
-    ``block_size`` and ``wedge_index``.  Algorithm 5 walks the
-    weight-sorted candidates once per trial, sampling edges lazily and
-    stopping at the first candidate lighter than the heaviest existing
-    one; its engine unit is one trial, so ``adaptive`` checks the
-    racing rule every ``check_every`` trials.  Algorithm 4 runs one
+    ``block_size``, ``wedge_index`` and ``adaptive``.  Algorithm 5 walks
+    the weight-sorted candidates once per trial, sampling edges lazily
+    and stopping at the first candidate lighter than the heaviest
+    existing one; its engine unit is one trial.  Algorithm 4 runs one
     candidate per engine unit, its union trials one at a time under the
     same fixed or Lemma VI.4 budgets as production, checking a deadline
     after every trial.  Neither side resumes the other's checkpoints:
@@ -223,20 +223,9 @@ def reference_listing_sampling(
     older candidate-unit production run is refused too).
 
     Raises:
-        ConfigurationError: On an unknown estimator, or ``adaptive``
-            with ``estimator="karp-luby"`` (adaptive OLS-KL runs only
-            on the union kernel).
+        ConfigurationError: On an unknown estimator.
     """
     observer = ensure_observer(observer)
-    if estimator == "karp-luby":
-        # Lazy import: repro.adaptive consumes the core estimators.
-        from ..adaptive.racing import resolve_adaptive
-
-        if resolve_adaptive(adaptive) is not None:
-            raise ConfigurationError(
-                "adaptive OLS-KL runs only on the union kernel; use "
-                "ordering_listing_sampling"
-            )
 
     def sample(candidates, generator):
         if estimator == "optimized":
@@ -246,7 +235,6 @@ def reference_listing_sampling(
             )
             return run_optimized_loop(
                 loop, n_trials, runtime=runtime, observer=observer,
-                adaptive=adaptive,
             )
         return _per_trial_karp_luby(
             candidates, generator, n_trials if n_trials > 0 else None,

@@ -54,17 +54,17 @@ class ExperimentConfig:
             instead of blocking the whole sweep.
         block_size: Route the sampling methods through the batched
             kernel layer with this many trials per vectorised call;
-            ``None`` times the paper's algorithms: the MC-VP/OS
-            :func:`~repro.core.reference.reference_search` and the
-            OLS/OLS-KL
-            :func:`~repro.core.reference.reference_listing_sampling`
-            (adaptive OLS-KL exists only on the union kernel, so it
-            runs the kernel at its default block size; see
-            ``docs/performance.md``).
+            ``None`` times the paper's fixed-budget algorithms: the
+            MC-VP/OS :func:`~repro.core.reference.reference_search` and
+            the OLS/OLS-KL
+            :func:`~repro.core.reference.reference_listing_sampling`.
         adaptive: Run the sampling methods in anytime adaptive mode —
             racing elimination with empirical-Bernstein intervals and,
             for OLS-KL, the exact pre-screen — reporting realised
             instead of worst-case budgets (``docs/performance.md``).
+            Adaptive mode races kernel blocks, so adaptive runs take
+            the kernels whatever ``block_size`` says (``None``: each
+            kernel's default block size).
     """
 
     profile: str = "bench"
@@ -172,10 +172,10 @@ def _method_runner(
         n = n_override or (
             config.n_mcvp if method == "mc-vp" else config.n_direct
         )
-        if block_size is None:
+        if block_size is None and adaptive is None:
             return lambda: reference_search(
                 graph, method, n, rng=seed,
-                runtime=runtime, observer=observer, adaptive=adaptive,
+                runtime=runtime, observer=observer,
             )
         search = mc_vp if method == "mc-vp" else ordering_sampling
         return lambda: search(
@@ -192,13 +192,11 @@ def _method_runner(
             estimator="optimized" if method == "ols" else "karp-luby",
             rng=seed, mu=config.mu, epsilon=config.epsilon,
             delta=config.delta, runtime=runtime, observer=observer,
-            adaptive=adaptive,
         )
-        # Adaptive OLS-KL exists only on the union kernel.
-        if block_size is None and (method == "ols" or adaptive is None):
+        if block_size is None and adaptive is None:
             return lambda: reference_listing_sampling(graph, n, **kwargs)
         return lambda: ordering_listing_sampling(
-            graph, n, block_size=block_size, **kwargs
+            graph, n, block_size=block_size, adaptive=adaptive, **kwargs
         )
     raise ValueError(
         f"unknown method {method!r}; expected one of {METHOD_ORDER}"

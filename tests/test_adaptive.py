@@ -12,10 +12,14 @@ The contract under test (``docs/performance.md`` / ``docs/runtime.md``):
   kill-and-resume reproduces a continuous adaptive run exactly;
 * eliminations are sound: whenever the intervals cover the truth, the
   true incumbent is never eliminated (hypothesis property), and the
-  pre-screen's bounds hold against the exact candidate-relative oracle.
+  pre-screen's bounds hold against the exact candidate-relative oracle;
+* the array race core both racers call equals, bit for bit, the
+  per-arm Maurer-Pontil arithmetic it replaced.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -26,13 +30,11 @@ import repro.__main__ as cli
 from repro import FaultPlan, RuntimePolicy
 from repro.adaptive import (
     AdaptiveConfig,
-    EBInterval,
     RacingFrequencyLoop,
-    anytime_delta,
+    bernstein_limits,
     prescreen_candidates,
     racing,
     resolve_adaptive,
-    split_delta,
 )
 from repro.core import (
     CandidateSet,
@@ -42,7 +44,6 @@ from repro.core import (
     ordering_listing_sampling,
     ordering_sampling,
     prepare_candidates,
-    reference_search,
     result_to_dict,
 )
 from repro.core.bounds import preparing_trials_for_recall
@@ -76,7 +77,7 @@ DOMINANT_EDGES = [
 ]
 
 #: Racing knobs sized for the small test graphs.
-FAST_RACE = {"check_every": 64, "min_trials": 64}
+FAST_RACE = {"min_trials": 64}
 
 
 @pytest.fixture
@@ -104,9 +105,9 @@ class TestAdaptiveOffBitIdentical:
             == baseline
 
     def test_os_scalar_and_blocked(self, graph):
-        baseline = result_to_dict(reference_search(graph, "os", 40, rng=3))
+        baseline = result_to_dict(ordering_sampling(graph, 40, rng=3))
         assert result_to_dict(
-            reference_search(graph, "os", 40, rng=3, adaptive=False)
+            ordering_sampling(graph, 40, rng=3, adaptive=False)
         ) == baseline
         blocked = result_to_dict(
             ordering_sampling(graph, 40, rng=3, block_size=16)
@@ -143,8 +144,8 @@ class TestAdaptiveOffBitIdentical:
         assert resolve_adaptive(None) is None
         assert resolve_adaptive(False) is None
         assert resolve_adaptive(True) == AdaptiveConfig()
-        config = resolve_adaptive({"delta": 0.05, "check_every": 32})
-        assert config.delta == 0.05 and config.check_every == 32
+        config = resolve_adaptive({"delta": 0.05, "min_trials": 32})
+        assert config.delta == 0.05 and config.min_trials == 32
         assert resolve_adaptive(config) is config
         with pytest.raises(ConfigurationError):
             resolve_adaptive("yes")
@@ -177,11 +178,9 @@ class TestCertifiedRacingStops:
 
     def test_os_stops_on_the_capped_block_grid(self, dominant, monkeypatch):
         """Without ``block_size`` OS still runs in blocks, and the stop
-        rule runs at every block boundary, not every ``check_every``
-        trials.  With the bytes budget capping the default 256-trial
-        block to 56, the run stops after block 3 (168 trials) — where
-        ``block_size=56`` stops — while the reference, checking every
-        64 trials, stops at 128."""
+        rule runs at every block boundary.  With the bytes budget
+        capping the default 256-trial block to 56, the run stops after
+        block 3 (168 trials) — where ``block_size=56`` stops."""
         index = build_wedge_index(dominant)
         row = kernel_row_bytes(
             dominant.n_edges, index.n_wedges, index.n_groups
@@ -199,9 +198,6 @@ class TestCertifiedRacingStops:
                 dominant, 2_000, rng=5, block_size=56, adaptive=FAST_RACE
             )
         )
-        assert reference_search(
-            dominant, "os", 2_000, rng=5, adaptive=FAST_RACE
-        ).n_trials == 128
 
     def test_mc_vp_blocked(self, dominant):
         fixed = mc_vp(dominant, 1_024, rng=2, block_size=64)
@@ -379,21 +375,71 @@ class TestAdaptiveKarpLubyBlocks:
         assert max(lengths) == gauges["kernel.block_size"] == 8.0
 
 
+#: Winners each replayed engine unit hands out.
+REPLAY_UNIT = 100
+
+
 class _ReplayLoop:
-    """Minimal engine loop replaying a fixed winner sequence."""
+    """Minimal block loop replaying a fixed winner sequence,
+    :data:`REPLAY_UNIT` winners per engine unit."""
 
     def __init__(self, winners, counts):
         self.winners = winners
         self.counts = counts
 
-    def run_trial(self, trial):
-        self.counts[self.winners[trial - 1]] += 1
+    def run_trial(self, unit):
+        block = self.winners[(unit - 1) * REPLAY_UNIT:unit * REPLAY_UNIT]
+        for winner in block:
+            self.counts[winner] += 1
 
     def state_payload(self, completed):
         return {}
 
     def restore_state(self, payload):
         pass
+
+
+def _scalar_limits(successes, trials, delta, check, arms):
+    """One arm's limits by the per-arm Maurer-Pontil arithmetic the
+    array core replaced, operation for operation: the check's share
+    ``δ·6/(π²k²)`` split over the arms, the unbiased variance of 0/1
+    observations (floored at 0, and 0 below two trials), the radius
+    with range 1, and clamping to ``[0, 1]``."""
+    basel = math.pi * math.pi / 6.0
+    delta_arm = delta / (basel * check * check) / arms
+    total = float(successes)
+    mean = total / trials
+    variance = 0.0
+    if trials >= 2:
+        variance = max(0.0, (total - trials * mean * mean) / (trials - 1))
+    log_term = math.log(3.0 / delta_arm)
+    radius = (
+        math.sqrt(2.0 * variance * log_term / trials)
+        + 3.0 * 1.0 * log_term / trials
+    )
+    return max(0.0, mean - radius), min(1.0, mean + radius)
+
+
+@st.composite
+def _core_inputs(draw):
+    """Arms with successes in ``[0, t]`` over one shared trial count or
+    one per arm, the ends 0, t and t = 1, 2 drawn explicitly."""
+    trial_counts = st.sampled_from([1, 2]) | st.integers(1, 100_000)
+    arms = draw(st.integers(1, 6))
+    per_arm = draw(st.booleans())
+    shared = draw(trial_counts)
+    trials = [draw(trial_counts) if per_arm else shared for _ in range(arms)]
+    successes = [
+        draw(st.sampled_from([0, t]) | st.integers(0, t)) for t in trials
+    ]
+    return (
+        successes,
+        trials if per_arm else shared,
+        trials,
+        draw(st.floats(1e-9, 0.5)),
+        draw(st.integers(1, 10_000)),
+        arms + draw(st.integers(0, 50)),
+    )
 
 
 class TestEliminationSoundness:
@@ -409,47 +455,63 @@ class TestEliminationSoundness:
         winners = rng.choice(arms, size=1_500, p=probs)
         counts = [0] * arms
         delta = 0.05
-        config = AdaptiveConfig(check_every=100, min_trials=100)
+        units = len(winners) // REPLAY_UNIT
         racer = RacingFrequencyLoop(
             _ReplayLoop(winners, counts), counts_fn=lambda: counts,
-            config=config, delta=delta, mu=0.05, phantom=False,
+            config=AdaptiveConfig(min_trials=REPLAY_UNIT), delta=delta,
+            mu=0.05, unit_lengths=[REPLAY_UNIT] * units, phantom=False,
         )
-        for trial in range(1, len(winners) + 1):
+        for unit in range(1, units + 1):
             try:
-                racer.run_trial(trial)
+                racer.run_trial(unit)
             except LoopInterrupt:
                 break
         else:
             return  # never separated: nothing was eliminated
         done = racer.stopped_at
-        check = done // config.check_every
-        delta_arm = split_delta(anytime_delta(delta, check), arms)
-        intervals = [
-            EBInterval(1.0, done, float(c), float(c)) for c in counts
-        ]
-        covered = all(
-            interval.lower(delta_arm) <= p <= interval.upper(delta_arm)
-            for interval, p in zip(intervals, probs)
+        lower, upper = bernstein_limits(
+            counts, done, delta, done // REPLAY_UNIT, arms
         )
-        if not covered:  # probability <= delta; claim doesn't apply
-            return
-        best = max(
-            range(arms),
-            key=lambda i: (intervals[i].lower(delta_arm), -i),
-        )
-        assert probs[best] == probs.max()
+        if not np.all((lower <= probs) & (probs <= upper)):
+            return  # probability <= delta; claim doesn't apply
+        # The incumbent is the first arm of the largest lower limit.
+        assert probs[np.argmax(lower)] == probs.max()
 
     @settings(max_examples=25, deadline=None)
     @given(
         count=st.integers(0, 500),
         total=st.integers(1, 500),
         delta=st.floats(1e-6, 0.5),
+        check=st.integers(1, 1_000),
+        arms=st.integers(1, 100),
     )
-    def test_interval_well_formed(self, count, total, delta):
+    def test_interval_well_formed(self, count, total, delta, check, arms):
         count = min(count, total)
-        interval = EBInterval(1.0, total, float(count), float(count))
-        lower, upper = interval.lower(delta), interval.upper(delta)
-        assert 0.0 <= lower <= interval.mean <= upper <= 1.0
+        [lower], [upper] = bernstein_limits(
+            [count], total, delta, check, arms
+        )
+        assert 0.0 <= lower <= count / total <= upper <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_core_inputs())
+    def test_core_matches_scalar_formula(self, inputs):
+        """Both racers' stop and elimination decisions read these
+        limits, so the core must reproduce the per-arm formula exactly,
+        not approximately."""
+        successes, trials, per_arm, delta, check, arms = inputs
+        lower, upper = bernstein_limits(successes, trials, delta, check, arms)
+        expected = [
+            _scalar_limits(s, t, delta, check, arms)
+            for s, t in zip(successes, per_arm)
+        ]
+        assert lower.dtype == upper.dtype == np.float64
+        assert lower.tolist() == [low for low, _ in expected]
+        assert upper.tolist() == [high for _, high in expected]
+
+    def test_core_rejects_empty_split(self):
+        for check, arms in ((0, 1), (1, 0)):
+            with pytest.raises(ConfigurationError, match=">= 1"):
+                bernstein_limits([1], 2, 0.1, check, arms)
 
 
 class TestPrescreenAgainstExact:
@@ -495,6 +557,19 @@ class TestPrescreenAgainstExact:
 
 
 class TestBugfixRegressions:
+    def test_unknown_adaptive_field_is_a_configuration_error(self, graph):
+        """A misspelt or removed knob used to escape the dataclass
+        constructor as a bare ``TypeError``, which neither the CLI
+        (exit 2) nor the service (HTTP 400) maps to a configuration
+        error."""
+        for value in ({"check_evry": 5}, {"check_every": 256}):
+            key = next(iter(value))
+            with pytest.raises(ConfigurationError, match=key) as raised:
+                resolve_adaptive(value)
+            assert "delta, min_trials, prescreen" in str(raised.value)
+        with pytest.raises(ConfigurationError, match="check_evry"):
+            ordering_sampling(graph, 40, rng=3, adaptive={"check_evry": 5})
+
     def test_preparing_trials_floor_at_one(self):
         # Denormal recall underflows log(1 - r) to exactly 0.0; the
         # pre-fix code then reported a zero-trial preparing phase.

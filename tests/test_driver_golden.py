@@ -10,10 +10,11 @@ other.
 Each case records ``result_to_dict``, the Observer's span paths and
 its metric names (with the deterministic counter values) for
 {mc-vp, os, ols} x {scalar, ``block_size=16``} x {fixed, adaptive},
-on the ``dominant`` graph where the racing rule stops early.  The
-scalar cases run the references: MC-VP and OS the one-world-per-trial
+on the ``dominant`` graph where the racing rule stops early — except
+scalar adaptive: the scalar cases run the references, which take no
+``adaptive=`` (MC-VP and OS the one-world-per-trial
 ``reference_search``, OLS the per-trial walk of
-``reference_listing_sampling``.  Every edge of ``dominant`` is a
+``reference_listing_sampling``).  Every edge of ``dominant`` is a
 candidate edge, so the OLS kernel's union-edge draw equals a full-graph
 draw here; the golden does not cover that draw (``test_kernels.py``
 does).  One blocked-adaptive crash/resume per method also records the
@@ -58,6 +59,13 @@ METHODS = ("mc-vp", "os", "ols")
 BLOCK_SIZES = (None, 16)
 MODES = ("fixed", "adaptive")
 
+#: Every recorded (method, block size, mode) of the frequency methods.
+CASES = [
+    (method, block_size, mode)
+    for method in METHODS for block_size in BLOCK_SIZES for mode in MODES
+    if block_size is not None or mode == "fixed"
+]
+
 #: OLS-KL's ``adaptive=`` per mode, run in 8-trial rounds.
 OLS_KL_MODES = {
     "fixed": None,
@@ -79,11 +87,9 @@ def _run(method, block_size, mode, observer=None, runtime=None):
             runtime=runtime,
         )
     graph = build_graph(DOMINANT_EDGES, name="dominant")
-    kwargs = {
-        "adaptive": FAST_RACE if mode == "adaptive" else None,
-        "observer": observer,
-        "runtime": runtime,
-    }
+    kwargs = {"observer": observer, "runtime": runtime}
+    if block_size is not None:  # the references take no adaptive=
+        kwargs["adaptive"] = FAST_RACE if mode == "adaptive" else None
     if method == "ols":
         if block_size is None:
             return reference_listing_sampling(
@@ -144,13 +150,10 @@ def _normalise(document):
 
 def collect(tmp_dir: Path):
     """Every golden case, keyed like the recorded document."""
-    cases = {}
+    cases = {
+        _case_id(*case): _observed_run(*case) for case in CASES
+    }
     for method in METHODS:
-        for block_size in BLOCK_SIZES:
-            for mode in MODES:
-                cases[_case_id(method, block_size, mode)] = _observed_run(
-                    method, block_size, mode
-                )
         cases[f"{method}/resume"] = _crash_resume(
             method, tmp_dir / f"{method}.json"
         )
@@ -165,9 +168,7 @@ def golden():
         return json.load(handle)
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("block_size", BLOCK_SIZES)
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method, block_size, mode", CASES)
 def test_run_matches_golden(golden, method, block_size, mode):
     case = _case_id(method, block_size, mode)
     assert _normalise(_observed_run(method, block_size, mode)) \
@@ -197,9 +198,9 @@ def test_blocked_adaptive_resume_matches_golden(golden, method, tmp_path):
 
 def test_adaptive_cases_stop_early(golden):
     """The golden only pins the racing stop if racing actually fired."""
-    for method in METHODS:
-        for block_size in BLOCK_SIZES:
-            case = golden[_case_id(method, block_size, "adaptive")]
+    for method, block_size, mode in CASES:
+        if mode == "adaptive":
+            case = golden[_case_id(method, block_size, mode)]
             assert case["counters"]["adaptive.trials_saved"] > 0, method
 
 

@@ -134,16 +134,17 @@ class TestReferenceSwitches:
     def test_listing_reference_refuses_adaptive_ols_kl(
         self, figure1, adaptive
     ):
-        """Adaptive OLS-KL exists only on the union kernel."""
-        with pytest.raises(ConfigurationError, match="union kernel"):
+        """Adaptive mode races kernel blocks: the references run the
+        paper's fixed budgets only and take no ``adaptive=``."""
+        with pytest.raises(TypeError, match="adaptive"):
             reference_listing_sampling(
                 figure1, 0, n_prepare=20, estimator="karp-luby", rng=0,
                 adaptive=adaptive,
             )
-        # Adaptive off is the fixed reference run.
+        with pytest.raises(TypeError, match="adaptive"):
+            reference_search(figure1, "os", 10, rng=0, adaptive=adaptive)
         assert reference_listing_sampling(
             figure1, 0, n_prepare=200, estimator="karp-luby", rng=0,
-            adaptive=False,
         ).n_trials > 0
 
     def test_listing_reference_rejects_unknown_estimator(self, figure1):
