@@ -75,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--mu", type=float, default=0.05, metavar="MU",
         help="smallest probability the epsilon-delta guarantee covers "
-             "(default: 0.05; sizes ols-kl dynamic budgets and scales "
-             "the adaptive stop rule)",
+             "(default: 0.05; every sampling method's guarantee states "
+             "it, and it sizes ols-kl dynamic budgets)",
     )
     search.add_argument(
         "--epsilon", type=float, default=0.1, metavar="EPS",
@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--delta", type=float, default=0.1, metavar="DELTA",
         help="failure probability of the guarantee (default: 0.1; "
-             "also the adaptive mode's total failure budget)",
+             "every sampling method's degraded, certified or pooled "
+             "guarantee states it)",
     )
     search.add_argument(
         "--block-size", type=int, default=None, metavar="N",
@@ -337,14 +338,12 @@ def _run_search(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     with maybe_cprofile(args.profile_out is not None) as profile:
         shared = {}
-        if args.adaptive:
-            # --delta is the anytime mode's total failure budget, for
-            # every method (it also keeps sizing ols-kl's static caps).
-            shared["adaptive"] = {"delta": args.delta}
-        if args.method in ("ols", "ols-kl"):
+        if not args.method.startswith("exact-"):
             shared.update(
-                mu=args.mu, epsilon=args.epsilon, delta=args.delta
+                mu=args.mu, delta=args.delta, adaptive=args.adaptive
             )
+        if args.method in ("ols", "ols-kl"):
+            shared["epsilon"] = args.epsilon
         if args.workers > 1:
             result = run_parallel_trials(
                 graph, args.trials, args.workers, method=args.method,

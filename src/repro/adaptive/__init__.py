@@ -20,27 +20,21 @@ fixed budgets with an *anytime* scheme:
   union trial.  It draws nothing, so it costs almost nothing, spends
   no δ, and a resumed run recomputes it.
 
-Everything is opt-in behind ``adaptive=`` / ``--adaptive`` /
+Everything is opt-in behind ``adaptive=True`` / ``--adaptive`` /
 ``mode="adaptive"``; with the switch off every method is bit-identical
-to the fixed-budget paths.
+to the fixed-budget paths.  A race certifies the ``mu`` and ``delta``
+its method was called with.
 """
 
 from .intervals import bernstein_limits, realized_epsilon
 from .prescreen import PrescreenReport, prescreen_candidates
-from .racing import (
-    ADAPTIVE_STOP,
-    AdaptiveConfig,
-    RacingFrequencyLoop,
-    resolve_adaptive,
-)
+from .racing import ADAPTIVE_STOP, RacingFrequencyLoop
 
 __all__ = [
     "ADAPTIVE_STOP",
-    "AdaptiveConfig",
     "PrescreenReport",
     "RacingFrequencyLoop",
     "bernstein_limits",
     "prescreen_candidates",
     "realized_epsilon",
-    "resolve_adaptive",
 ]

@@ -41,20 +41,18 @@ cleared before results are assembled, unlike ``"deadline"`` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..butterfly import ButterflyKey
 from ..core.estimation import EstimationOutcome
 from ..core.karp_luby_estimator import KarpLubyRounds
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import CheckpointError
 from ..observability import Observer
 from ..runtime.degradation import Guarantee
 from ..runtime.engine import LoopInterrupt, LoopReport
-from ..runtime.policy import RuntimePolicy
 from .intervals import bernstein_limits, realized_epsilon
 from .prescreen import prescreen_candidates
 
@@ -62,70 +60,8 @@ from .prescreen import prescreen_candidates
 #: assembly clears it — unlike ``"deadline"``, it does not degrade.
 ADAPTIVE_STOP = "adaptive-stop"
 
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Tuning knobs of the anytime adaptive mode.
-
-    Where the checks run is not a knob: MC-VP, OS and OLS check at
-    every kernel block boundary, OLS-KL between rounds, each of which
-    hands every surviving candidate one kernel block (``block_size``).
-
-    Attributes:
-        delta: Total failure budget of the anytime claim (every
-            elimination check, union-bounded).  ``None`` inherits
-            the method's own δ so the adaptive run certifies the same
-            confidence level as the fixed-budget run it replaces.
-        min_trials: Trials required before the first frequency-method
-            stop-rule evaluation may fire.
-        prescreen: Run the exact pre-screen
-            (:mod:`~repro.adaptive.prescreen`) before OLS-KL's union
-            trials.  It draws nothing and spends no δ.
-    """
-
-    delta: Optional[float] = None
-    min_trials: int = 64
-    prescreen: bool = True
-
-    def __post_init__(self) -> None:
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ConfigurationError(
-                f"adaptive delta must be in (0, 1), got {self.delta}"
-            )
-        if self.min_trials <= 0:
-            raise ConfigurationError(
-                f"adaptive min_trials must be positive, got "
-                f"{self.min_trials}"
-            )
-
-
-def resolve_adaptive(
-    value: Union[None, bool, Dict, AdaptiveConfig],
-) -> Optional[AdaptiveConfig]:
-    """Normalise an ``adaptive=`` argument into a config (or ``None``).
-
-    ``None``/``False`` disable the mode (the fixed-budget paths run
-    bit-identically); ``True`` enables the defaults; a dict supplies
-    :class:`AdaptiveConfig` fields; a config passes through.
-    """
-    if value is None or value is False:
-        return None
-    if value is True:
-        return AdaptiveConfig()
-    if isinstance(value, AdaptiveConfig):
-        return value
-    if isinstance(value, dict):
-        known = [field.name for field in fields(AdaptiveConfig)]
-        unknown = [repr(key) for key in value if key not in known]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown adaptive field(s) {', '.join(unknown)}; the "
-                f"fields are {', '.join(known)}"
-            )
-        return AdaptiveConfig(**value)
-    raise ConfigurationError(
-        f"adaptive must be a bool, dict, or AdaptiveConfig, got {value!r}"
-    )
+#: Trials a frequency race runs before its first stop-rule check.
+FIRST_CHECK_TRIALS = 64
 
 
 class RacingFrequencyLoop:
@@ -150,7 +86,6 @@ class RacingFrequencyLoop:
         self,
         inner,
         counts_fn: Callable[[], Sequence[int]],
-        config: AdaptiveConfig,
         delta: float,
         mu: float,
         unit_lengths: Sequence[int],
@@ -158,7 +93,6 @@ class RacingFrequencyLoop:
     ) -> None:
         self.inner = inner
         self._counts_fn = counts_fn
-        self.config = config
         self.delta = delta
         self.mu = mu
         self.phantom = phantom
@@ -170,9 +104,9 @@ class RacingFrequencyLoop:
         self.realized = math.inf
 
     def run_trial(self, trial: int) -> None:
-        # min_trials >= 1, so check 0 (no trials yet) never runs.
+        # FIRST_CHECK_TRIALS >= 1, so check 0 (no trials yet) never runs.
         done = int(self._done[trial - 1])
-        if done >= self.config.min_trials and self._separated(
+        if done >= FIRST_CHECK_TRIALS and self._separated(
             done, trial - 1
         ):
             self.stopped_at = done
@@ -247,9 +181,9 @@ class KarpLubyRacer:
 
     Wraps :class:`~repro.core.karp_luby_estimator.KarpLubyRounds` the
     way :class:`RacingFrequencyLoop` wraps the winner loops.  Built, it
-    runs the exact pre-screen (unless disabled) and retires the
-    candidates it dominates; the pre-screen depends on the candidate
-    set alone, so a resumed run recomputes the interrupted run's.
+    runs the exact pre-screen and retires the candidates it dominates;
+    the pre-screen depends on the candidate set alone, so a resumed run
+    recomputes the interrupted run's.
     Before round ``k+1`` it eliminates, for the state after round
     ``k``, every live candidate whose ``P(B)`` upper bound falls below
     the best lower bound — a pure function of the checkpointed counts,
@@ -263,19 +197,15 @@ class KarpLubyRacer:
     def __init__(
         self,
         inner: KarpLubyRounds,
-        config: AdaptiveConfig,
         delta: float,
         mu: float,
     ) -> None:
         self.inner = inner
         self.delta = delta
         self.mu = mu
-        self.pre_eliminated: List[int] = []
-        self.pre_lower: List[float] = []
-        if config.prescreen:
-            report = prescreen_candidates(inner.candidates)
-            self.pre_eliminated = report.eliminated
-            self.pre_lower = report.lower_bounds
+        report = prescreen_candidates(inner.candidates)
+        self.pre_eliminated: List[int] = report.eliminated
+        self.pre_lower: List[float] = report.lower_bounds
         for index in self.pre_eliminated:
             inner.retire(index)
         #: The certified upper bound that eliminated each candidate.
@@ -313,8 +243,8 @@ class KarpLubyRacer:
         ]
         if dropped != self.pre_eliminated:
             raise CheckpointError(
-                "OLS-KL checkpoint was written with another pre-screen "
-                "setting"
+                "OLS-KL checkpoint retires other candidates without a "
+                "race bound than this candidate set's pre-screen drops"
             )
 
     def _check(self, check: int) -> None:
@@ -448,42 +378,3 @@ class KarpLubyRacer:
                 eliminated=eliminated,
             ),
         )
-
-
-def adaptive_delta(
-    config: AdaptiveConfig, runtime: Optional[RuntimePolicy]
-) -> float:
-    """The δ an adaptive frequency run certifies.
-
-    ``config.delta`` when set, else the runtime policy's guarantee δ,
-    else the paper default 0.1 — mirroring how degraded frequency runs
-    re-widen their guarantees.
-    """
-    if config.delta is not None:
-        return config.delta
-    if runtime is not None:
-        return runtime.guarantee_delta
-    return 0.1
-
-
-def adaptive_mu(runtime: Optional[RuntimePolicy]) -> float:
-    """The μ the realised-ε statement normalises against."""
-    if runtime is not None:
-        return runtime.guarantee_mu
-    return 0.05
-
-
-def split_worker_delta(
-    config: AdaptiveConfig, n_workers: int, default_delta: float = 0.1
-) -> AdaptiveConfig:
-    """δ-split an adaptive config across pool workers.
-
-    Each worker races its own trial shard independently; giving every
-    worker ``δ/n`` keeps the pooled claim at δ by a union bound.
-    """
-    if n_workers <= 1:
-        return config
-    effective = (
-        config.delta if config.delta is not None else default_delta
-    )
-    return replace(config, delta=effective / n_workers)

@@ -612,7 +612,7 @@ class EstimatorDocstringRule(FileRule):
     estimator_basenames = frozenset({
         "mc_vp.py", "ordering_sampling.py", "ols.py",
         "karp_luby_estimator.py", "optimized_estimator.py",
-        "monte_carlo.py", "karp_luby.py", "bounds.py",
+        "karp_luby.py", "bounds.py",
     })
 
     def check(self, source: SourceFile) -> Iterator[Finding]:

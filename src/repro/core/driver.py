@@ -23,7 +23,8 @@ from ..observability.profiling import stopwatch
 from ..runtime.degradation import Guarantee, recompute_guarantee
 from ..runtime.engine import CheckpointableLoop, LoopReport, execute_trial_loop
 from ..runtime.frequency import WinnerCountLoop
-from ..runtime.policy import RuntimePolicy
+from ..runtime.policy import RuntimePolicy, check_adaptive
+from ..sampling.bounds import check_target
 from .results import (
     MPMBResult,
     record_sampling_metrics,
@@ -52,34 +53,36 @@ def drive_frequency_loop(
     phantom: bool,
     runtime: Optional[RuntimePolicy],
     observer: Observer,
-    adaptive=None,
+    mu: float,
+    delta: float,
+    adaptive: bool = False,
 ) -> FrequencyRun:
     """Run one frequency estimator's loop under the engine.
 
     A loop exposing per-block trial counts as ``lengths`` runs one
     engine unit per block, checkpointing on block boundaries; any other
     (the per-trial references) runs one unit per trial.  With
-    ``adaptive`` on (anything :func:`~repro.adaptive.resolve_adaptive`
-    accepts; block loops only), the racing rule reads the per-arm
-    winner ``counts`` at every block boundary; ``phantom`` adds a
-    zero-count arm for every butterfly not yet seen (MC-VP/OS race over
-    an open set, OLS over its fixed candidate list).
+    ``adaptive`` on (block loops only), the racing rule reads the
+    per-arm winner ``counts`` at every block boundary; ``phantom`` adds
+    a zero-count arm for every butterfly not yet seen (MC-VP/OS race
+    over an open set, OLS over its fixed candidate list).  A certified
+    stop and a degraded run both state their guarantee at ``mu`` and
+    ``delta``.
     """
+    check_adaptive(adaptive)
+    check_target(mu, delta)
     lengths = getattr(loop, "lengths", None)
-    config = racer = None
-    if adaptive is not None:
+    racer = None
+    if adaptive:
         # Lazy import: repro.adaptive consumes the core estimators, so
         # importing it eagerly here would cycle at package load.
         from ..adaptive import racing
 
-        config = racing.resolve_adaptive(adaptive)
-    if config is not None:
         racer = loop = racing.RacingFrequencyLoop(
             loop,
             counts_fn=counts,
-            config=config,
-            delta=racing.adaptive_delta(config, runtime),
-            mu=racing.adaptive_mu(runtime),
+            delta=delta,
+            mu=mu,
             phantom=phantom,
             unit_lengths=lengths,
         )
@@ -109,10 +112,7 @@ def drive_frequency_loop(
             }
     if report.degraded:
         run.guarantee = recompute_guarantee(
-            report.n_trials,
-            report.n_trials_target,
-            mu=runtime.guarantee_mu if runtime is not None else 0.05,
-            delta=runtime.guarantee_delta if runtime is not None else 0.1,
+            report.n_trials, report.n_trials_target, mu=mu, delta=delta,
         )
     return run
 
@@ -125,7 +125,9 @@ def search_winners(
     *,
     runtime: Optional[RuntimePolicy],
     observer: Observer,
-    adaptive=None,
+    mu: float,
+    delta: float,
+    adaptive: bool = False,
 ) -> MPMBResult:
     """Run MC-VP's or OS's winner ``loop`` and assemble its result.
 
@@ -140,7 +142,7 @@ def search_winners(
             engine_loop(loop), method=method, graph_name=loop.graph.name,
             n_trials=n_trials, counts=lambda: loop.counts.values(),
             phantom=True, runtime=runtime, observer=observer,
-            adaptive=adaptive,
+            mu=mu, delta=delta, adaptive=adaptive,
         )
     result = result_from_frequency_loop(method, loop.graph, loop, run)
     record_sampling_metrics(observer, result, timer.seconds)

@@ -51,7 +51,7 @@ from ..sampling.convergence import decode_traces, encode_traces
 from ..sampling.rng import restore_rng_state, rng_state_payload
 from ..runtime.degradation import Guarantee
 from ..runtime.engine import LoopInterrupt, LoopReport, execute_trial_loop
-from ..runtime.policy import Deadline, RuntimePolicy
+from ..runtime.policy import Deadline, RuntimePolicy, check_adaptive
 from .bounds import karp_luby_achievable_epsilon, karp_luby_trial_bound
 from .candidates import CandidateSet
 from .estimation import EstimationOutcome
@@ -253,7 +253,7 @@ def estimate_probabilities_karp_luby(
     block_size: Optional[int] = None,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
-    adaptive=None,
+    adaptive: bool = False,
 ) -> EstimationOutcome:
     """Estimate ``P(B)`` for every candidate with per-candidate KL runs.
 
@@ -265,9 +265,11 @@ def estimate_probabilities_karp_luby(
             ``mu``/``epsilon``/``delta`` target.
         mu: Certification target ``μ`` for the dynamic sizing; clamped
             per candidate to its existence probability (``P(B) ≤
-            Pr[E(B)]``).
+            Pr[E(B)]``).  Every guarantee the run states covers it.
         epsilon: Relative error of the ε-δ guarantee.
-        delta: Failure probability of the ε-δ guarantee.
+        delta: Failure probability of the ε-δ guarantee: the dynamic
+            sizing's, a degraded run's re-widened one and an adaptive
+            run's certified one.
         min_trials: Floor on the per-candidate trial count (a ratio of 0
             still needs some trials to return an estimate).
         max_trials: Cap on the per-candidate trial count.
@@ -286,13 +288,11 @@ def estimate_probabilities_karp_luby(
             recording the ``sampling`` span, engine counters, and the
             per-candidate trial-count histogram (the Lemma VI.4 budget
             spread).
-        adaptive: Optional :class:`~repro.adaptive.AdaptiveConfig` (or
-            anything :func:`~repro.adaptive.resolve_adaptive` accepts):
-            races the rounds with
+        adaptive: ``True`` races the rounds with
             :class:`~repro.adaptive.racing.KarpLubyRacer` — the exact
             pre-screen, then interval eliminations between rounds
             against the static budgets, which still cap each
-            candidate.  ``None`` (default) runs every candidate to its
+            candidate.  ``False`` (default) runs every candidate to its
             budget.
 
     Returns:
@@ -307,6 +307,7 @@ def estimate_probabilities_karp_luby(
     """
     if n_trials is not None and n_trials <= 0:
         raise ConfigurationError(f"n_trials must be positive, got {n_trials}")
+    check_adaptive(adaptive)
     observer = ensure_observer(observer)
     generator = ensure_rng(rng)
     base = monte_carlo_trial_bound(mu, epsilon, delta)
@@ -316,13 +317,6 @@ def estimate_probabilities_karp_luby(
             estimates={},
             stats={"total_trials": 0.0, "base_trials": float(base)},
         )
-    config = None
-    if adaptive is not None:
-        # Lazy import: repro.adaptive consumes the core estimators, so
-        # importing it eagerly here would cycle at package load.
-        from ..adaptive import racing
-
-        config = racing.resolve_adaptive(adaptive)
     # Clamped to the largest per-candidate budget, which never changes
     # how a budget splits into blocks.
     block = resolve_block_size(
@@ -340,11 +334,12 @@ def estimate_probabilities_karp_luby(
         observer=observer,
     )
     racer = None
-    if config is not None:
-        racer = racing.KarpLubyRacer(
-            loop, config,
-            delta=delta if config.delta is None else config.delta, mu=mu,
-        )
+    if adaptive:
+        # Lazy import: repro.adaptive consumes the core estimators, so
+        # importing it eagerly here would cycle at package load.
+        from ..adaptive import racing
+
+        racer = racing.KarpLubyRacer(loop, delta=delta, mu=mu)
     meta = {} if racer is None else {"adaptive": True}
     with observer.span(
         "sampling", method="ols-kl", candidates=len(candidates), **meta

@@ -36,7 +36,9 @@ def mc_vp(
     wedge_index: Optional[WedgeIndex] = None,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
-    adaptive=None,
+    mu: float = 0.05,
+    delta: float = 0.1,
+    adaptive: bool = False,
 ) -> MPMBResult:
     """Run MC-VP for ``n_trials`` Monte-Carlo rounds.
 
@@ -64,13 +66,16 @@ def mc_vp(
             recording the ``sampling`` span, trial throughput, and the
             ``mc-vp.*`` counters (including the ``mc-vp.prune_rate`` of
             the kernel scan's early exit).
-        adaptive: Optional :class:`~repro.adaptive.AdaptiveConfig` (or
-            anything :func:`~repro.adaptive.resolve_adaptive` accepts)
-            enabling the anytime racing stop rule — the run ends early,
-            certified, once the incumbent butterfly's lower confidence
-            limit clears every rival's (and the unseen-butterfly
-            phantom's) upper limit.  ``None`` (default) keeps the fixed
-            budget bit-identical.
+        mu: Smallest probability ``μ`` the run's guarantee covers
+            (paper default 0.05).
+        delta: Failure probability ``δ`` of the run's guarantee (paper
+            default 0.1).  A deadline-degraded run re-widens its ε at
+            ``mu`` and ``delta``, and an adaptive run certifies them.
+        adaptive: ``True`` enables the anytime racing stop rule — the
+            run ends early, certified, once the incumbent butterfly's
+            lower confidence limit clears every rival's (and the
+            unseen-butterfly phantom's) upper limit.  ``False``
+            (default) keeps the fixed budget bit-identical.
 
     Returns:
         An :class:`~repro.core.results.MPMBResult` with ``method="mc-vp"``
@@ -89,5 +94,6 @@ def mc_vp(
             inner, n_trials, block_size, observer, index=wedge_index,
             build=lambda: build_wedge_index(graph), tie_mode="exact",
         ),
-        runtime=runtime, observer=observer, adaptive=adaptive,
+        runtime=runtime, observer=observer, mu=mu, delta=delta,
+        adaptive=adaptive,
     )

@@ -62,8 +62,9 @@ def find_mpmb(
             the sampling methods; exact solvers run inside a single
             ``exact-solve`` span.
         **kwargs: Forwarded to the selected method (e.g. ``track=``,
-            ``block_size=``, ``mu=``, ``adaptive=`` for the anytime
-            racing stop rule of the sampling methods).
+            ``block_size=``; for the sampling methods the ``mu=`` and
+            ``delta=`` every guarantee states, and ``adaptive=True`` for
+            the anytime racing stop rule).
 
     Returns:
         The :class:`~repro.core.results.MPMBResult`; ``result.best`` is
@@ -72,7 +73,7 @@ def find_mpmb(
     Raises:
         ValueError: For an unknown ``method``.
     """
-    if method.startswith("exact-") and kwargs.get("adaptive") is not None:
+    if method.startswith("exact-") and "adaptive" in kwargs:
         raise ConfigurationError(
             f"adaptive allocation does not apply to the exact method "
             f"{method!r}"

@@ -209,7 +209,7 @@ def ordering_listing_sampling(
     block_size: Optional[int] = None,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
-    adaptive=None,
+    adaptive: bool = False,
     wedge_index: Optional[WedgeIndex] = None,
 ) -> MPMBResult:
     """Run OLS end to end (Algorithm 3).
@@ -229,9 +229,11 @@ def ordering_listing_sampling(
         candidates: Pre-computed candidate set; skips the preparing phase
             when given (used by experiments that sweep the sampling phase
             over one fixed candidate set).
-        mu: Dynamic Karp-Luby certification target (ignored otherwise).
+        mu: Smallest probability ``μ`` every guarantee of the run
+            covers; also the dynamic Karp-Luby certification target.
         epsilon: ε of the ε-δ guarantee for dynamic sizing.
-        delta: δ of the ε-δ guarantee for dynamic sizing.
+        delta: δ of every guarantee of the run (degraded, certified,
+            or the dynamic sizing's).
         block_size: Sampling-phase trials per kernel call (``None``:
             :data:`~repro.kernels.DEFAULT_BLOCK_SIZE`); see
             ``docs/performance.md``.
@@ -243,13 +245,11 @@ def ordering_listing_sampling(
             recording both phases' spans and the ``ols.*`` /
             ``ols-kl.*`` metrics (including the lazy-sampling cache hit
             rate for the optimised estimator).
-        adaptive: Optional :class:`~repro.adaptive.AdaptiveConfig` (or
-            anything :func:`~repro.adaptive.resolve_adaptive` accepts)
-            enabling anytime trial allocation in the sampling phase:
-            the optimised estimator gains the racing stop rule, and
-            Karp-Luby's rounds gain the exact pre-screen plus
-            per-candidate racing elimination against the static
-            Lemma VI.4 budgets.  ``None`` (default) keeps the fixed
+        adaptive: ``True`` enables anytime trial allocation in the
+            sampling phase: the optimised estimator gains the racing
+            stop rule, and Karp-Luby's rounds gain the exact pre-screen
+            plus per-candidate racing elimination against the static
+            Lemma VI.4 budgets.  ``False`` (default) keeps the fixed
             budgets bit-identical.
         wedge_index: Optional prebuilt
             :class:`~repro.kernels.wedge_block.WedgeIndex` of ``graph``
@@ -270,7 +270,7 @@ def ordering_listing_sampling(
                 candidates, n_trials, generator,
                 track=track, checkpoints=checkpoints,
                 block_size=block_size, runtime=runtime,
-                observer=observer, adaptive=adaptive,
+                observer=observer, mu=mu, delta=delta, adaptive=adaptive,
             )
         else:
             outcome = estimate_probabilities_karp_luby(

@@ -46,7 +46,9 @@ def estimate_probabilities_optimized(
     block_size: Optional[int] = None,
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
-    adaptive=None,
+    mu: float = 0.05,
+    delta: float = 0.1,
+    adaptive: bool = False,
 ) -> EstimationOutcome:
     """Estimate ``P(B)`` for every candidate with shared trials.
 
@@ -66,13 +68,15 @@ def estimate_probabilities_optimized(
             enabling checkpoint/resume and deadline degradation.
         observer: Optional :class:`~repro.observability.Observer`
             recording the ``sampling`` span and engine counters.
-        adaptive: Optional :class:`~repro.adaptive.AdaptiveConfig` (or
-            anything :func:`~repro.adaptive.resolve_adaptive` accepts).
-            Wraps the trial loop in the anytime racing stop rule: the
-            run ends early — certified, not degraded — once the
-            incumbent candidate's empirical-Bernstein lower limit
-            clears every rival's upper limit.  ``None`` (default) keeps
-            the fixed-budget loop bit-identical.
+        mu: Smallest probability ``μ`` the run's guarantee covers.
+        delta: Failure probability ``δ`` of the run's guarantee; a
+            degraded run re-widens its ε at ``mu`` and ``delta``, and
+            an adaptive run certifies them.
+        adaptive: ``True`` wraps the trial loop in the anytime racing
+            stop rule: the run ends early — certified, not degraded —
+            once the incumbent candidate's empirical-Bernstein lower
+            limit clears every rival's upper limit.  ``False``
+            (default) keeps the fixed-budget loop bit-identical.
 
     Returns:
         An :class:`~repro.core.estimation.EstimationOutcome` with
@@ -93,8 +97,8 @@ def estimate_probabilities_optimized(
         track=track, checkpoints=checkpoints, observer=observer,
     )
     return run_optimized_loop(
-        loop, n_trials, runtime=runtime, observer=observer,
-        adaptive=adaptive,
+        loop, n_trials, runtime=runtime, observer=observer, mu=mu,
+        delta=delta, adaptive=adaptive,
     )
 
 
@@ -104,7 +108,9 @@ def run_optimized_loop(
     *,
     runtime: Optional[RuntimePolicy],
     observer: Observer,
-    adaptive=None,
+    mu: float,
+    delta: float,
+    adaptive: bool = False,
 ) -> EstimationOutcome:
     """Drive an Algorithm 5 ``loop`` and assemble its outcome.
 
@@ -119,7 +125,8 @@ def run_optimized_loop(
         run = drive_frequency_loop(
             loop, method="ols", graph_name=loop.candidates.graph.name,
             n_trials=n_trials, counts=lambda: loop.counts, phantom=False,
-            runtime=runtime, observer=observer, adaptive=adaptive,
+            runtime=runtime, observer=observer, mu=mu, delta=delta,
+            adaptive=adaptive,
         )
     achieved = run.report.n_trials
     return EstimationOutcome(

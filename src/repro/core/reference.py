@@ -84,11 +84,13 @@ def reference_search(
     priority_kind: str = "degree",
     runtime: Optional[RuntimePolicy] = None,
     observer: Optional[Observer] = None,
+    mu: float = 0.05,
+    delta: float = 0.1,
 ) -> MPMBResult:
     """Run reference MC-VP (``method="mc-vp"``) or OS (``"os"``).
 
     ``n_trials``, ``rng``, ``track``, ``checkpoints``, ``antithetic``,
-    ``runtime`` and ``observer`` are as in
+    ``runtime``, ``observer``, ``mu`` and ``delta`` are as in
     :func:`~repro.core.mc_vp.mc_vp`, except that the engine unit is one
     trial.  The ablation switches:
 
@@ -186,7 +188,7 @@ def reference_search(
     )
     return search_winners(
         method, loop, n_trials, lambda loop: loop,
-        runtime=runtime, observer=observer,
+        runtime=runtime, observer=observer, mu=mu, delta=delta,
     )
 
 
@@ -235,6 +237,7 @@ def reference_listing_sampling(
             )
             return run_optimized_loop(
                 loop, n_trials, runtime=runtime, observer=observer,
+                mu=mu, delta=delta,
             )
         return _per_trial_karp_luby(
             candidates, generator, n_trials if n_trials > 0 else None,

@@ -46,9 +46,10 @@ class ExperimentConfig:
         paper_direct: The paper's direct/sampling trial setting used for
             extrapolated columns.
         datasets: Dataset names to sweep.
-        mu: ε-δ target probability (Section VIII-B uses 0.05).
+        mu: ε-δ target probability (Section VIII-B uses 0.05), passed
+            to every runner.
         epsilon: Relative error target.
-        delta: Failure probability target.
+        delta: Failure probability target, passed to every runner.
         timeout_seconds: Optional per-run wall-clock budget; expired
             runs return degraded results with re-widened guarantees
             instead of blocking the whole sweep.
@@ -86,11 +87,7 @@ class ExperimentConfig:
         """The runtime policy experiment runs execute under, if any."""
         if self.timeout_seconds is None:
             return None
-        return RuntimePolicy(
-            timeout_seconds=self.timeout_seconds,
-            guarantee_mu=self.mu,
-            guarantee_delta=self.delta,
-        )
+        return RuntimePolicy(timeout_seconds=self.timeout_seconds)
 
     def load(self, name: str) -> UncertainBipartiteGraph:
         """Load one dataset deterministically for this config."""
@@ -167,20 +164,21 @@ def _method_runner(
 ) -> Callable[[], MPMBResult]:
     runtime = config.runtime_policy()
     block_size = config.block_size
-    adaptive = {"delta": config.delta} if config.adaptive else None
+    target = dict(mu=config.mu, delta=config.delta)
     if method in ("mc-vp", "os"):
         n = n_override or (
             config.n_mcvp if method == "mc-vp" else config.n_direct
         )
-        if block_size is None and adaptive is None:
+        if block_size is None and not config.adaptive:
             return lambda: reference_search(
                 graph, method, n, rng=seed,
-                runtime=runtime, observer=observer,
+                runtime=runtime, observer=observer, **target,
             )
         search = mc_vp if method == "mc-vp" else ordering_sampling
         return lambda: search(
             graph, n, rng=seed, block_size=block_size,
-            runtime=runtime, observer=observer, adaptive=adaptive,
+            runtime=runtime, observer=observer, adaptive=config.adaptive,
+            **target,
         )
     if method in ("ols", "ols-kl"):
         if method == "ols":
@@ -190,13 +188,14 @@ def _method_runner(
         kwargs = dict(
             n_prepare=config.n_prepare,
             estimator="optimized" if method == "ols" else "karp-luby",
-            rng=seed, mu=config.mu, epsilon=config.epsilon,
-            delta=config.delta, runtime=runtime, observer=observer,
+            rng=seed, epsilon=config.epsilon, runtime=runtime,
+            observer=observer, **target,
         )
-        if block_size is None and adaptive is None:
+        if block_size is None and not config.adaptive:
             return lambda: reference_listing_sampling(graph, n, **kwargs)
         return lambda: ordering_listing_sampling(
-            graph, n, block_size=block_size, adaptive=adaptive, **kwargs
+            graph, n, block_size=block_size, adaptive=config.adaptive,
+            **kwargs,
         )
     raise ValueError(
         f"unknown method {method!r}; expected one of {METHOD_ORDER}"

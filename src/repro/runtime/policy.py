@@ -2,13 +2,12 @@
 
 A :class:`RuntimePolicy` bundles everything the trial engine needs to
 know beyond the algorithm itself: where to checkpoint and how often,
-where to resume from, the wall-clock budget, the ε-δ targets
-(``guarantee_mu``, ``guarantee_delta``) used when a degraded run's
-guarantee is re-widened by inverting the Theorem IV.1 bound
-``N ≥ (1/μ)·4·ln(2/δ)/ε²`` for the achieved ``N``, and an optional
-fault-injection plan.  Estimators accept a policy via their ``runtime=`` keyword; with no
-policy they run exactly as before (one uninterruptible in-process loop,
-apart from graceful Ctrl-C handling).
+where to resume from, the wall-clock budget, and an optional
+fault-injection plan.  Estimators accept a policy via their
+``runtime=`` keyword; with no policy they run exactly as before (one
+uninterruptible in-process loop, apart from graceful Ctrl-C handling).
+A degraded run re-widens its guarantee at the ``mu`` and ``delta`` its
+method was called with, not at a policy setting.
 """
 
 from __future__ import annotations
@@ -20,6 +19,14 @@ from typing import Callable, Optional, Union
 
 from ..errors import ConfigurationError
 from .faults import FaultPlan
+
+
+def check_adaptive(adaptive: bool) -> None:
+    """Reject an ``adaptive=`` switch that is not ``True`` or ``False``."""
+    if not isinstance(adaptive, bool):
+        raise ConfigurationError(
+            f"adaptive must be True or False, got {adaptive!r}"
+        )
 
 
 class Deadline:
@@ -76,11 +83,6 @@ class RuntimePolicy:
         timeout_seconds: Wall-clock budget.  On expiry the loop stops
             cleanly and the result is flagged ``degraded=True`` with its
             ε re-widened to the trials actually completed.
-        guarantee_mu: Target probability ``μ`` used when re-widening the
-            Theorem IV.1 guarantee of a degraded run (paper default
-            0.05).
-        guarantee_delta: Failure probability ``δ`` of the re-widened
-            guarantee (paper default 0.1).
         on_checkpoint_error: ``"raise"`` (default) propagates
             :class:`~repro.errors.CheckpointError` on a failed snapshot
             write; ``"continue"`` logs it into the loop report and keeps
@@ -94,8 +96,6 @@ class RuntimePolicy:
     checkpoint_every: int = 1_000
     resume_from: Optional[Union[str, Path]] = None
     timeout_seconds: Optional[float] = None
-    guarantee_mu: float = 0.05
-    guarantee_delta: float = 0.1
     on_checkpoint_error: str = "raise"
     faults: Optional[FaultPlan] = None
     clock: Callable[[], float] = time.monotonic

@@ -5,15 +5,14 @@ pickled ``Process`` arguments — per attempt, per retry.  This module
 replaces that with a publish-once/attach-many protocol built on
 :mod:`multiprocessing.shared_memory`:
 
-* :func:`publish_graph` copies the graph's edge arrays — and, for
-  batched runs, every array of the wedge index — into **one** shared
-  segment and returns a tiny picklable :class:`SharedGraphHandle`
-  (segment name + per-array shapes/dtypes/offsets + the registry
-  checksum).  The handle is the *only* object that crosses the process
+* :func:`publish_graph` copies the graph's edge arrays and every array
+  of its wedge index into **one** shared segment and returns a tiny
+  picklable :class:`SharedGraphHandle` (segment name + per-array
+  shapes/dtypes/offsets + the registry checksum).  The handle is the *only* object that crosses the process
   seam; the MPS001/PKL001 analyzer rules enforce that no raw buffer or
   array ever does.
 * :func:`attach_shared_graph` runs inside a worker: it opens the
-  segment by name and reconstructs the graph (and wedge index) as
+  segment by name and reconstructs the graph and wedge index as
   zero-copy read-only NumPy views over the shared mapping, so a
   persistent worker pays the attachment cost once and every task after
   that touches the same physical pages as its siblings.
@@ -94,14 +93,12 @@ class SharedGraphHandle:
         checksum: :func:`graph_checksum` of the published graph — the
             version key the service pool cache compares.
         total_bytes: Segment size (the ``worker.shm.bytes`` gauge).
-        has_index: Whether the segment also carries a wedge index.
     """
 
     segment: str
     specs: Tuple[ArraySpec, ...]
     checksum: str
     total_bytes: int
-    has_index: bool
 
 
 def _cleanup_segment(shm: shared_memory.SharedMemory) -> None:
@@ -139,16 +136,17 @@ class SharedGraphPublication:
 
 def publish_graph(
     graph: UncertainBipartiteGraph,
-    index: Optional[Any] = None,
+    index: Any,
     checksum: Optional[str] = None,
     observer: Optional[Observer] = None,
 ) -> SharedGraphPublication:
-    """Publish a graph (and optional wedge index) into one shared segment.
+    """Publish a graph and its wedge index into one shared segment.
 
     Args:
         graph: The backbone graph whose edge arrays workers will share.
-        index: Optional :class:`~repro.kernels.wedge_block.WedgeIndex`
-            to co-publish for batched kernels.
+        index: The graph's
+            :class:`~repro.kernels.wedge_block.WedgeIndex`, which every
+            poolable method reads.
         checksum: Version key for the handle; defaults to
             :func:`graph_checksum` (pass the registry's recorded
             checksum to skip rehashing).
@@ -160,17 +158,15 @@ def publish_graph(
         name: np.ascontiguousarray(getattr(graph, name))
         for name in GRAPH_ARRAYS
     }
-    index_meta: Optional[Dict[str, Any]] = None
-    if index is not None:
-        # Every array field of the index goes in the segment; its
-        # scalars and chunk ranges ride in the metadata blob.
-        index_meta = {}
-        for item in fields(index):
-            value = getattr(index, item.name)
-            if isinstance(value, np.ndarray):
-                arrays[_INDEX + item.name] = np.ascontiguousarray(value)
-            else:
-                index_meta[item.name] = value
+    # Every array field of the index goes in the segment; its scalars
+    # and chunk ranges ride in the metadata blob.
+    index_meta: Dict[str, Any] = {}
+    for item in fields(index):
+        value = getattr(index, item.name)
+        if isinstance(value, np.ndarray):
+            arrays[_INDEX + item.name] = np.ascontiguousarray(value)
+        else:
+            index_meta[item.name] = value
     meta = {
         "name": graph.name,
         "left_labels": list(graph.left_labels),
@@ -201,7 +197,6 @@ def publish_graph(
             specs=tuple(specs),
             checksum=checksum or graph_checksum(graph),
             total_bytes=total_bytes,
-            has_index=index is not None,
         )
         observer.inc("worker.shm.published")
         observer.set("worker.shm.bytes", float(total_bytes))
@@ -214,11 +209,10 @@ def publish_graph(
 class SharedGraphAttachment:
     """Worker-side view of one published segment.
 
-    Reconstructs the graph — and, when published, the wedge index — as
-    read-only zero-copy views over the shared mapping.  Keep the
-    attachment alive for as long as the graph is used; :meth:`close`
-    releases the worker's mapping (never unlinking the segment, which
-    the coordinator owns).
+    Reconstructs the graph and its wedge index as read-only zero-copy
+    views over the shared mapping.  Keep the attachment alive for as
+    long as the graph is used; :meth:`close` releases the worker's
+    mapping (never unlinking the segment, which the coordinator owns).
     """
 
     def __init__(self, handle: SharedGraphHandle) -> None:
@@ -242,22 +236,19 @@ class SharedGraphAttachment:
                 views["probs"],
                 name=meta["name"],
             )
-            self.index: Optional[Any] = None
-            if handle.has_index:
-                # Imported here: repro.kernels pulls in the runtime
-                # package (the blocked loops ride the runtime engine),
-                # so a module level import would cycle during package
-                # initialisation.
-                from ..kernels.wedge_block import WedgeIndex
+            # Imported here: repro.kernels pulls in the runtime package
+            # (the blocked loops ride the runtime engine), so a module
+            # level import would cycle during package initialisation.
+            from ..kernels.wedge_block import WedgeIndex
 
-                self.index = WedgeIndex(
-                    **meta["index"],
-                    **{
-                        name[len(_INDEX):]: view
-                        for name, view in views.items()
-                        if name.startswith(_INDEX)
-                    },
-                )
+            self.index = WedgeIndex(
+                **meta["index"],
+                **{
+                    name[len(_INDEX):]: view
+                    for name, view in views.items()
+                    if name.startswith(_INDEX)
+                },
+            )
         except BaseException:
             # A stale handle (wrong specs, truncated segment, garbled
             # metadata) must not leak this worker's mapping: views are

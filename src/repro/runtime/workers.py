@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -61,9 +61,11 @@ from ..observability import (
     Observer,
     ensure_observer,
 )
+from ..sampling.bounds import check_target
 from ..sampling.rng import RngLike, ensure_rng, spawn_rngs
 from .degradation import recompute_guarantee
 from .faults import CRASH_EXIT_CODE, HANG_SECONDS, FaultPlan
+from .policy import check_adaptive
 from .shm import SharedGraphHandle, publish_graph
 
 #: Methods whose results pool by trial-weighted averaging.  Each reads
@@ -208,14 +210,12 @@ def _persistent_worker_main(
                 # "hang" fault; routing it through an injectable clock
                 # would defeat the chaos harness.
                 time.sleep(HANG_SECONDS)  # repro: noqa[CLK002]
-            method_kwargs = dict(task["method_kwargs"])
-            if attachment.index is not None:
-                method_kwargs["wedge_index"] = attachment.index
             observer = Observer() if task["instrument"] else None
             result = find_mpmb(
                 attachment.graph, method=task["method"],
                 n_trials=task["n_trials"], rng=task["rng"],
-                observer=observer, **method_kwargs,
+                observer=observer, wedge_index=attachment.index,
+                **task["method_kwargs"],
             )
             payload = {
                 "result": result_to_dict(result),
@@ -244,8 +244,8 @@ class _PoolWorker:
 class WorkerPool:
     """Persistent worker processes over one shared-memory graph segment.
 
-    Publishing happens at construction: the graph (and optional wedge
-    index) lands in one shared segment, and every worker process
+    Publishing happens at construction: the graph and its wedge index
+    land in one shared segment, and every worker process
     spawned by :meth:`worker` attaches to it once, then serves task
     descriptors over its pipe until :meth:`close`.  The pool may serve
     many :func:`run_parallel_trials` calls — ``repro.service`` caches
@@ -254,12 +254,11 @@ class WorkerPool:
 
     Args:
         graph: The uncertain bipartite network to publish.
+        wedge_index: The graph's
+            :class:`~repro.kernels.wedge_block.WedgeIndex`, published
+            alongside it; every poolable method reads it.
         mp_context: ``multiprocessing`` start method (``None`` =
             platform default).
-        wedge_index: Optional prebuilt
-            :class:`~repro.kernels.wedge_block.WedgeIndex` to publish
-            alongside the graph; workers of a pool without one build
-            their own.
         checksum: Version key recorded on the handle (defaults to
             :func:`~repro.runtime.shm.graph_checksum`).
         observer: Metric sink for the publication counters.
@@ -268,14 +267,14 @@ class WorkerPool:
     def __init__(
         self,
         graph,
+        wedge_index: Any,
         mp_context: Optional[str] = None,
-        wedge_index: Optional[Any] = None,
         checksum: Optional[str] = None,
         observer: Optional[Observer] = None,
     ) -> None:
         self._context = multiprocessing.get_context(mp_context)
         self._publication = publish_graph(
-            graph, index=wedge_index, checksum=checksum, observer=observer
+            graph, wedge_index, checksum=checksum, observer=observer
         )
         self._workers: Dict[int, _PoolWorker] = {}
         self._closed = False
@@ -362,11 +361,12 @@ def run_parallel_trials(
     faults: Optional[FaultPlan] = None,
     sleep: Callable[[float], None] = time.sleep,
     mp_context: Optional[str] = None,
-    guarantee_mu: float = 0.05,
-    guarantee_delta: float = 0.1,
+    mu: float = 0.05,
+    delta: float = 0.1,
     block_size: Optional[int] = None,
     observer: Optional[Observer] = None,
     pool: Optional[WorkerPool] = None,
+    adaptive: bool = False,
     **method_kwargs,
 ):
     """Run a trial budget across fault-tolerant parallel workers.
@@ -395,9 +395,13 @@ def run_parallel_trials(
             without waiting).
         mp_context: ``multiprocessing`` start method (``None`` = platform
             default; ignored when ``pool`` is given).
-        guarantee_mu: ``μ`` for the re-widened guarantee of a degraded
-            pool.
-        guarantee_delta: ``δ`` for the re-widened guarantee.
+        mu: Smallest probability ``μ`` the pooled guarantee covers,
+            forwarded to every worker.
+        delta: Failure probability ``δ`` of the pooled guarantee.
+            Each worker runs at ``δ/n_workers``, so by a union bound
+            the merged claim of workers that each certified one holds
+            at ``δ``; a pool with dropped workers is re-widened at
+            ``mu`` and ``delta``.
         block_size: Shard whole blocks of this many trials across the
             workers (no block straddles two workers) and pass it to each
             worker's method; ``None`` shards single trials and leaves
@@ -415,6 +419,8 @@ def run_parallel_trials(
             processes (``worker.shm.reused``) and leaves it open for
             the owner to close; without one, a pool is created for this
             call and torn down afterwards.
+        adaptive: ``True`` races each worker's shard with the anytime
+            stop rule of the method.
         **method_kwargs: Forwarded to the method (e.g. ``n_prepare=``).
 
     Returns:
@@ -437,27 +443,17 @@ def run_parallel_trials(
         raise ConfigurationError(
             f"max_attempts must be positive, got {max_attempts}"
         )
+    check_adaptive(adaptive)
+    check_target(mu, delta)
     shares = split_trials(n_trials, n_workers, block_size=block_size)
+    # Each worker certifies its own shard at δ/n, which keeps the
+    # pooled claim at δ by a union bound.
+    method_kwargs = {
+        **method_kwargs, "mu": mu, "delta": delta / n_workers,
+        "adaptive": adaptive,
+    }
     if block_size is not None:
-        method_kwargs = {**method_kwargs, "block_size": block_size}
-    if method_kwargs.get("adaptive") is not None:
-        # Each worker races its own shard; δ/n per worker keeps the
-        # pooled anytime claim at δ by a union bound.
-        # Lazy import: repro.adaptive imports the core estimators,
-        # which import this package — eager import would cycle.
-        from ..adaptive.racing import resolve_adaptive, split_worker_delta
-
-        adaptive_config = resolve_adaptive(method_kwargs["adaptive"])
-        if adaptive_config is None:
-            method_kwargs = {**method_kwargs, "adaptive": None}
-        else:
-            method_kwargs = {
-                **method_kwargs,
-                "adaptive": split_worker_delta(
-                    adaptive_config, len(shares),
-                    default_delta=guarantee_delta,
-                ),
-            }
+        method_kwargs["block_size"] = block_size
     # Lazy imports: this module is part of the runtime package, which the
     # core estimators import — importing core eagerly here would cycle.
     from ..core.results import merge_results
@@ -628,7 +624,10 @@ def run_parallel_trials(
         merged.degraded_reason = "workers-dropped"
         merged.target_trials = n_trials
         merged.guarantee = recompute_guarantee(
-            merged.n_trials, n_trials,
-            mu=guarantee_mu, delta=guarantee_delta,
+            merged.n_trials, n_trials, mu=mu, delta=delta,
         )
+    elif merged.guarantee is not None:
+        # The merge sums the workers' δ/n shares; state δ itself, not
+        # a sum rounded one ulp away from it.
+        merged.guarantee = replace(merged.guarantee, delta=delta)
     return merged

@@ -1,4 +1,4 @@
-"""Sampling substrate: RNG plumbing, Monte-Carlo and Karp-Luby estimators,
+"""Sampling substrate: RNG plumbing, the Karp-Luby union estimator,
 convergence traces, and the Theorem IV.1 trial bound."""
 
 from .bounds import achievable_epsilon, monte_carlo_trial_bound
@@ -11,7 +11,6 @@ from .karp_luby import (
     exact_union_probability,
     union_probability_first_hit,
 )
-from .monte_carlo import FrequencyEstimate, WinnerFrequencyEstimator
 from .rng import (
     RngLike,
     ensure_rng,
@@ -28,8 +27,6 @@ __all__ = [
     "restore_rng_state",
     "ConvergenceTrace",
     "checkpoint_schedule",
-    "FrequencyEstimate",
-    "WinnerFrequencyEstimator",
     "KarpLubyUnionSampler",
     "UnionEstimate",
     "event_probability",

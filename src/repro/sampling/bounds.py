@@ -25,6 +25,14 @@ from ..errors import ConfigurationError
 MAX_TRIAL_BOUND = 10**9
 
 
+def check_target(mu: float, delta: float) -> None:
+    """Reject a ``μ`` outside ``(0, 1]`` or a ``δ`` outside ``(0, 1)``."""
+    if not 0.0 < mu <= 1.0:
+        raise ConfigurationError(f"mu must be in (0, 1], got {mu}")
+    if not 0.0 < delta < 1.0:
+        raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
+
+
 def monte_carlo_trial_bound(
     mu: float, epsilon: float = 0.1, delta: float = 0.1
 ) -> int:
@@ -43,12 +51,9 @@ def monte_carlo_trial_bound(
             requested guarantee needs more than :data:`MAX_TRIAL_BOUND`
             trials.
     """
-    if not 0.0 < mu <= 1.0:
-        raise ConfigurationError(f"mu must be in (0, 1], got {mu}")
+    check_target(mu, delta)
     if epsilon <= 0.0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
     bound = math.ceil((1.0 / mu) * 4.0 * math.log(2.0 / delta) / epsilon**2)
     if bound > MAX_TRIAL_BOUND:
         raise ConfigurationError(
@@ -68,10 +73,7 @@ def achievable_epsilon(
     certifies (the reproduction runs far fewer trials than the paper's
     C++ testbed).
     """
-    if not 0.0 < mu <= 1.0:
-        raise ConfigurationError(f"mu must be in (0, 1], got {mu}")
+    check_target(mu, delta)
     if n_trials <= 0:
         raise ConfigurationError(f"n_trials must be positive, got {n_trials}")
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
     return math.sqrt(4.0 * math.log(2.0 / delta) / (mu * n_trials))

@@ -66,6 +66,16 @@ from .schemas import QueryRequest, QueryResponse
 INDEXED_METHODS = ("mc-vp", "os", "ols", "ols-kl")
 
 
+def _target(request: QueryRequest) -> Dict[str, float]:
+    """The request's ``mu``, and its ``delta`` when it set one: the
+    target every guarantee of a sampling run states, as the CLI's
+    ``--mu``/``--delta`` are."""
+    target = {"mu": request.mu}
+    if request.delta is not None:
+        target["delta"] = request.delta
+    return target
+
+
 class _Flight:
     """One dataset's wedge index or worker pool, for one graph version.
 
@@ -353,7 +363,7 @@ class QueryBroker:
                         degraded_reason="deadline",
                         target_trials=trials,
                         guarantee=recompute_guarantee(
-                            0, max(1, trials)
+                            0, max(1, trials), **_target(request)
                         ).to_dict(),
                     )
             else:
@@ -483,15 +493,15 @@ class QueryBroker:
     ) -> MPMBResult:
         """One engine execution with the request's exact CLI shape."""
         request_faults = self.faults.request_faults
-        adaptive: Dict[str, Any] = {}
-        if request.mode == "adaptive":
-            # The request's δ (when it sized the budget) is also the
-            # anytime failure budget, matching the CLI's --adaptive.
-            adaptive["adaptive"] = (
-                {"delta": request.delta}
-                if request.delta is not None
-                else True
-            )
+        sampling: Dict[str, Any] = {}
+        if not request.method.startswith("exact-"):
+            sampling = {
+                **_target(request), "adaptive": request.mode == "adaptive",
+            }
+            if request.epsilon is not None and request.method in (
+                "ols", "ols-kl",
+            ):
+                sampling["epsilon"] = request.epsilon
         if request.workers > 1:
             pool_kwargs: Dict[str, Any] = {}
             if remaining_seconds is not None:
@@ -517,7 +527,7 @@ class QueryBroker:
                         self.observer if self.observer.enabled else None
                     ),
                     pool=pool,
-                    **adaptive,
+                    **sampling,
                     **pool_kwargs,
                 )
         kwargs: Dict[str, Any] = {}
@@ -537,7 +547,7 @@ class QueryBroker:
             graph, method=request.method, n_trials=trials,
             n_prepare=request.prepare, rng=request.seed,
             observer=self.observer if self.observer.enabled else None,
-            **adaptive,
+            **sampling,
             **kwargs,
         )
 

@@ -53,10 +53,13 @@ class QueryRequest:
         method: One of :data:`repro.core.mpmb.METHODS`.
         trials: Explicit trial budget; mutually exclusive with the
             ε-δ target below.
-        mu: Target probability ``μ`` for ε-δ sizing (default 0.05).
+        mu: Target probability ``μ`` for ε-δ sizing (default 0.05),
+            in ``(0, 1]``.  Every guarantee a sampling run returns
+            states it.
         epsilon: Relative error target; with ``delta`` it sizes the
             budget via Theorem IV.1.
-        delta: Failure probability of the sized guarantee.
+        delta: Failure probability of the sized guarantee, which every
+            guarantee of the run then states (0.1 when unset).
         prepare: Preparing-phase trials (OLS variants).
         top_k: How many ranked butterflies the response carries.
         block_size: Batched-kernel block size (``None`` = the CLI's
@@ -104,6 +107,8 @@ class QueryRequest:
                 f"{', '.join(METHODS)}"
             )
         exact = self.method.startswith("exact-")
+        if not 0.0 < self.mu <= 1.0:
+            raise ConfigurationError(f"mu must be in (0, 1], got {self.mu}")
         sized = self.epsilon is not None or self.delta is not None
         if sized and (self.epsilon is None or self.delta is None):
             raise ConfigurationError(
@@ -199,21 +204,17 @@ class QueryRequest:
         excluded; ``top_k`` is excluded because the cache stores the
         full ranking and slices per request.
 
-        ``mode`` (and, for adaptive mode, the ``mu``/``delta`` knobs
-        that shape the stop rule) MUST be part of the identity: an
-        adaptive run stops at a different trial count than a fixed run
-        of the same budget, so serving one for the other would hand
-        back a result the request never asked for.
+        ``mode``, ``mu`` and ``delta`` MUST be part of the identity in
+        every mode: an adaptive run stops at a different trial count
+        than a fixed run of the same budget, ``mu`` sizes OLS-KL's
+        Lemma VI.4 budgets, and every guarantee states both, so serving
+        one for the other would hand back a result the request never
+        asked for.
         """
-        anytime = (
-            (self.mode, self.mu, self.delta)
-            if self.mode != "fixed"
-            else self.mode
-        )
         return (
             self.dataset, self.profile, self.dataset_seed, self.method,
             self.resolved_trials(), self.prepare, self.block_size,
-            self.seed, self.workers, anytime,
+            self.seed, self.workers, self.mode, self.mu, self.delta,
         )
 
     @staticmethod

@@ -3,11 +3,13 @@ checkpoint/resume exactness, and the guarantee-math bugfix regressions.
 
 The contract under test (``docs/performance.md`` / ``docs/runtime.md``):
 
-* ``adaptive=None``/``False`` is inert — every method is bit-identical
-  to the fixed-budget path, result document included;
+* ``adaptive=False`` is inert — every method is bit-identical to the
+  fixed-budget path, result document included — and ``adaptive=``
+  takes nothing but ``True`` or ``False``;
 * with the racing rule on, an early stop is *certified*: not degraded,
-  same argmax as the fixed run, realised guarantee attached, savings in
-  the stats and ``adaptive.*`` metrics;
+  same argmax as the fixed run, realised guarantee attached at the
+  run's ``mu`` and ``delta`` (a pool's merged at its ``delta``), savings
+  in the stats and ``adaptive.*`` metrics;
 * the racer's survivor/interval state rides the engine checkpoint, so
   kill-and-resume reproduces a continuous adaptive run exactly;
 * eliminations are sound: whenever the intervals cover the truth, the
@@ -29,12 +31,10 @@ from hypothesis import strategies as st
 import repro.__main__ as cli
 from repro import FaultPlan, RuntimePolicy
 from repro.adaptive import (
-    AdaptiveConfig,
     RacingFrequencyLoop,
     bernstein_limits,
     prescreen_candidates,
     racing,
-    resolve_adaptive,
 )
 from repro.core import (
     CandidateSet,
@@ -53,7 +53,7 @@ from repro.kernels import UnionBlockKernel, memory
 from repro.kernels.memory import kernel_row_bytes
 from repro.kernels.wedge_block import build_wedge_index
 from repro.observability import Observer
-from repro.runtime import InjectedCrash
+from repro.runtime import InjectedCrash, run_parallel_trials
 from repro.runtime.degradation import Guarantee
 from repro.runtime.engine import LoopInterrupt
 from repro.sampling.bounds import MAX_TRIAL_BOUND, monte_carlo_trial_bound
@@ -76,10 +76,6 @@ DOMINANT_EDGES = [
     ("c2", "d2", 1.0, 0.7),
 ]
 
-#: Racing knobs sized for the small test graphs.
-FAST_RACE = {"min_trials": 64}
-
-
 @pytest.fixture
 def graph():
     return build_graph(FIGURE_1_EDGES, name="figure-1")
@@ -95,12 +91,10 @@ def _best_key(result):
 
 
 class TestAdaptiveOffBitIdentical:
-    """``adaptive=None``/``False`` must be a no-op on every method."""
+    """``adaptive=False`` must be a no-op on every method."""
 
     def test_mc_vp(self, graph):
         baseline = result_to_dict(mc_vp(graph, 40, rng=7))
-        assert result_to_dict(mc_vp(graph, 40, rng=7, adaptive=None)) \
-            == baseline
         assert result_to_dict(mc_vp(graph, 40, rng=7, adaptive=False)) \
             == baseline
 
@@ -114,7 +108,7 @@ class TestAdaptiveOffBitIdentical:
         )
         assert result_to_dict(
             ordering_sampling(
-                graph, 40, rng=3, block_size=16, adaptive=None
+                graph, 40, rng=3, block_size=16, adaptive=False
             )
         ) == blocked
 
@@ -129,8 +123,8 @@ class TestAdaptiveOffBitIdentical:
             )) == baseline
 
     def test_adaptive_run_that_never_checks_is_bit_identical(self, graph):
-        """40 trials never reach the default ``min_trials=64`` boundary,
-        so an adaptive-on run must produce the fixed run's document."""
+        """40 trials never reach the 64-trial first check, so an
+        adaptive-on run must produce the fixed run's document."""
         baseline = result_to_dict(ordering_sampling(graph, 40, rng=3))
         assert result_to_dict(
             ordering_sampling(graph, 40, rng=3, adaptive=True)
@@ -140,17 +134,32 @@ class TestAdaptiveOffBitIdentical:
         with pytest.raises(ConfigurationError, match="adaptive"):
             find_mpmb(graph, method="exact-worlds", adaptive=True)
 
-    def test_resolve_adaptive_forms(self):
-        assert resolve_adaptive(None) is None
-        assert resolve_adaptive(False) is None
-        assert resolve_adaptive(True) == AdaptiveConfig()
-        config = resolve_adaptive({"delta": 0.05, "min_trials": 32})
-        assert config.delta == 0.05 and config.min_trials == 32
-        assert resolve_adaptive(config) is config
-        with pytest.raises(ConfigurationError):
-            resolve_adaptive("yes")
-        with pytest.raises(ConfigurationError):
-            resolve_adaptive({"delta": 2.0})
+    def test_adaptive_takes_only_true_or_false(self, graph):
+        """``adaptive=`` is a switch.  ``None``, a string, a number or
+        a knob dict (the retired ``{"delta": ...}`` form included) is a
+        ``ConfigurationError`` — CLI exit 2, HTTP 400 — never a bare
+        ``TypeError``, and a pool refuses it before it starts a
+        worker."""
+        runs = (
+            lambda value: mc_vp(graph, 40, rng=3, adaptive=value),
+            lambda value: ordering_sampling(
+                graph, 40, rng=3, adaptive=value
+            ),
+            lambda value: ordering_listing_sampling(
+                graph, 40, n_prepare=20, rng=3, adaptive=value
+            ),
+            lambda value: ordering_listing_sampling(
+                graph, 0, n_prepare=20, estimator="karp-luby", rng=3,
+                adaptive=value,
+            ),
+            lambda value: run_parallel_trials(
+                graph, 40, 2, method="os", rng=3, adaptive=value
+            ),
+        )
+        for value in (None, "yes", 1, {"delta": 0.1}, {"check_evry": 5}):
+            for run in runs:
+                with pytest.raises(ConfigurationError, match="True or False"):
+                    run(value)
 
 
 class TestCertifiedRacingStops:
@@ -163,7 +172,7 @@ class TestCertifiedRacingStops:
         )
         adaptive = ordering_sampling(
             dominant, 2_000, rng=5, block_size=block_size,
-            adaptive=FAST_RACE,
+            adaptive=True,
         )
         assert adaptive.n_trials < 2_000
         assert not adaptive.degraded
@@ -188,21 +197,21 @@ class TestCertifiedRacingStops:
         monkeypatch.setattr(memory, "DEFAULT_BYTES_BUDGET", 56 * row)
         observer = Observer()
         adaptive = ordering_sampling(
-            dominant, 2_000, rng=5, adaptive=FAST_RACE, observer=observer
+            dominant, 2_000, rng=5, adaptive=True, observer=observer
         )
         assert observer.metrics.to_dict()["gauges"]["kernel.block_size"] \
             == 56.0
         assert adaptive.n_trials == 168
         assert result_to_dict(adaptive) == result_to_dict(
             ordering_sampling(
-                dominant, 2_000, rng=5, block_size=56, adaptive=FAST_RACE
+                dominant, 2_000, rng=5, block_size=56, adaptive=True
             )
         )
 
     def test_mc_vp_blocked(self, dominant):
         fixed = mc_vp(dominant, 1_024, rng=2, block_size=64)
         adaptive = mc_vp(
-            dominant, 1_024, rng=2, block_size=64, adaptive=FAST_RACE
+            dominant, 1_024, rng=2, block_size=64, adaptive=True
         )
         assert adaptive.n_trials < 1_024
         assert not adaptive.degraded
@@ -210,17 +219,35 @@ class TestCertifiedRacingStops:
         assert adaptive.guarantee is not None
 
     def test_ols_optimized(self, dominant):
+        """The certified guarantee states the ``mu`` the run was given
+        (it used to state 0.05 whatever ``mu`` said)."""
         fixed = ordering_listing_sampling(
             dominant, 2_000, n_prepare=40, estimator="optimized", rng=9
         )
-        adaptive = ordering_listing_sampling(
-            dominant, 2_000, n_prepare=40, estimator="optimized", rng=9,
-            adaptive=FAST_RACE,
+        adaptive = find_mpmb(
+            dominant, method="ols", n_trials=2_000, n_prepare=40, rng=9,
+            mu=0.2, adaptive=True,
         )
         assert adaptive.n_trials < 2_000
         assert not adaptive.degraded
         assert _best_key(adaptive) == _best_key(fixed)
-        assert adaptive.guarantee is not None
+        guarantee = adaptive.guarantee
+        assert (guarantee.mu, guarantee.delta) == (0.2, 0.1)
+        assert guarantee.realized_trials == adaptive.n_trials
+
+    def test_pooled_os_merges_to_the_run_delta(self, dominant):
+        """Each of two workers races its shard at ``δ/2``; the merged
+        certified guarantee states the run's ``mu`` and ``delta``."""
+        pooled = run_parallel_trials(
+            dominant, 2_000, 2, method="os", rng=5, block_size=64,
+            mu=0.2, delta=0.01, adaptive=True,
+        )
+        assert pooled.n_trials < 2_000
+        assert not pooled.degraded
+        assert pooled.stats["trials_saved"] > 0
+        guarantee = pooled.guarantee
+        assert (guarantee.mu, guarantee.delta) == (0.2, 0.01)
+        assert guarantee.realized_trials == pooled.n_trials
 
     def test_ols_kl_prescreen_and_racing(self, dominant):
         fixed = ordering_listing_sampling(
@@ -242,7 +269,7 @@ class TestCertifiedRacingStops:
     def test_metrics_recorded(self, dominant):
         observer = Observer()
         ordering_sampling(
-            dominant, 2_000, rng=5, adaptive=FAST_RACE,
+            dominant, 2_000, rng=5, adaptive=True,
             observer=observer,
         )
         snapshot = observer.metrics.to_dict()
@@ -286,19 +313,19 @@ class TestAdaptiveCheckpointResume:
 
     def test_os_adaptive(self, dominant, tmp_path):
         baseline = result_to_dict(ordering_sampling(
-            dominant, 2_000, rng=5, block_size=1, adaptive=FAST_RACE
+            dominant, 2_000, rng=5, block_size=1, adaptive=True
         ))
         path = tmp_path / "os-adaptive.json"
         with pytest.raises(InjectedCrash):
             ordering_sampling(
-                dominant, 2_000, rng=5, block_size=1, adaptive=FAST_RACE,
+                dominant, 2_000, rng=5, block_size=1, adaptive=True,
                 runtime=RuntimePolicy(
                     checkpoint_path=path, checkpoint_every=10,
                     faults=FaultPlan(crash_before_trial=43),
                 ),
             )
         resumed = ordering_sampling(
-            dominant, 2_000, rng=5, block_size=1, adaptive=FAST_RACE,
+            dominant, 2_000, rng=5, block_size=1, adaptive=True,
             runtime=RuntimePolicy(
                 checkpoint_path=path, checkpoint_every=10,
                 resume_from=path,
@@ -308,24 +335,24 @@ class TestAdaptiveCheckpointResume:
 
     def test_ols_kl_adaptive(self, tmp_path):
         # A dense 3x3 graph lists several candidates with blocking mass
-        # and close probabilities, so the race spans many rounds; small
-        # rounds (8-trial blocks) and no pre-screen so the crash lands
-        # mid-race with live interval state in the checkpoint payload.
+        # and close probabilities, so the race spans many rounds, and
+        # the pre-screen drops none of them; small rounds (8-trial
+        # blocks) so the crash lands mid-race with live interval state
+        # in the checkpoint payload.
         edges = [
             (f"u{i}", f"v{j}", 1.0 + ((i + j) % 3), 0.5)
             for i in range(3) for j in range(3)
         ]
         dense = build_graph(edges, name="dense")
-        knobs = {"prescreen": False}
         baseline = result_to_dict(ordering_listing_sampling(
             dense, 200, n_prepare=30, estimator="karp-luby", rng=13,
-            adaptive=knobs, block_size=8,
+            adaptive=True, block_size=8,
         ))
         path = tmp_path / "kl-adaptive.json"
         with pytest.raises(InjectedCrash):
             ordering_listing_sampling(
                 dense, 200, n_prepare=30, estimator="karp-luby",
-                rng=13, adaptive=knobs, block_size=8,
+                rng=13, adaptive=True, block_size=8,
                 runtime=RuntimePolicy(
                     checkpoint_path=path, checkpoint_every=1,
                     faults=FaultPlan(crash_before_trial=4),
@@ -333,7 +360,7 @@ class TestAdaptiveCheckpointResume:
             )
         resumed = ordering_listing_sampling(
             dense, 200, n_prepare=30, estimator="karp-luby", rng=13,
-            adaptive=knobs, block_size=8,
+            adaptive=True, block_size=8,
             runtime=RuntimePolicy(
                 checkpoint_path=path, checkpoint_every=1,
                 resume_from=path,
@@ -367,8 +394,7 @@ class TestAdaptiveKarpLubyBlocks:
         observer = Observer()
         result = ordering_listing_sampling(
             dense, 0, n_prepare=30, estimator="karp-luby", rng=13,
-            adaptive={"prescreen": False}, block_size=8,
-            observer=observer,
+            adaptive=True, block_size=8, observer=observer,
         )
         gauges = observer.metrics.to_dict()["gauges"]
         assert result.n_trials == sum(lengths) > 8
@@ -458,8 +484,8 @@ class TestEliminationSoundness:
         units = len(winners) // REPLAY_UNIT
         racer = RacingFrequencyLoop(
             _ReplayLoop(winners, counts), counts_fn=lambda: counts,
-            config=AdaptiveConfig(min_trials=REPLAY_UNIT), delta=delta,
-            mu=0.05, unit_lengths=[REPLAY_UNIT] * units, phantom=False,
+            delta=delta, mu=0.05, unit_lengths=[REPLAY_UNIT] * units,
+            phantom=False,
         )
         for unit in range(1, units + 1):
             try:
@@ -557,19 +583,6 @@ class TestPrescreenAgainstExact:
 
 
 class TestBugfixRegressions:
-    def test_unknown_adaptive_field_is_a_configuration_error(self, graph):
-        """A misspelt or removed knob used to escape the dataclass
-        constructor as a bare ``TypeError``, which neither the CLI
-        (exit 2) nor the service (HTTP 400) maps to a configuration
-        error."""
-        for value in ({"check_evry": 5}, {"check_every": 256}):
-            key = next(iter(value))
-            with pytest.raises(ConfigurationError, match=key) as raised:
-                resolve_adaptive(value)
-            assert "delta, min_trials, prescreen" in str(raised.value)
-        with pytest.raises(ConfigurationError, match="check_evry"):
-            ordering_sampling(graph, 40, rng=3, adaptive={"check_evry": 5})
-
     def test_preparing_trials_floor_at_one(self):
         # Denormal recall underflows log(1 - r) to exactly 0.0; the
         # pre-fix code then reported a zero-trial preparing phase.
@@ -605,8 +618,8 @@ class TestBugfixRegressions:
             dataset="abide", method="os", trials=40, mode="adaptive"
         )
         assert fixed.canonical_params() != adaptive.canonical_params()
-        # The anytime knobs shape the stop rule, so they are identity
-        # too — but only in adaptive mode.
+        # Every guarantee states the target, so it is identity too, in
+        # every mode.
         loose = QueryRequest(
             dataset="abide", method="os", trials=40, mode="adaptive",
             delta=None, mu=0.1,
@@ -614,7 +627,7 @@ class TestBugfixRegressions:
         assert loose.canonical_params() != adaptive.canonical_params()
         assert QueryRequest(
             dataset="abide", method="os", trials=40, mu=0.1
-        ).canonical_params() == fixed.canonical_params()
+        ).canonical_params() != fixed.canonical_params()
 
     def test_mode_validation(self):
         with pytest.raises(ConfigurationError, match="mode"):

@@ -20,11 +20,10 @@ draw here; the golden does not cover that draw (``test_kernels.py``
 does).  One blocked-adaptive crash/resume per method also records the
 checkpoint document written at the crash and the resumed result.
 
-OLS-KL's round loop is pinned the same way in three cases — fixed
-Lemma VI.4 budgets, adaptive, and adaptive without the exact
-pre-screen — on a random small graph where the race itself eliminates
-candidates, so a bound that moves by one ulp and flips an elimination
-fails here.
+OLS-KL's round loop is pinned the same way in two cases — fixed
+Lemma VI.4 budgets and adaptive — on a random small graph where the
+race itself eliminates candidates after the exact pre-screen, so a
+bound that moves by one ulp and flips an elimination fails here.
 
 Regenerate (only when a change is *meant* to alter these outputs)::
 
@@ -51,7 +50,7 @@ from repro.core import (
 from repro.runtime import InjectedCrash, read_checkpoint
 
 from .conftest import build_graph, random_small_graph
-from .test_adaptive import DOMINANT_EDGES, FAST_RACE
+from .test_adaptive import DOMINANT_EDGES
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "driver_golden.json"
 
@@ -66,12 +65,8 @@ CASES = [
     if block_size is not None or mode == "fixed"
 ]
 
-#: OLS-KL's ``adaptive=`` per mode, run in 8-trial rounds.
-OLS_KL_MODES = {
-    "fixed": None,
-    "adaptive": True,
-    "adaptive-no-prescreen": {"prescreen": False},
-}
+#: OLS-KL's modes, run in 8-trial rounds.
+OLS_KL_MODES = ("fixed", "adaptive")
 
 #: Engine unit (a block of 16 trials) the crash/resume cases die before.
 CRASH_BEFORE_BLOCK = 6
@@ -83,13 +78,13 @@ def _run(method, block_size, mode, observer=None, runtime=None):
         return ordering_listing_sampling(
             random_small_graph(np.random.default_rng(50)), 0, n_prepare=30,
             estimator="karp-luby", rng=3, block_size=block_size,
-            adaptive=OLS_KL_MODES[mode], observer=observer,
+            adaptive=mode == "adaptive", observer=observer,
             runtime=runtime,
         )
     graph = build_graph(DOMINANT_EDGES, name="dominant")
     kwargs = {"observer": observer, "runtime": runtime}
     if block_size is not None:  # the references take no adaptive=
-        kwargs["adaptive"] = FAST_RACE if mode == "adaptive" else None
+        kwargs["adaptive"] = mode == "adaptive"
     if method == "ols":
         if block_size is None:
             return reference_listing_sampling(

@@ -192,80 +192,83 @@ class TestFixedRounds:
 
 class TestRacedRounds:
     """The racer retires candidates between rounds; its eliminations
-    ride in the checkpoint, so a resumed race replays them exactly."""
+    ride in the checkpoint, so a resumed race replays them exactly.
+
+    The races run on a random small graph whose ``C_MB`` (30 preparing
+    trials, seed 3) holds 8 candidates: the pre-screen drops 3 and the
+    race 4 more, the first of them between rounds 30 and 40."""
 
     @staticmethod
-    def _run(graph, candidates, **kwargs):
+    def _run(**kwargs):
         return ordering_listing_sampling(
-            graph, 0, estimator="karp-luby", rng=1, candidates=candidates,
-            adaptive={"prescreen": False}, block_size=8, **kwargs,
+            random_small_graph(np.random.default_rng(50)), 0,
+            n_prepare=30, estimator="karp-luby", rng=3, adaptive=True,
+            block_size=8, **kwargs,
         )
 
-    def test_race_eliminates_and_resumes_exactly(
-        self, graph, candidates, tmp_path
-    ):
-        baseline = self._run(graph, candidates)
-        # With the pre-screen off every elimination is the race's.
-        assert baseline.stats["candidates_eliminated"] > 0
+    def test_race_eliminates_and_resumes_exactly(self, tmp_path):
+        baseline = self._run()
+        candidates = CandidateSet(
+            baseline.graph, baseline.butterflies.values()
+        )
+        screened = len(prescreen_candidates(candidates).eliminated)
+        assert baseline.stats["candidates_eliminated"] > screened
         assert baseline.n_trials < sum(_budgets(candidates, None))
         path = tmp_path / "kl.json"
         with pytest.raises(InjectedCrash):
-            self._run(graph, candidates, runtime=RuntimePolicy(
+            self._run(runtime=RuntimePolicy(
                 checkpoint_path=path, checkpoint_every=1,
-                faults=FaultPlan(crash_before_trial=5),
+                faults=FaultPlan(crash_before_trial=41),
             ))
         race = read_checkpoint(path)["state"]["race"]
         assert any(bound is not None for bound in race["eliminated_upper"])
-        resumed = self._run(graph, candidates, runtime=RuntimePolicy(
+        resumed = result_to_dict(self._run(runtime=RuntimePolicy(
             checkpoint_path=path, checkpoint_every=1, resume_from=path,
-        ))
-        assert result_to_dict(resumed) == result_to_dict(baseline)
+        )))
+        assert resumed["stats"].pop("resumed_candidates") == 1.0
+        assert resumed == result_to_dict(baseline)
 
     def test_resume_recomputes_the_prescreen(self, tmp_path):
         """The pre-screen depends on ``C_MB`` alone, so a resumed run,
         which rebuilds ``C_MB`` from the checkpoint and skips the
         preparing phase, drops the same candidates.  A checkpoint is
-        refused when the resume switches the pre-screen the other way,
-        or when it still carries the sampled pre-screen's outcome."""
-        graph = random_small_graph(np.random.default_rng(50))
-
-        def run(adaptive=True, **kwargs):
-            return ordering_listing_sampling(
-                graph, 0, n_prepare=30, estimator="karp-luby", rng=3,
-                adaptive=adaptive, block_size=8, **kwargs,
-            )
-
-        baseline = run()
-        candidates = CandidateSet(graph, baseline.butterflies.values())
+        refused when it retires a candidate the pre-screen keeps without
+        a race bound, or when it still carries the sampled pre-screen's
+        outcome."""
+        baseline = self._run()
+        candidates = CandidateSet(
+            baseline.graph, baseline.butterflies.values()
+        )
         dropped = prescreen_candidates(candidates).eliminated
         assert dropped
         assert len(candidates) - len(dropped) >= 2
         path = tmp_path / "kl.json"
         with pytest.raises(InjectedCrash):
-            run(runtime=RuntimePolicy(
+            self._run(runtime=RuntimePolicy(
                 checkpoint_path=path, checkpoint_every=1,
                 faults=FaultPlan(crash_before_trial=2),
             ))
         document = read_checkpoint(path)
         live = document["state"]["live"]
         assert [i for i, flag in enumerate(live) if not flag] == dropped
-        resumed = result_to_dict(run(runtime=RuntimePolicy(
+        resumed = result_to_dict(self._run(runtime=RuntimePolicy(
             checkpoint_path=path, checkpoint_every=1, resume_from=path,
         )))
         assert resumed["stats"].pop("resumed_candidates") == 1.0
         assert resumed == result_to_dict(baseline)
 
+        kept = live.index(1)
+        live[kept] = 0
         write_checkpoint(path, document)
-        with pytest.raises(CheckpointError, match="pre-screen setting"):
-            run({"prescreen": False}, runtime=RuntimePolicy(
-                resume_from=path,
-            ))
+        with pytest.raises(CheckpointError, match="pre-screen"):
+            self._run(runtime=RuntimePolicy(resume_from=path))
+        live[kept] = 1
         document["state"]["race"].update(
             pre_eliminated=dropped, pre_lower=[0.0] * len(live)
         )
         write_checkpoint(path, document)
         with pytest.raises(CheckpointError, match="older adaptive run"):
-            run(runtime=RuntimePolicy(resume_from=path))
+            self._run(runtime=RuntimePolicy(resume_from=path))
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_sole_survivor_stop_covers_its_estimate(self, seed):
@@ -383,8 +386,8 @@ class TestRoundCheckpoints:
         assert resumed == baseline
 
     @pytest.mark.parametrize("written, resumed", [
-        (None, {"prescreen": False}),
-        ({"prescreen": False}, None),
+        (False, True),
+        (True, False),
     ])
     def test_fixed_and_adaptive_refuse_each_other(
         self, graph, tmp_path, written, resumed
@@ -401,8 +404,8 @@ class TestRoundCheckpoints:
             ))
 
     @pytest.mark.parametrize("adaptive, missing", [
-        ({"prescreen": False}, "'race'"),
-        (None, "'live', 'accepted'"),
+        (True, "'race'"),
+        (False, "'live', 'accepted'"),
     ])
     def test_checkpoint_of_the_old_adaptive_loop_refused(
         self, graph, tmp_path, adaptive, missing
@@ -412,7 +415,7 @@ class TestRoundCheckpoints:
         ``race``: both modes refuse them, naming what is missing."""
         path = tmp_path / "kl.json"
         with pytest.raises(InjectedCrash):
-            self._run(graph, adaptive={"prescreen": False},
+            self._run(graph, adaptive=True,
                       runtime=RuntimePolicy(
                           checkpoint_path=path, checkpoint_every=1,
                           faults=FaultPlan(crash_before_trial=2),

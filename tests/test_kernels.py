@@ -322,8 +322,7 @@ class TestScalarBatchedEquivalence:
         observer = Observer()
         result = find_mpmb(
             graph, method=method, n_trials=40, n_prepare=20, rng=7,
-            block_size=8, observer=observer,
-            adaptive={"prescreen": False} if mode == "adaptive" else None,
+            block_size=8, observer=observer, adaptive=mode == "adaptive",
         )
         document = observer.export_document(method, "figure-1")
         assert result.n_trials > 0

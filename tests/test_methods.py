@@ -130,7 +130,7 @@ class TestReferenceSwitches:
         with pytest.raises(ConfigurationError, match="reference_search"):
             reference_search(figure1, "ols", 10, rng=0)
 
-    @pytest.mark.parametrize("adaptive", [True, {"prescreen": False}])
+    @pytest.mark.parametrize("adaptive", [True])
     def test_listing_reference_refuses_adaptive_ols_kl(
         self, figure1, adaptive
     ):

@@ -313,23 +313,13 @@ class TestPooledOls:
         # Every poolable method reads the index, so every pool has one.
         for method in ("ols", "mc-vp", "os"):
             _RecordingPool.created = []
-            published = run_parallel_trials(
+            run_parallel_trials(
                 graph, 200, 2, method=method, rng=5, n_prepare=30
             )
-            assert [
-                p.handle.has_index for p in _RecordingPool.created
-            ] == [True], method
-            # Workers that build their own index reach the same result.
-            bare = WorkerPool(graph)
-            try:
-                assert not bare.handle.has_index
-                local = run_parallel_trials(
-                    graph, 200, 2, method=method, rng=5, n_prepare=30,
-                    pool=bare,
-                )
-            finally:
-                bare.close()
-            assert result_to_dict(published) == result_to_dict(local), method
+            [pool] = _RecordingPool.created
+            assert any(
+                name.startswith("index.") for name, *_ in pool.handle.specs
+            ), method
 
 
 class TestMaskDrawMemory:

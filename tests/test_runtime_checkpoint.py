@@ -570,9 +570,7 @@ class TestDeadlineDegradation:
 
     def test_ols_kl_degrades_mid_candidate(self, graph):
         policy = RuntimePolicy(
-            timeout_seconds=3.0,
-            clock=self._ticking_clock(1.0),
-            guarantee_mu=0.05,
+            timeout_seconds=3.0, clock=self._ticking_clock(1.0)
         )
         result = ordering_listing_sampling(
             graph, 5000, n_prepare=20, estimator="karp-luby", rng=13,

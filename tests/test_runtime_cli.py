@@ -224,12 +224,15 @@ class TestRuntimeFlags:
         code = cli.main([
             "search", graph_file, "--method", "os",
             "--trials", "500", "--seed", "3", "--timeout", "1e-9",
+            "--mu", "0.2", "--delta", "0.01",
         ])
         captured = capsys.readouterr()
         assert "DEGRADED result: the wall-clock budget expired" in (
             captured.out
         )
         assert "Re-widened guarantee" in captured.out
+        # The guarantee states the target the run was given.
+        assert "at δ=0.01 for μ≥0.2" in captured.out
         # Zero achieved trials: nothing observed, non-zero exit.
         assert code == 1
 

@@ -1,13 +1,11 @@
-"""Tests for the sampling substrate: RNG plumbing, Monte-Carlo winner
-frequencies, convergence traces, and the Theorem IV.1 bound."""
+"""Tests for the sampling substrate: RNG plumbing, convergence traces,
+and the Theorem IV.1 bound."""
 
 import numpy as np
 import pytest
 
 from repro.sampling import (
     ConvergenceTrace,
-    FrequencyEstimate,
-    WinnerFrequencyEstimator,
     achievable_epsilon,
     checkpoint_schedule,
     ensure_rng,
@@ -34,44 +32,6 @@ class TestRng:
         assert len(children) == 3
         values = [child.random() for child in children]
         assert len(set(values)) == 3
-
-
-class TestWinnerFrequency:
-    def test_counts_and_probabilities(self):
-        outcomes = iter([["a"], ["a", "b"], [], ["b"], ["a"]])
-        estimator = WinnerFrequencyEstimator(lambda: next(outcomes))
-        estimate = estimator.run(5)
-        assert estimate.counts == {"a": 3, "b": 2}
-        assert estimate.probability("a") == pytest.approx(0.6)
-        assert estimate.probability("missing") == 0.0
-        assert estimate.probabilities() == pytest.approx(
-            {"a": 0.6, "b": 0.4}
-        )
-
-    def test_top_ranking_deterministic(self):
-        estimate = FrequencyEstimate(
-            n_trials=10, counts={"b": 3, "a": 3, "c": 5}
-        )
-        assert estimate.top(2) == ["c", "a"]
-
-    def test_traces_recorded(self):
-        estimator = WinnerFrequencyEstimator(
-            lambda: ["x"], track=["x", "y"], checkpoints=5
-        )
-        estimate = estimator.run(10)
-        trace = estimate.traces["x"]
-        assert trace.checkpoints[-1] == (10, 1.0)
-        assert estimate.traces["y"].final_estimate == 0.0
-
-    def test_zero_trials_rejected(self):
-        estimator = WinnerFrequencyEstimator(lambda: [])
-        with pytest.raises(ValueError):
-            estimator.run(0)
-
-    def test_empty_estimate(self):
-        estimate = FrequencyEstimate(n_trials=0, counts={})
-        assert estimate.probability("x") == 0.0
-        assert estimate.probabilities() == {}
 
 
 class TestConvergenceTrace:

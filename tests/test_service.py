@@ -84,6 +84,9 @@ class TestRequestSchema:
         dict(workers=2, method="ols-kl"),       # not poolable
         dict(method="exact-worlds", trials=None, deadline_seconds=5.0),
         dict(epsilon=-1.0, delta=0.1, trials=None),  # Theorem IV.1 range
+        dict(mu=5.0),                           # mu outside (0, 1]
+        dict(mu=-1.0),
+        dict(mu=0.0),
     ])
     def test_invalid_requests_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
@@ -444,6 +447,44 @@ class TestBroker:
         # the deadline).
         assert captured["straggler_timeout"] == pytest.approx(2.5)
         assert captured["max_attempts"] == 1
+
+    def test_deadline_guarantee_states_the_request_target(self):
+        """A deadline-degraded answer states the request's ``mu`` and
+        ``delta``, whether the run stopped mid-loop or the deadline
+        expired before it started (both used to state 0.05 and 0.1)."""
+        registry = GraphRegistry(["abide"])
+        registry.load_all()
+        clock = FakeClock()
+
+        def ticking():
+            clock.advance(0.1)
+            return clock()
+
+        broker = QueryBroker(registry, sleep=lambda _: None, clock=ticking)
+        target = dict(
+            trials=None, mu=0.2, epsilon=0.05, delta=0.01, use_cache=False
+        )
+        for deadline, achieved in ((0.35, True), (0.05, False)):
+            response = broker.handle(
+                _request(deadline_seconds=deadline, **target)
+            )
+            assert (response.status, response.reason) == (
+                "degraded", "deadline"
+            )
+            assert (response.n_trials > 0) == achieved
+            guarantee = response.guarantee
+            assert (guarantee["mu"], guarantee["delta"]) == (0.2, 0.01)
+
+    def test_fixed_ols_kl_budgets_follow_mu_past_the_cache(self, broker):
+        """``mu`` sizes fixed OLS-KL's Lemma VI.4 budgets, so a request
+        with another ``mu`` runs its own budgets, not a cached answer
+        (both used to run the same trials, the second as a cache
+        hit)."""
+        first = broker.handle(_request(method="ols-kl", trials=0, mu=0.05))
+        second = broker.handle(_request(method="ols-kl", trials=0, mu=0.3))
+        assert (first.status, second.status) == ("ok", "ok")
+        assert not second.cache_hit
+        assert second.n_trials != first.n_trials
 
     def test_parallel_without_deadline_keeps_pool_retries(
         self, monkeypatch, abide_graph

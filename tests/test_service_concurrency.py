@@ -17,7 +17,6 @@ what it asserts (exact grant counts, not "usually about N").
 
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -228,14 +227,9 @@ class _FakePool:
     #: Builds still to fail, each with :class:`_BuildFailed`.
     failures = 0
 
-    def __init__(
-        self, graph, wedge_index=None, checksum=None, observer=None
-    ):
+    def __init__(self, graph, wedge_index, checksum=None, observer=None):
         self.checksum = checksum
         self.closed = False
-        self.handle = SimpleNamespace(
-            has_index=wedge_index is not None
-        )
         if _FakePool.rendezvous is not None:
             _FakePool.rendezvous.wait(timeout=10)
         if _FakePool.failures:

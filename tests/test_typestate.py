@@ -25,6 +25,7 @@ from repro.analysis.__main__ import main
 from repro.analysis.autofix import _add_imports
 from repro.analysis.registry import instantiate
 from repro.errors import CircuitOpenError
+from repro.kernels.wedge_block import build_wedge_index
 from repro.observability import Observer
 from repro.runtime import shm as shm_module
 from repro.runtime.shm import attach_shared_graph, publish_graph
@@ -648,7 +649,8 @@ class TestShmExceptionEdges:
     def test_attach_closes_mapping_when_reconstruction_fails(
         self, tmp_path, monkeypatch
     ):
-        publication = publish_graph(build_graph(FIGURE_1_EDGES))
+        graph = build_graph(FIGURE_1_EDGES)
+        publication = publish_graph(graph, build_wedge_index(graph))
         try:
             # Corrupt the metadata spec: truncating the pickled blob
             # makes ``pickle.loads`` raise mid-``__init__``.
@@ -677,8 +679,10 @@ class TestShmExceptionEdges:
     ):
         recorder = _RecordingSegments(monkeypatch)
         observer = _FaultyObserver("worker.shm.published")
+        graph = build_graph(FIGURE_1_EDGES)
+        index = build_wedge_index(graph)
         with pytest.raises(RuntimeError, match="observer fault"):
-            publish_graph(build_graph(FIGURE_1_EDGES), observer=observer)
+            publish_graph(graph, index, observer=observer)
         (segment,) = recorder.created
         assert segment.close_calls >= 1
         assert segment.unlink_calls >= 1
