@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 import time
@@ -257,8 +258,10 @@ def _validate_search(
         parser.error(f"--prepare must be at least 1 (got {args.prepare})")
     if args.top <= 0:
         parser.error(f"--top must be at least 1 (got {args.top})")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error(f"--timeout must be positive (got {args.timeout})")
+    if args.timeout is not None and not 0 < args.timeout < math.inf:
+        parser.error(
+            f"--timeout must be positive and finite (got {args.timeout})"
+        )
     if args.checkpoint_every <= 0:
         parser.error(
             f"--checkpoint-every must be at least 1 "
@@ -270,6 +273,8 @@ def _validate_search(
         parser.error(
             f"--block-size must be at least 1 (got {args.block_size})"
         )
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be non-negative (got {args.seed})")
     if exact and (
         args.checkpoint or args.resume or args.timeout is not None
         or args.workers > 1
@@ -290,8 +295,10 @@ def _validate_search(
         )
     if not 0.0 < args.mu <= 1.0:
         parser.error(f"--mu must be in (0, 1] (got {args.mu})")
-    if args.epsilon <= 0.0:
-        parser.error(f"--epsilon must be positive (got {args.epsilon})")
+    if not 0.0 < args.epsilon < math.inf:
+        parser.error(
+            f"--epsilon must be positive and finite (got {args.epsilon})"
+        )
     if not 0.0 < args.delta < 1.0:
         parser.error(f"--delta must be in (0, 1) (got {args.delta})")
     if args.workers > 1:

@@ -314,6 +314,11 @@ def run_listing_sampling(
             "estimator must be 'optimized' or 'karp-luby', "
             f"got {estimator!r}"
         )
+    if estimator == "optimized" and n_trials <= 0:
+        raise ConfigurationError(
+            f"n_trials must be positive for the optimised estimator, "
+            f"got {n_trials}"
+        )
     observer = ensure_observer(observer)
     generator = ensure_rng(rng)
     method = "ols" if estimator == "optimized" else "ols-kl"
@@ -337,11 +342,6 @@ def run_listing_sampling(
                     "n_prepare": float(n_prepare),
                     "candidates_listed": 0.0,
                 },
-            )
-        if estimator == "optimized" and n_trials <= 0:
-            raise ConfigurationError(
-                f"n_trials must be positive for the optimised "
-                f"estimator, got {n_trials}"
             )
         outcome = sample(candidates, generator)
 

@@ -14,8 +14,9 @@ Every sampling method runs on it; ``block_size`` (``None``:
   replace the per-trial candidate walk with gather/reduce/argmax over
   a block drawn on the candidate-union edges only.
 - OLS-KL: :class:`UnionBlockKernel` vectorises the Karp-Luby
-  (event, world) trials of each candidate through the shared
-  :func:`first_all_present` CSR presence primitive.
+  (event, world) trials of each candidate: the first satisfied event
+  is a gather and all-reduce over one ``(events, width ≤ 4)`` event
+  table.
 
 MC-VP/OS block memory is capped by the bytes budget of
 :mod:`repro.kernels.memory` (:func:`resolve_block_budget`); an OLS
@@ -40,12 +41,7 @@ from .memory import (
     resolve_block_budget,
 )
 from .ols_kernel import BlockedOptimizedLoop, CandidateBlockKernel
-from .wedge_block import (
-    WedgeBlockKernel,
-    WedgeIndex,
-    build_wedge_index,
-    first_all_present,
-)
+from .wedge_block import WedgeBlockKernel, WedgeIndex, build_wedge_index
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -60,7 +56,6 @@ __all__ = [
     "block_lengths",
     "block_starts",
     "build_wedge_index",
-    "first_all_present",
     "kernel_row_bytes",
     "resolve_block_budget",
     "resolve_block_size",

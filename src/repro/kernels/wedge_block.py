@@ -25,11 +25,6 @@ unchanged :func:`~repro.butterfly.bfc_vp.assemble_butterfly`, so winner
 *sets* are bit-identical to the reference search (see the equivalence
 contract in ``docs/kernels.md``).  Peak block memory is capped by the
 bytes budget of :mod:`repro.kernels.memory`.
-
-The CSR edge-set presence primitive (:func:`first_all_present`) is
-shared with the Karp-Luby union kernel, whose "first satisfied event"
-world-check is the same all-members-present reduction over event edge
-sets.
 """
 
 from __future__ import annotations
@@ -518,41 +513,3 @@ def _far_end(graph: UncertainBipartiteGraph, vertex: int, edge: int) -> int:
         return int(graph.edge_right[edge]) + graph.n_left
     return int(graph.edge_left[edge])
 
-
-def first_all_present(
-    present: np.ndarray, indptr: np.ndarray, members: np.ndarray
-) -> np.ndarray:
-    """Per world, the first CSR set whose members are all present.
-
-    The shared world-check primitive: the Karp-Luby union kernel asks
-    "which is the first event (weight order) fully contained in this
-    world?", which is a masked gather over the flattened member array
-    followed by a per-set missing-count segment reduction.
-
-    Args:
-        present: ``(block, n_atoms)`` boolean presence matrix.
-        indptr: ``(n_sets + 1,)`` CSR row pointer; every set must be
-            non-empty (``np.add.reduceat`` misreads empty segments).
-        members: Flattened member (atom/edge) indices of all sets.
-
-    Returns:
-        ``(block,)`` int array of first satisfied set indices; rows
-        satisfying no set return the index of the first unsatisfied set
-        scan (callers conditioning a pick, as Karp-Luby does, always
-        have at least one satisfied set).
-    """
-    if indptr.shape[0] < 2:
-        raise ConfigurationError(
-            "first_all_present needs at least one set"
-        )
-    if np.any(np.diff(indptr) <= 0):
-        raise ConfigurationError(
-            "first_all_present requires non-empty CSR sets"
-        )
-    gathered = ~present[:, members]
-    # int32 missing-member counts are bounded by the largest CSR set
-    # size and only tested against zero, so narrowing cannot alias.
-    missing = np.add.reduceat(  # repro: noqa[DTY001]
-        gathered.astype(np.int32), indptr[:-1], axis=1
-    )
-    return np.argmax(missing == 0, axis=1)

@@ -40,7 +40,7 @@ def monte_carlo_trial_bound(
 
     Args:
         mu: Target probability being estimated (must be in ``(0, 1]``).
-        epsilon: Relative error tolerance (must be positive).
+        epsilon: Relative error tolerance (must be positive and finite).
         delta: Failure probability (must be in ``(0, 1)``).
 
     Returns:
@@ -52,8 +52,10 @@ def monte_carlo_trial_bound(
             trials.
     """
     check_target(mu, delta)
-    if epsilon <= 0.0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ConfigurationError(
+            f"epsilon must be positive and finite, got {epsilon}"
+        )
     bound = math.ceil((1.0 / mu) * 4.0 * math.log(2.0 / delta) / epsilon**2)
     if bound > MAX_TRIAL_BOUND:
         raise ConfigurationError(

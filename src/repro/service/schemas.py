@@ -14,7 +14,8 @@ target that is sized via Theorem IV.1
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.mpmb import METHODS
@@ -33,6 +34,21 @@ _REQUEST_FIELDS = frozenset((
     "epsilon", "delta", "prepare", "top_k", "block_size", "seed",
     "deadline_seconds", "workers", "use_cache", "mode",
 ))
+
+#: The types each numeric or flag field accepts, besides ``None`` in
+#: the fields that default to it.  ``bool`` is accepted only where it is
+#: named, though Python counts ``True`` as the ``int`` 1.
+_FIELD_TYPES = {
+    **dict.fromkeys(
+        ("trials", "prepare", "top_k", "block_size", "workers", "seed",
+         "dataset_seed"),
+        (int,),
+    ),
+    **dict.fromkeys(
+        ("mu", "epsilon", "delta", "deadline_seconds"), (int, float)
+    ),
+    "use_cache": (bool,),
+}
 
 #: Allocation modes: ``"fixed"`` runs the full sized budget,
 #: ``"adaptive"`` enables the anytime racing stop rule
@@ -95,6 +111,7 @@ class QueryRequest:
         self._validate()
 
     def _validate(self) -> None:
+        self._validate_types()
         if not self.dataset or not isinstance(self.dataset, str):
             raise ConfigurationError("dataset must be a non-empty string")
         if self.profile not in ("bench", "paper"):
@@ -144,12 +161,15 @@ class QueryRequest:
             raise ConfigurationError(
                 f"block_size must be at least 1 (got {self.block_size})"
             )
-        if (
-            self.deadline_seconds is not None
-            and self.deadline_seconds <= 0
+        if self.seed is not None and self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be non-negative (got {self.seed})"
+            )
+        if self.deadline_seconds is not None and not (
+            0 < self.deadline_seconds < math.inf
         ):
             raise ConfigurationError(
-                f"deadline_seconds must be positive "
+                f"deadline_seconds must be positive and finite "
                 f"(got {self.deadline_seconds})"
             )
         if self.workers <= 0:
@@ -185,6 +205,27 @@ class QueryRequest:
         # targets are rejected at admission, not mid-execution.
         if sized:
             self.resolved_trials()
+
+    def _validate_types(self) -> None:
+        """Reject ill-typed fields before any range check reads them.
+
+        JSON gives ``10.5`` and ``1e3`` as floats and ``true`` as a
+        bool, which Python compares and counts as numbers: unchecked,
+        they pass validation and then fail, or run with a coerced
+        meaning, inside the engine.
+        """
+        for spec in fields(self):
+            kinds = _FIELD_TYPES.get(spec.name)
+            value = getattr(self, spec.name)
+            if kinds is None or (value is None and spec.default is None):
+                continue
+            if isinstance(value, bool) != (bool in kinds) or not isinstance(
+                value, kinds
+            ):
+                names = " or ".join(kind.__name__ for kind in kinds)
+                raise ConfigurationError(
+                    f"{spec.name} must be {names}, got {value!r}"
+                )
 
     def resolved_trials(self) -> int:
         """The trial budget, sizing ε-δ targets via Theorem IV.1."""

@@ -14,7 +14,8 @@ run must be *equivalent* to the scalar path it replaces —
   ``reference_listing_sampling`` and the exact oracle on a graph with
   non-candidate edges;
 * blocked Karp-Luby is deterministic for a fixed block size and tracks
-  the reference's per-trial union loop.
+  the reference's per-trial union loop; its first-satisfied rule
+  matches a per-trial replay of a block's draws.
 
 Alongside the kernels this file pins the satellite regressions the
 batching work exposed: the symmetric ``edges_sampled``/``edges_queried``
@@ -59,6 +60,7 @@ from repro.errors import ConfigurationError
 from repro.kernels import (
     DEFAULT_BLOCK_SIZE,
     CandidateBlockKernel,
+    UnionBlockKernel,
     block_lengths,
     block_starts,
     resolve_block_size,
@@ -70,6 +72,7 @@ from repro.runtime import (
     run_parallel_trials,
     split_trials,
 )
+from repro.sampling import KarpLubyUnionSampler, event_probability
 from repro.worlds import WorldSampler
 
 from .conftest import FIGURE_1_EDGES, build_graph, tied_weights
@@ -578,6 +581,75 @@ class TestUnionDrawAgainstExact:
         # Three candidates share six union edges: 12 incidence slots.
         assert result.stats["edges_sampled"] == 6 * self.N_TRIALS
         assert result.stats["edges_queried"] == 12 * self.N_TRIALS
+
+
+class TestUnionBlockKernel:
+    """The Karp-Luby union kernel's first-satisfied rule, replayed trial
+    by trial: a trial is accepted iff no event before its pick lies in
+    its world, the drawn atoms plus the picked event's.  The replay
+    reads the kernel's draws in their order (pick uniforms, then the
+    atom matrix over the sorted atoms), which seeded OLS-KL results
+    depend on."""
+
+    #: Events of widths 2-4 in priority order over atoms whose sorted
+    #: order is not their order of appearance; they share atoms, and
+    #: event 2 contains event 0, so a pick of event 2 is never accepted.
+    EVENTS = [
+        frozenset({11, 4}),
+        frozenset({4, 9, 2}),
+        frozenset({11, 4, 15, 7}),
+        frozenset({9, 2}),
+        frozenset({15, 7, 20}),
+    ]
+    PROBS = {2: 0.4, 4: 0.7, 7: 0.8, 9: 0.3, 11: 0.5, 15: 0.6, 20: 0.5}
+    COUNT = 400
+
+    def _sampler(self):
+        return KarpLubyUnionSampler(self.EVENTS, self.PROBS.get, rng=9)
+
+    def test_holds_one_fixed_width_table(self):
+        kernel = UnionBlockKernel(self._sampler())
+        n_atoms = len(self.PROBS)
+        assert kernel.table.shape == (len(self.EVENTS), 4)
+        assert not any(
+            isinstance(value, np.ndarray)
+            and value.shape == (len(self.EVENTS), n_atoms)
+            for value in vars(kernel).values()
+        )
+
+    def test_acceptance_matches_first_satisfied_event(self):
+        sampler = self._sampler()
+        state = sampler.rng.bit_generator.state
+        accepted = UnionBlockKernel(sampler).run_block(self.COUNT)
+
+        replay = np.random.default_rng()
+        replay.bit_generator.state = state
+        weights = [event_probability(e, self.PROBS.get) for e in self.EVENTS]
+        picks = np.minimum(
+            np.searchsorted(
+                np.cumsum(weights) / sum(weights),
+                replay.random(self.COUNT), side="right",
+            ),
+            len(self.EVENTS) - 1,
+        )
+        atoms = sorted(self.PROBS)
+        drawn = replay.random((self.COUNT, len(atoms))) < [
+            self.PROBS[atom] for atom in atoms
+        ]
+        expected = []
+        for pick, row in zip(picks, drawn):
+            world = {a for a, bit in zip(atoms, row) if bit}
+            world |= self.EVENTS[pick]
+            expected.append(
+                not any(self.EVENTS[k] <= world for k in range(pick))
+            )
+        assert accepted.tolist() == expected
+        assert set(picks) == set(range(len(self.EVENTS)))
+        assert not accepted[picks == 2].any()
+        assert 0 < accepted.sum() < self.COUNT
+        # The caller counts trials; the kernel leaves the sampler's
+        # scalar counters alone.
+        assert (sampler.n_trials, sampler.accepted) == (0, 0)
 
 
 class TestWorkerBlockSharding:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import (
     CandidateSet,
+    Observer,
     find_mpmb,
     find_top_k_mpmb,
     make_butterfly,
@@ -187,9 +188,21 @@ class TestOls:
         with pytest.raises(ValueError, match="estimator"):
             ordering_listing_sampling(figure1, 100, estimator="magic")
 
-    def test_zero_trials_rejected_for_optimized(self, figure1):
-        with pytest.raises(ValueError, match="n_trials"):
-            ordering_listing_sampling(figure1, 0, estimator="optimized")
+    def test_zero_trials_rejected_for_optimized(
+        self, figure1, no_butterfly_graph
+    ):
+        # Rejected before the preparing phase spends any OS trials, and
+        # also on a graph whose empty C_MB would return early.
+        for graph in (figure1, no_butterfly_graph):
+            observer = Observer()
+            with pytest.raises(ValueError, match="n_trials"):
+                ordering_listing_sampling(
+                    graph, 0, estimator="optimized", observer=observer
+                )
+            assert not any(
+                span.name == "candidate-generation"
+                for span in observer.tracer.spans
+            )
 
     def test_no_candidates_result(self, no_butterfly_graph):
         result = ordering_listing_sampling(

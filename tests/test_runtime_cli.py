@@ -43,6 +43,9 @@ class TestValidation:
         ["search", "--workers", "2", "--resume", "x.json"],
         ["search", "--method", "exact-dp", "--timeout", "5"],
         ["search", "--method", "exact-dp", "--checkpoint", "x.json"],
+        ["search", "--seed", "-1"],
+        ["search", "--timeout", "nan"],
+        ["search", "--epsilon", "nan"],
     ])
     def test_rejected_with_exit_2(self, argv, capsys):
         # No graph source given: validation must fire before loading.

@@ -87,6 +87,24 @@ class TestRequestSchema:
         dict(mu=5.0),                           # mu outside (0, 1]
         dict(mu=-1.0),
         dict(mu=0.0),
+        # Ill-typed JSON values: floats, bools and strings where the
+        # engine needs integers, flags or numbers.
+        dict(trials=10.5),
+        dict(trials=1e3),
+        dict(trials=True),
+        dict(top_k=2.5),
+        dict(prepare=10.5),
+        dict(workers=2.0),
+        dict(block_size=16.5),
+        dict(seed=1.5),
+        dict(seed="abc"),
+        dict(seed=-1),
+        dict(dataset_seed="x"),
+        dict(use_cache="no"),
+        dict(mu=True),
+        dict(deadline_seconds=float("nan")),
+        dict(epsilon=float("nan"), delta=0.1, trials=None),
+        dict(epsilon=float("inf"), delta=0.1, trials=None),
     ])
     def test_invalid_requests_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
@@ -601,6 +619,19 @@ class TestHttpFrontend:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
         assert "budget" in json.loads(excinfo.value.read())["error"]
+
+    def test_ill_typed_request_is_400(self, server):
+        request = urllib.request.Request(
+            self._url(server, "/query"),
+            data=json.dumps(
+                {"dataset": "abide", "method": "os", "trials": 10.5}
+            ).encode(),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        assert "trials" in json.loads(excinfo.value.read())["error"]
 
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
