@@ -21,22 +21,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import signal
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from .core import find_mpmb
+from .core import check_search, find_mpmb
 from .core.mpmb import METHODS
-from .errors import CheckpointError, ConfigurationError
+from .errors import CheckpointError, ConfigurationError, WorkerFailureError
 from .core.results import MPMBResult
 from .datasets import dataset_names, load_dataset
 from .experiments.report import format_seconds, format_table
 from .graph import UncertainBipartiteGraph, compute_stats, load_graph
 from .observability import Observer, ensure_observer
 from .observability.profiling import maybe_cprofile
-from .runtime import POOLABLE_METHODS, RuntimePolicy, run_parallel_trials
+from .runtime import RuntimePolicy
 
 #: Dataset generated when a command is given no graph source at all.
 DEFAULT_DATASET = "abide"
@@ -241,93 +240,38 @@ def _load(args: argparse.Namespace) -> UncertainBipartiteGraph:
     return load_dataset(dataset, args.profile, rng=args.dataset_seed)
 
 
-def _validate_search(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
-    """Reject invalid search options upfront with a clear exit-2 error."""
-    exact = args.method.startswith("exact-")
-    if args.trials < 0 or (
-        args.trials == 0 and args.method != "ols-kl" and not exact
-    ):
-        parser.error(
-            f"--trials must be at least 1 for method {args.method!r} "
-            f"(got {args.trials}); only ols-kl accepts 0 for dynamic "
-            "Lemma VI.4 sizing"
-        )
-    if args.prepare <= 0:
-        parser.error(f"--prepare must be at least 1 (got {args.prepare})")
-    if args.top <= 0:
-        parser.error(f"--top must be at least 1 (got {args.top})")
-    if args.timeout is not None and not 0 < args.timeout < math.inf:
-        parser.error(
-            f"--timeout must be positive and finite (got {args.timeout})"
-        )
-    if args.checkpoint_every <= 0:
-        parser.error(
-            f"--checkpoint-every must be at least 1 "
-            f"(got {args.checkpoint_every})"
-        )
-    if args.workers <= 0:
-        parser.error(f"--workers must be at least 1 (got {args.workers})")
-    if args.block_size is not None and args.block_size <= 0:
-        parser.error(
-            f"--block-size must be at least 1 (got {args.block_size})"
-        )
-    if args.seed is not None and args.seed < 0:
-        parser.error(f"--seed must be non-negative (got {args.seed})")
-    if exact and (
-        args.checkpoint or args.resume or args.timeout is not None
-        or args.workers > 1
-    ):
-        parser.error(
-            f"--checkpoint/--resume/--timeout/--workers do not apply to "
-            f"the exact method {args.method!r}"
-        )
-    if exact and args.block_size is not None:
-        parser.error(
-            f"--block-size does not apply to the exact method "
-            f"{args.method!r}"
-        )
-    if exact and args.adaptive:
-        parser.error(
-            f"--adaptive does not apply to the exact method "
-            f"{args.method!r}"
-        )
-    if not 0.0 < args.mu <= 1.0:
-        parser.error(f"--mu must be in (0, 1] (got {args.mu})")
-    if not 0.0 < args.epsilon < math.inf:
-        parser.error(
-            f"--epsilon must be positive and finite (got {args.epsilon})"
-        )
-    if not 0.0 < args.delta < 1.0:
-        parser.error(f"--delta must be in (0, 1) (got {args.delta})")
-    if args.workers > 1:
-        if args.method not in POOLABLE_METHODS:
-            parser.error(
-                f"--workers requires a poolable method "
-                f"({', '.join(POOLABLE_METHODS)}); {args.method!r} "
-                "results cannot be pooled by trial-weighted averaging"
-            )
-        if args.checkpoint or args.resume:
-            parser.error(
-                "--checkpoint/--resume cannot be combined with "
-                "--workers > 1; checkpointing covers the in-process loop"
-            )
+def _search_arguments(args: argparse.Namespace) -> Dict[str, Any]:
+    """The search flags as :func:`~repro.core.mpmb.find_mpmb` arguments."""
+    return dict(
+        method=args.method, n_trials=args.trials, n_prepare=args.prepare,
+        rng=args.seed, mu=args.mu, delta=args.delta, epsilon=args.epsilon,
+        adaptive=args.adaptive, block_size=args.block_size,
+        workers=args.workers,
+    )
 
 
-def _search_policy(args: argparse.Namespace) -> Optional[RuntimePolicy]:
-    if (
-        args.checkpoint is None
-        and args.resume is None
-        and args.timeout is None
-    ):
-        return None
+def _search_policy(args: argparse.Namespace) -> RuntimePolicy:
     return RuntimePolicy(
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume_from=args.resume,
         timeout_seconds=args.timeout,
     )
+
+
+def _validate_search(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> RuntimePolicy:
+    """Reject invalid search options upfront with a clear exit-2 error;
+    return the run's policy."""
+    if args.top <= 0:
+        parser.error(f"--top must be at least 1 (got {args.top})")
+    try:
+        policy = _search_policy(args)
+        check_search(**_search_arguments(args), runtime=policy)
+    except ConfigurationError as error:
+        parser.error(str(error))
+    return policy
 
 
 def _build_observer(args: argparse.Namespace) -> Optional[Observer]:
@@ -337,39 +281,17 @@ def _build_observer(args: argparse.Namespace) -> Optional[Observer]:
     return None
 
 
-def _run_search(args: argparse.Namespace) -> int:
+def _run_search(args: argparse.Namespace, policy: RuntimePolicy) -> int:
     observer = ensure_observer(_build_observer(args))
     with observer.span("graph-load"):
         graph = _load(args)
     print(f"Graph: {graph!r}")
     start = time.perf_counter()
     with maybe_cprofile(args.profile_out is not None) as profile:
-        shared = {}
-        if not args.method.startswith("exact-"):
-            shared.update(
-                mu=args.mu, delta=args.delta, adaptive=args.adaptive
-            )
-        if args.method in ("ols", "ols-kl"):
-            shared["epsilon"] = args.epsilon
-        if args.workers > 1:
-            result = run_parallel_trials(
-                graph, args.trials, args.workers, method=args.method,
-                rng=args.seed, n_prepare=args.prepare,
-                block_size=args.block_size,
-                observer=observer if observer.enabled else None,
-                **shared,
-            )
-        else:
-            policy = _search_policy(args)
-            kwargs = {} if policy is None else {"runtime": policy}
-            if args.block_size is not None:
-                kwargs["block_size"] = args.block_size
-            result = find_mpmb(
-                graph, method=args.method, n_trials=args.trials,
-                n_prepare=args.prepare, rng=args.seed,
-                observer=observer if observer.enabled else None,
-                **shared, **kwargs,
-            )
+        result = find_mpmb(
+            graph, observer=observer, runtime=policy,
+            **_search_arguments(args),
+        )
     elapsed = time.perf_counter() - start
     _write_observability_outputs(args, observer, profile, result)
     if result.degraded:
@@ -597,8 +519,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     _install_sigterm_handler()
     try:
         if args.command == "search":
-            _validate_search(parser, args)
-            return _exit_code(_run_search(args))
+            policy = _validate_search(parser, args)
+            return _exit_code(_run_search(args, policy))
         if args.command == "stats":
             return _run_stats(args)
         if args.command == "serve":
@@ -622,6 +544,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # trial cap) are usage errors too, not crashes.
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except WorkerFailureError as error:
+        # Every worker of a pooled run failed, or its deadline cut
+        # every one down: nothing to rank.
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     print(f"unknown command {args.command!r}", file=sys.stderr)
     return 2
 

@@ -1,6 +1,7 @@
 """The paper's primary contribution: MPMB search algorithms and theory.
 
-* :func:`find_mpmb` / :func:`find_top_k_mpmb` — one-call facade.
+* :func:`find_mpmb` / :func:`find_top_k_mpmb` — one-call facade;
+  :func:`check_search` — the rules a search must meet.
 * :func:`mc_vp` — Algorithm 1 (baseline).
 * :func:`ordering_sampling` — Algorithm 2 (OS).
 * :func:`reference_search` — Algorithms 1 and 2 as the paper states
@@ -35,6 +36,7 @@ from .mc_vp import mc_vp
 from .mpmb import (
     DEFAULT_TRIALS,
     METHODS,
+    check_search,
     find_mpmb,
     find_top_k_mpmb,
     mpmb_probability,
@@ -91,6 +93,7 @@ __all__ = [
     "ordering_listing_sampling",
     "prepare_candidates",
     "adaptive_prepare_candidates",
+    "check_search",
     "find_mpmb",
     "find_top_k_mpmb",
     "mpmb_probability",

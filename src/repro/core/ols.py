@@ -314,10 +314,13 @@ def run_listing_sampling(
             "estimator must be 'optimized' or 'karp-luby', "
             f"got {estimator!r}"
         )
-    if estimator == "optimized" and n_trials <= 0:
+    if n_trials < 0:
         raise ConfigurationError(
-            f"n_trials must be positive for the optimised estimator, "
-            f"got {n_trials}"
+            f"n_trials must be non-negative, got {n_trials}"
+        )
+    if estimator == "optimized" and n_trials == 0:
+        raise ConfigurationError(
+            "n_trials must be positive for the optimised estimator, got 0"
         )
     observer = ensure_observer(observer)
     generator = ensure_rng(rng)

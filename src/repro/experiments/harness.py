@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core import (
-    mc_vp,
-    ordering_listing_sampling,
-    ordering_sampling,
+    find_mpmb,
     prepare_candidates,
     reference_listing_sampling,
     reference_search,
@@ -165,40 +163,36 @@ def _method_runner(
     runtime = config.runtime_policy()
     block_size = config.block_size
     target = dict(mu=config.mu, delta=config.delta)
+    reference = block_size is None and not config.adaptive
     if method in ("mc-vp", "os"):
         n = n_override or (
             config.n_mcvp if method == "mc-vp" else config.n_direct
         )
-        if block_size is None and not config.adaptive:
+        if reference:
             return lambda: reference_search(
                 graph, method, n, rng=seed,
                 runtime=runtime, observer=observer, **target,
             )
-        search = mc_vp if method == "mc-vp" else ordering_sampling
-        return lambda: search(
-            graph, n, rng=seed, block_size=block_size,
-            runtime=runtime, observer=observer, adaptive=config.adaptive,
-            **target,
-        )
-    if method in ("ols", "ols-kl"):
+    elif method in ("ols", "ols-kl"):
         if method == "ols":
             n = n_override or config.n_sampling
         else:
             n = n_override if n_override is not None else 0  # 0 = dynamic
-        kwargs = dict(
-            n_prepare=config.n_prepare,
-            estimator="optimized" if method == "ols" else "karp-luby",
-            rng=seed, epsilon=config.epsilon, runtime=runtime,
-            observer=observer, **target,
+        if reference:
+            return lambda: reference_listing_sampling(
+                graph, n, n_prepare=config.n_prepare,
+                estimator="optimized" if method == "ols" else "karp-luby",
+                rng=seed, epsilon=config.epsilon, runtime=runtime,
+                observer=observer, **target,
+            )
+    else:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {METHOD_ORDER}"
         )
-        if block_size is None and not config.adaptive:
-            return lambda: reference_listing_sampling(graph, n, **kwargs)
-        return lambda: ordering_listing_sampling(
-            graph, n, block_size=block_size, adaptive=config.adaptive,
-            **kwargs,
-        )
-    raise ValueError(
-        f"unknown method {method!r}; expected one of {METHOD_ORDER}"
+    return lambda: find_mpmb(
+        graph, method, n, config.n_prepare, seed, observer,
+        epsilon=config.epsilon, adaptive=config.adaptive,
+        block_size=block_size, runtime=runtime, **target,
     )
 
 

@@ -47,6 +47,7 @@ so every path above is exercised by deterministic tests.
 from __future__ import annotations
 
 import os
+import signal
 import time
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -134,13 +135,9 @@ def split_trials(
     return shares
 
 
-def backoff_seconds(
-    attempt: int,
-    base: float = 0.05,
-    cap: float = 2.0,
-    jitter: Optional[RngLike] = None,
-) -> float:
-    """Exponential backoff before retry ``attempt + 1`` (capped).
+def backoff_seconds(attempt: int, jitter: Optional[RngLike] = None) -> float:
+    """Exponential backoff before retry ``attempt + 1``: 0.05 s,
+    doubling, capped at 2 s.
 
     With ``jitter`` (a generator or seed) the capped delay is scaled by
     a uniform draw from ``[0.5, 1.0]`` — "equal jitter".  A fixed
@@ -149,7 +146,7 @@ def backoff_seconds(
     Drawing from a generator spawned off the run RNG keeps replays
     bit-identical: the same seed produces the same backoff schedule.
     """
-    delay = min(cap, base * (2.0 ** (attempt - 1)))
+    delay = min(2.0, 0.05 * (2.0 ** (attempt - 1)))
     if jitter is None:
         return delay
     fraction = float(ensure_rng(jitter).uniform(0.5, 1.0))
@@ -189,6 +186,11 @@ def _persistent_worker_main(
     from ..core.serialize import result_to_dict
     from .shm import attach_shared_graph
 
+    # A forked worker inherits its parent's handlers.  The CLI's SIGTERM
+    # handler would turn the pool's terminate() of a straggler into a
+    # graceful interrupt: the worker would return a partial result and
+    # live on, and the pool would wait on it forever.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     attachment = attach_shared_graph(handle)
     try:
         while True:
@@ -355,8 +357,6 @@ def run_parallel_trials(
     method: str = "os",
     rng: RngLike = None,
     max_attempts: int = 3,
-    backoff_base: float = 0.05,
-    backoff_cap: float = 2.0,
     straggler_timeout: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
     sleep: Callable[[float], None] = time.sleep,
@@ -380,14 +380,12 @@ def run_parallel_trials(
         rng: Base seed/generator; workers get statistically independent
             spawned child streams.  A retried worker reuses its original
             stream, so retries reproduce the same trials.
-        max_attempts: Attempts per worker before it is dropped.
-        backoff_base: First retry waits this many seconds; subsequent
-            retries double it.  Every sleep is scaled by a deterministic
-            jitter factor in ``[0.5, 1.0]`` drawn from a stream spawned
-            off ``rng``, so simultaneous retries do not synchronise into
-            bursts and the same seed replays the same schedule.
-        backoff_cap: Upper bound on any single backoff sleep (before
-            jitter scaling).
+        max_attempts: Attempts per worker before it is dropped.  A
+            retry waits :func:`backoff_seconds` (0.05 s, doubling,
+            capped at 2 s), scaled by a deterministic jitter factor in
+            ``[0.5, 1.0]`` drawn from a stream spawned off ``rng``, so
+            simultaneous retries do not synchronise into bursts and the
+            same seed replays the same schedule.
         straggler_timeout: Seconds to wait for a worker before
             terminating it as a straggler; ``None`` waits indefinitely.
         faults: Optional deterministic fault-injection plan.
@@ -460,18 +458,6 @@ def run_parallel_trials(
     from ..core.serialize import result_from_dict
 
     observer = ensure_observer(observer)
-    owns_pool = pool is None
-    if pool is None:
-        pool = WorkerPool(
-            graph, mp_context=mp_context,
-            wedge_index=build_shared_index(graph, observer),
-            observer=observer,
-        )
-    else:
-        observer.inc("worker.shm.reused")
-        observer.set(
-            "worker.shm.bytes", float(pool.handle.total_bytes)
-        )
     # One extra child stream seeds the retry-backoff jitter.  Spawned
     # children are keyed by index, so workers 0..n-1 receive exactly the
     # streams they always did — adding the jitter stream at the end
@@ -487,6 +473,20 @@ def run_parallel_trials(
         if shares[worker_id] > 0
     ]
 
+    # Nothing that can raise runs between opening a pool of our own
+    # and the ``try`` that closes it.
+    owns_pool = pool is None
+    if pool is None:
+        pool = WorkerPool(
+            graph, mp_context=mp_context,
+            wedge_index=build_shared_index(graph, observer),
+            observer=observer,
+        )
+    else:
+        observer.inc("worker.shm.reused")
+        observer.set(
+            "worker.shm.bytes", float(pool.handle.total_bytes)
+        )
     try:
         with observer.span(
             "fan-out", method=method, workers=n_workers, trials=n_trials
@@ -574,8 +574,7 @@ def run_parallel_trials(
                             round_backoff = max(
                                 round_backoff,
                                 backoff_seconds(
-                                    attempt, backoff_base, backoff_cap,
-                                    jitter=jitter_rng,
+                                    attempt, jitter=jitter_rng
                                 ),
                             )
                 if retry and round_backoff > 0.0:

@@ -19,10 +19,12 @@ invariant is that no well-formed request can crash the service:
 * **estimator/engine error** (including injected crashes) →
   ``failed`` with the error message.
 
-Determinism contract: a request with no deadline and no injected
-faults executes ``find_mpmb`` with exactly the CLI's argument shape,
-so service answers are bit-identical to ``python -m repro search`` for
-the same parameters and seed.
+Determinism contract: every execution is one
+:func:`~repro.core.mpmb.find_mpmb` call on the request's
+:meth:`~repro.service.schemas.QueryRequest.search_arguments`, the call
+``python -m repro search`` makes for the same flags, so a request with
+no deadline and no injected faults is answered bit-identically to the
+CLI for the same parameters and seed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..core import find_mpmb
@@ -49,7 +51,6 @@ from ..runtime import (
     WorkerPool,
     backoff_seconds,
     recompute_guarantee,
-    run_parallel_trials,
 )
 from ..runtime.faults import ServiceFaultPlan
 from ..runtime.workers import build_shared_index
@@ -64,16 +65,6 @@ from .schemas import QueryRequest, QueryResponse
 #: Methods whose runs read the wedge index: every sampling method, never
 #: the exact solvers.
 INDEXED_METHODS = ("mc-vp", "os", "ols", "ols-kl")
-
-
-def _target(request: QueryRequest) -> Dict[str, float]:
-    """The request's ``mu``, and its ``delta`` when it set one: the
-    target every guarantee of a sampling run states, as the CLI's
-    ``--mu``/``--delta`` are."""
-    target = {"mu": request.mu}
-    if request.delta is not None:
-        target["delta"] = request.delta
-    return target
 
 
 class _Flight:
@@ -339,7 +330,8 @@ class QueryBroker:
                 detail=f"dataset {request.dataset!r} became unavailable",
                 entry=entry,
             )
-        trials = request.resolved_trials()
+        search = request.search_arguments()
+        trials = search["n_trials"]
         deadline_at: Optional[float] = None
         if request.deadline_seconds is not None:
             deadline_at = self._clock() + request.deadline_seconds
@@ -363,14 +355,17 @@ class QueryBroker:
                         degraded_reason="deadline",
                         target_trials=trials,
                         guarantee=recompute_guarantee(
-                            0, max(1, trials), **_target(request)
+                            0, max(1, trials), **{
+                                key: search[key] for key in ("mu", "delta")
+                                if key in search
+                            },
                         ).to_dict(),
                     )
             else:
                 remaining = None
             try:
                 result = self._run(
-                    request, entry, graph, trials, remaining
+                    request, entry, graph, search, remaining
                 )
             except WorkerFailureError as error:
                 if attempt < self.retry_attempts:
@@ -455,7 +450,7 @@ class QueryBroker:
                     request.dataset, entry.checksum, entry.graph
                 ),
                 checksum=entry.checksum,
-                observer=self.observer if self.observer.enabled else None,
+                observer=self.observer,
             )
 
         flight = _single_flight(
@@ -488,68 +483,36 @@ class QueryBroker:
         request: QueryRequest,
         entry: RegistryEntry,
         graph,
-        trials: int,
+        search: Dict[str, Any],
         remaining_seconds: Optional[float],
     ) -> MPMBResult:
-        """One engine execution with the request's exact CLI shape."""
-        request_faults = self.faults.request_faults
-        sampling: Dict[str, Any] = {}
-        if not request.method.startswith("exact-"):
-            sampling = {
-                **_target(request), "adaptive": request.mode == "adaptive",
-            }
-            if request.epsilon is not None and request.method in (
-                "ols", "ols-kl",
-            ):
-                sampling["epsilon"] = request.epsilon
-        if request.workers > 1:
-            pool_kwargs: Dict[str, Any] = {}
-            if remaining_seconds is not None:
-                # Deadline propagation for pooled runs: workers still
-                # running at the remaining budget are terminated as
-                # stragglers and not retried in-pool (a retry could
-                # only finish past the deadline); whatever completed
-                # merges into a degraded result with a re-widened
-                # guarantee.  If every worker is cut down, the pool's
-                # WorkerFailureError sends us back around the retry
-                # loop, whose deadline check degrades explicitly.
-                pool_kwargs["straggler_timeout"] = remaining_seconds
-                pool_kwargs["max_attempts"] = 1
-            with self._pool_for(request, entry) as pool:
-                return run_parallel_trials(
-                    graph, trials, request.workers,
-                    method=request.method,
-                    rng=request.seed, n_prepare=request.prepare,
-                    block_size=request.block_size,
-                    faults=request_faults,
-                    sleep=self._sleep,
-                    observer=(
-                        self.observer if self.observer.enabled else None
-                    ),
-                    pool=pool,
-                    **sampling,
-                    **pool_kwargs,
-                )
-        kwargs: Dict[str, Any] = {}
-        if remaining_seconds is not None or request_faults is not None:
-            kwargs["runtime"] = RuntimePolicy(
-                timeout_seconds=remaining_seconds,
-                faults=request_faults,
-                clock=self._clock,
-            )
-        if request.block_size is not None:
-            kwargs["block_size"] = request.block_size
+        """One engine execution: ``find_mpmb`` on the request's
+        ``search`` arguments, the remaining deadline and the fault plan,
+        on the dataset's pool when it asks for workers.
+
+        If a deadline cuts every pooled worker down, the pool's
+        :class:`~repro.errors.WorkerFailureError` sends the request back
+        around the retry loop, whose deadline check degrades it
+        explicitly.
+        """
+        wedge_index = None
         if request.method in INDEXED_METHODS:
-            kwargs["wedge_index"] = self._index_for(
+            wedge_index = self._index_for(
                 request.dataset, entry.checksum, graph
             )
-        return find_mpmb(
-            graph, method=request.method, n_trials=trials,
-            n_prepare=request.prepare, rng=request.seed,
-            observer=self.observer if self.observer.enabled else None,
-            **sampling,
-            **kwargs,
+        runtime = RuntimePolicy(
+            timeout_seconds=remaining_seconds,
+            faults=self.faults.request_faults,
+            clock=self._clock,
         )
+        with (
+            self._pool_for(request, entry) if request.workers > 1
+            else nullcontext()
+        ) as pool:
+            return find_mpmb(
+                graph, observer=self.observer, wedge_index=wedge_index,
+                runtime=runtime, pool=pool, **search,
+            )
 
     # ------------------------------------------------------------------
     # Response assembly

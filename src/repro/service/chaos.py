@@ -9,8 +9,9 @@ degraded result carrying a re-widened guarantee.  Never a crash, never
 a hang, never unbounded queueing.
 
 Everything is deterministic: injected clocks (no real time), recorded
-sleeps (no real waiting), seeded RNGs, and fault schedules fixed ahead
-of time.  The same scenarios run as unit tests
+sleeps (the broker's retry backoff; a worker pool's own retry backoff,
+at most 0.15 s a pooled run here, sleeps for real), seeded RNGs, and fault
+schedules fixed ahead of time.  The same scenarios run as unit tests
 (``tests/test_service_chaos.py``) and as the CI ``chaos-smoke`` job::
 
     PYTHONPATH=src python -m repro.service.chaos            # all
@@ -227,6 +228,17 @@ def _run_worker_crash(report: ScenarioReport) -> None:
     well_formed(probe, report)
     report.check(
         probe.status == "ok", "half-open probe closes the breaker"
+    )
+    # The exact solvers take no runtime policy: under a request fault
+    # plan they still answer (here IntractableError, as failed).
+    broker.faults = faults
+    exact = broker.handle(
+        _request(method="exact-worlds", trials=None, use_cache=False)
+    )
+    well_formed(exact, report)
+    report.check(
+        exact.status in ("ok", "failed"),
+        "exact request under a fault plan answers, not crashes",
     )
 
 

@@ -2,10 +2,11 @@
 
 The service never rebuilds a graph per request: a :class:`GraphRegistry`
 loads each configured dataset once, validates the built artifact
-against a SHA-256 checksum of its edge arrays and labels, warms the
-query-relevant derived structures (adjacency lists, the weight-ordered
-edge index of Algorithm 2, a top-weight candidate backbone), and serves
-the result to every request until an explicit :meth:`~GraphRegistry.reload`.
+against a SHA-256 checksum of its edge arrays and labels, lists a small
+top-weight candidate backbone, and serves the result to every request
+until an explicit :meth:`~GraphRegistry.reload`.  It warms nothing a
+request reads: the kernels read the wedge index, which the broker
+builds on a dataset's first request.
 
 Failure containment is the point: a dataset whose artifact fails
 checksum validation is **quarantined** — the entry records the failure,
@@ -266,7 +267,9 @@ class GraphRegistry:
                     )
                     self.observer.inc("service.registry.quarantined")
                     return entry
-                self._warm(graph, entry)
+                entry.backbone = tuple(
+                    top_weight_butterflies(graph, self.backbone_k)
+                )
                 entry.status = "ready"
                 entry.graph = graph
                 entry.checksum = checksum
@@ -298,24 +301,4 @@ class GraphRegistry:
         return None, (
             f"load failed after {self.max_load_attempts} attempts: "
             f"{last_error}"
-        )
-
-    def _warm(
-        self, graph: UncertainBipartiteGraph, entry: RegistryEntry
-    ) -> None:
-        """Materialise the graph's lazy caches and its backbone.
-
-        Forces the adjacency lists and the weight-ordered edge index
-        (which Algorithm 2's A1/A2 angle scans consume) and lists a
-        small top-weight candidate backbone.  These feed the reference
-        paths and diagnostics, not the kernels: the kernels read the
-        wedge index, which the broker builds on the first request for
-        the graph that needs it and drops on ``reload()`` and
-        ``close()``.
-        """
-        graph.adjacency_left
-        graph.adjacency_right
-        graph.edges_by_weight_desc
-        entry.backbone = tuple(
-            top_weight_butterflies(graph, self.backbone_k)
         )

@@ -1,9 +1,13 @@
 """Validated request/response schema of the MPMB query service.
 
 A :class:`QueryRequest` is the service's admission contract: every
-field is validated *before* any resource is spent, with the same rules
-the CLI enforces (``__main__._validate_search``), so a malformed
-request can never reach the engine.  A :class:`QueryResponse` is the
+field is validated *before* any resource is spent, so a malformed
+request can never reach the engine.  The request checks its field
+types, the graph identity, the ε-δ pairing, ``top_k`` and ``mode``
+itself; every rule a search must meet is
+:func:`~repro.core.mpmb.check_search`'s, run on
+:meth:`QueryRequest.search_arguments`, the arguments the broker hands
+:func:`~repro.core.mpmb.find_mpmb`.  A :class:`QueryResponse` is the
 service's exit contract: every request — including rejected, failed,
 and deadline-degraded ones — resolves to one well-formed response.
 
@@ -14,13 +18,12 @@ target that is sized via Theorem IV.1
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.mpmb import METHODS
+from ..core.mpmb import check_search
 from ..errors import ConfigurationError
-from ..runtime import POOLABLE_METHODS
+from ..runtime import RuntimePolicy
 from ..sampling.bounds import monte_carlo_trial_bound
 
 #: Response statuses a request can resolve to.  ``rejected`` covers
@@ -118,14 +121,6 @@ class QueryRequest:
             raise ConfigurationError(
                 f"profile must be 'bench' or 'paper', got {self.profile!r}"
             )
-        if self.method not in METHODS:
-            raise ConfigurationError(
-                f"unknown method {self.method!r}; expected one of "
-                f"{', '.join(METHODS)}"
-            )
-        exact = self.method.startswith("exact-")
-        if not 0.0 < self.mu <= 1.0:
-            raise ConfigurationError(f"mu must be in (0, 1], got {self.mu}")
         sized = self.epsilon is not None or self.delta is not None
         if sized and (self.epsilon is None or self.delta is None):
             raise ConfigurationError(
@@ -135,76 +130,29 @@ class QueryRequest:
             raise ConfigurationError(
                 "give either trials or an epsilon/delta target, not both"
             )
-        if not exact and not sized and self.trials is None:
+        if (
+            not self.method.startswith("exact-")
+            and not sized and self.trials is None
+        ):
             raise ConfigurationError(
                 f"method {self.method!r} needs a budget: trials or an "
                 "epsilon/delta target"
             )
-        if self.trials is not None:
-            if self.trials < 0 or (
-                self.trials == 0 and self.method != "ols-kl" and not exact
-            ):
-                raise ConfigurationError(
-                    f"trials must be at least 1 for method "
-                    f"{self.method!r} (got {self.trials}); only ols-kl "
-                    "accepts 0 for dynamic Lemma VI.4 sizing"
-                )
-        if self.prepare <= 0:
-            raise ConfigurationError(
-                f"prepare must be at least 1 (got {self.prepare})"
-            )
         if self.top_k <= 0:
             raise ConfigurationError(
                 f"top_k must be at least 1 (got {self.top_k})"
-            )
-        if self.block_size is not None and self.block_size <= 0:
-            raise ConfigurationError(
-                f"block_size must be at least 1 (got {self.block_size})"
-            )
-        if self.seed is not None and self.seed < 0:
-            raise ConfigurationError(
-                f"seed must be non-negative (got {self.seed})"
-            )
-        if self.deadline_seconds is not None and not (
-            0 < self.deadline_seconds < math.inf
-        ):
-            raise ConfigurationError(
-                f"deadline_seconds must be positive and finite "
-                f"(got {self.deadline_seconds})"
-            )
-        if self.workers <= 0:
-            raise ConfigurationError(
-                f"workers must be at least 1 (got {self.workers})"
-            )
-        if self.workers > 1 and self.method not in POOLABLE_METHODS:
-            raise ConfigurationError(
-                f"workers > 1 requires a poolable method "
-                f"({', '.join(POOLABLE_METHODS)}); {self.method!r} "
-                "results cannot be pooled"
-            )
-        if exact and (
-            self.deadline_seconds is not None
-            or self.block_size is not None
-            or self.workers > 1
-        ):
-            raise ConfigurationError(
-                "deadline_seconds/block_size/workers do not apply to "
-                f"the exact method {self.method!r}"
             )
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"mode must be one of {', '.join(MODES)}, "
                 f"got {self.mode!r}"
             )
-        if self.mode == "adaptive" and exact:
-            raise ConfigurationError(
-                f"mode 'adaptive' does not apply to the exact method "
-                f"{self.method!r}"
-            )
-        # Exercise the Theorem IV.1 sizing now so out-of-range ε-δ
-        # targets are rejected at admission, not mid-execution.
-        if sized:
-            self.resolved_trials()
+        # Sizing an ε-δ target here (Theorem IV.1) rejects one out of
+        # range at admission, not mid-execution.
+        check_search(
+            **self.search_arguments(),
+            runtime=RuntimePolicy(timeout_seconds=self.deadline_seconds),
+        )
 
     def _validate_types(self) -> None:
         """Reject ill-typed fields before any range check reads them.
@@ -226,6 +174,22 @@ class QueryRequest:
                 raise ConfigurationError(
                     f"{spec.name} must be {names}, got {value!r}"
                 )
+
+    def search_arguments(self) -> Dict[str, Any]:
+        """The request as :func:`~repro.core.mpmb.find_mpmb` arguments.
+
+        Without an ε-δ target, ``epsilon`` and ``delta`` keep
+        ``find_mpmb``'s defaults (0.1, as the CLI's).
+        """
+        arguments = dict(
+            method=self.method, n_trials=self.resolved_trials(),
+            n_prepare=self.prepare, rng=self.seed, mu=self.mu,
+            adaptive=self.mode == "adaptive", block_size=self.block_size,
+            workers=self.workers,
+        )
+        if self.delta is not None:
+            arguments.update(epsilon=self.epsilon, delta=self.delta)
+        return arguments
 
     def resolved_trials(self) -> int:
         """The trial budget, sizing ε-δ targets via Theorem IV.1."""

@@ -204,6 +204,20 @@ class TestOls:
                 for span in observer.tracer.spans
             )
 
+    @pytest.mark.parametrize("estimator", ["optimized", "karp-luby"])
+    def test_negative_trials_rejected(self, figure1, estimator):
+        # Only 0 selects Karp-Luby's dynamic sizing; a negative count
+        # used to select it too.  Rejected before the preparing phase.
+        observer = Observer()
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            ordering_listing_sampling(
+                figure1, -5, estimator=estimator, rng=1, observer=observer
+            )
+        assert not any(
+            span.name == "candidate-generation"
+            for span in observer.tracer.spans
+        )
+
     def test_no_candidates_result(self, no_butterfly_graph):
         result = ordering_listing_sampling(
             no_butterfly_graph, 100, n_prepare=20, rng=0
@@ -231,6 +245,38 @@ class TestFacade:
     def test_unknown_method(self, figure1):
         with pytest.raises(ValueError, match="unknown method"):
             find_mpmb(figure1, method="quantum")
+
+    def test_each_method_takes_only_its_own_settings(self, figure1):
+        """MC-VP and OS take no ``epsilon``, the exact methods no
+        sampling setting: the facade drops what a method does not take
+        (``epsilon`` used to reach OS as a ``TypeError``)."""
+        assert find_mpmb(
+            figure1, method="os", n_trials=300, rng=0, epsilon=0.1
+        ).best.key == (0, 1, 1, 2)
+        exact = find_mpmb(
+            figure1, method="exact-worlds", mu=0.2, delta=0.01,
+            epsilon=0.5,
+        )
+        assert exact.best_probability == pytest.approx(0.11424)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(rng=-1),
+        dict(method="ols-kl", n_trials=-5),
+        dict(n_trials=0),
+        dict(n_prepare=0),
+        dict(block_size=0),
+        dict(workers=0),
+        dict(workers=2, method="ols-kl"),
+        dict(mu=0.0),
+        dict(delta=1.0),
+        dict(epsilon=float("nan")),
+        dict(method="exact-worlds", block_size=8),
+    ])
+    def test_bad_search_is_a_configuration_error(self, figure1, overrides):
+        arguments = dict(method="os", n_trials=300, rng=0)
+        arguments.update(overrides)
+        with pytest.raises(ConfigurationError):
+            find_mpmb(figure1, **arguments)
 
     def test_exact_methods_via_facade(self, figure1):
         result = find_mpmb(figure1, method="exact-worlds")

@@ -41,16 +41,22 @@ class TestValidation:
         ["search", "--workers", "2", "--method", "ols-kl"],
         ["search", "--workers", "2", "--checkpoint", "x.json"],
         ["search", "--workers", "2", "--resume", "x.json"],
-        ["search", "--method", "exact-dp", "--timeout", "5"],
-        ["search", "--method", "exact-dp", "--checkpoint", "x.json"],
+        ["search", "--method", "exact-worlds", "--timeout", "5"],
+        ["search", "--method", "exact-worlds", "--checkpoint", "x.json"],
         ["search", "--seed", "-1"],
         ["search", "--timeout", "nan"],
         ["search", "--epsilon", "nan"],
+        ["search", "--method", "exact-worlds", "--block-size", "8"],
+        ["search", "--method", "exact-worlds", "--adaptive"],
     ])
     def test_rejected_with_exit_2(self, argv, capsys):
         # No graph source given: validation must fire before loading.
         assert _exit_code(argv) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        # A mistyped flag value would pass vacuously on argparse's own
+        # rejection, before the rule under test runs.
+        assert "invalid choice" not in err
 
     def test_trials_zero_allowed_for_karp_luby(self, graph_file, capsys):
         code = cli.main([
@@ -94,6 +100,52 @@ class TestValidation:
         captured = capsys.readouterr()
         assert code == 2
         assert "method mismatch" in captured.err
+
+
+class TestPooledDeadline:
+    """A pooled run's ``--timeout`` reaches the pool."""
+
+    def test_timeout_is_the_straggler_cut_off(
+        self, graph_file, monkeypatch, capsys
+    ):
+        from repro import find_mpmb
+
+        result = find_mpmb(
+            cli.load_graph(graph_file), method="os", n_trials=40, rng=7
+        )
+        captured = {}
+
+        def fake_pool(graph, trials, workers, **kwargs):
+            captured.update(kwargs)
+            return result
+
+        monkeypatch.setattr("repro.core.mpmb.run_parallel_trials", fake_pool)
+        code = cli.main([
+            "search", graph_file, "--method", "os", "--trials", "400",
+            "--workers", "2", "--timeout", "2.5",
+        ])
+        assert code == 0
+        # Workers still running at the deadline are cut down, and not
+        # retried in the pool: a retry could only finish past it.
+        assert captured["straggler_timeout"] == 2.5
+        assert captured["max_attempts"] == 1
+        capsys.readouterr()
+
+    def test_deadline_cutting_every_worker_is_one_error_line(
+        self, graph_file, capsys
+    ):
+        # About a second of trials per worker against a 50 ms deadline.
+        code = cli.main([
+            "search", graph_file, "--method", "os",
+            "--trials", "400000", "--workers", "2", "--timeout", "0.05",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert [
+            line for line in err.splitlines() if "error:" in line
+        ] == [line for line in err.splitlines() if line]
+        assert "straggler" in err
+        assert "Traceback" not in err
 
 
 class TestInterrupt:

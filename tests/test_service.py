@@ -454,7 +454,7 @@ class TestBroker:
             return result
 
         monkeypatch.setattr(
-            "repro.service.broker.run_parallel_trials", fake_pool
+            "repro.core.mpmb.run_parallel_trials", fake_pool
         )
         response = broker.handle(
             _request(workers=2, deadline_seconds=2.5, use_cache=False)
@@ -518,7 +518,7 @@ class TestBroker:
             return result
 
         monkeypatch.setattr(
-            "repro.service.broker.run_parallel_trials", fake_pool
+            "repro.core.mpmb.run_parallel_trials", fake_pool
         )
         response = broker.handle(_request(workers=2, use_cache=False))
         assert response.status == "ok"
@@ -555,6 +555,33 @@ class TestBroker:
         assert response.status in ("ok", "failed")
         if response.status == "failed":
             assert response.reason == "execution-error"
+
+    def test_exact_methods_under_a_request_fault_plan(
+        self, monkeypatch, figure1
+    ):
+        """The exact solvers take no runtime policy, so the request
+        fault plan never reaches them (both used to raise a
+        ``TypeError`` out of ``handle``, which never raises)."""
+        monkeypatch.setattr(
+            "repro.service.registry.load_dataset",
+            lambda name, profile, rng: figure1,
+        )
+        registry = GraphRegistry(["abide"])
+        registry.load_all()
+        broker = QueryBroker(
+            registry, sleep=lambda _: None,
+            faults=ServiceFaultPlan(
+                request_faults=FaultPlan(crash_before_trial=1)
+            ),
+        )
+        for method in ("exact-worlds", "exact-inclusion-exclusion"):
+            response = broker.handle(
+                QueryRequest(dataset="abide", method=method)
+            )
+            assert response.status == "ok", response.detail
+            assert response.ranking[0]["probability"] == pytest.approx(
+                0.11424
+            )
 
     def test_metrics_and_probes(self, broker):
         observer = Observer()
